@@ -12,9 +12,9 @@ from .innersolve import (BoundSolveResult, InnerOptions, PpInfeasible,
 from .linearize import (ElasticSubproblem, Linearization, assemble_elastic,
                         elastic_threshold_holds, linearize_constraints,
                         optimal_elastics)
-from .merit import (KktResidual, Multipliers, aug_lagrangian,
-                    aug_lagrangian_grad, comp_measure, first_order_multiplier,
-                    is_optimal, kkt_residual, min_norm_stationarity)
+from .merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
+                    comp_measure, first_order_multiplier, is_optimal,
+                    kkt_residual, min_norm_stationarity)
 from .model import (DerivReport, NlpProblem, SlackForm, build_slack_form,
                     check_derivatives, push_interior)
 
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundSolveResult", "CatalogEntry", "DerivReport", "ElasticSubproblem",
     "InnerOptions", "InsufficientData", "KktResidual", "Linearization",
-    "Multipliers", "NlpProblem", "OuterOptions", "OuterState", "PpInfeasible",
+    "NlpProblem", "OuterOptions", "OuterState", "PpInfeasible",
     "RateEstimate", "SlackForm", "SolveReport", "SubproblemSolution",
     "SuiteEntry", "SuiteReport", "TraceRecord", "aug_lagrangian",
     "aug_lagrangian_grad", "assemble_elastic", "bound_solve",

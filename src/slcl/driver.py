@@ -264,7 +264,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                             fev0=fev0, trace=[], f_norm_path=[])
 
     y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
-    z = sf.objective_grad(x0) - sf.jacobian(x0).T @ y
+    z = sf.objective_grad(x0) - sf.jacobian_t(x0, y)
 
     if sf.m_c == 0:
         return _solve_linear_only(sf, x0, y, opts, fev0)
@@ -321,7 +321,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         if accepted:
             update_on_success(state, sol, c_star, opts)
             if opts.z_update == "recompute":
-                state.z = sf.objective_grad(state.x) - sf.jacobian(state.x).T @ state.y
+                state.z = sf.objective_grad(state.x) - sf.jacobian_t(state.x, state.y)
             res = kkt_residual(sf, state.x, state.y, state.z)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL

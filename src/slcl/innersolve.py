@@ -67,6 +67,7 @@ class SubproblemSolution:
 @dataclass
 class BoundSolveResult:
     x: Vector
+    f: float
     status: str
     iterations: int
     n_evals: int
@@ -85,6 +86,11 @@ def projected_gradient(x: Vector, g: Vector, lo: Vector, hi: Vector,
     return pg
 
 
+def _check_finite(where: str, x: Vector, *values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
+
+
 def bound_solve(value: Callable[[Vector], float],
                 value_grad: Callable[[Vector], tuple[float, Vector]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
@@ -99,9 +105,17 @@ def bound_solve(value: Callable[[Vector], float],
     or iterate norm beyond unbounded_norm while still descending), or at the
     iteration cap.  alpha0 seeds the spectral steplength, letting callers
     reuse curvature learned on a previous call to the same function.
+
+    value is called at every line-search trial point and value_grad at the
+    start point and at each accepted trial point, right after value was
+    called there, so a caller can keep what value computed.  A trial with a
+    non-finite value fails and is backtracked; a non-finite value or gradient
+    at the start or an accepted point raises ValueError.  n_evals counts the
+    points evaluated: the start and every trial.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
     f, g = value_grad(x)
+    _check_finite("start", x, f, g)
     n_evals = 1
     history = [f]
     if alpha0 is not None:
@@ -112,7 +126,7 @@ def bound_solve(value: Callable[[Vector], float],
     for it in range(1, iter_cap + 1):
         pg = projected_gradient(x, g, lo, hi)
         if np.abs(pg).max(initial=0.0) <= tol:
-            return BoundSolveResult(x, CONVERGED, it - 1, n_evals, alpha)
+            return BoundSolveResult(x, f, CONVERGED, it - 1, n_evals, alpha)
 
         d = np.clip(x - alpha * g, lo, hi) - x
         gtd = float(g @ d)
@@ -120,7 +134,7 @@ def bound_solve(value: Callable[[Vector], float],
             # the spectral step produced no descent direction; the point is
             # stationary to working precision
             status = CONVERGED if np.abs(pg).max() <= max(tol, 1e-9) else ITERATION_LIMIT
-            return BoundSolveResult(x, status, it - 1, n_evals, alpha)
+            return BoundSolveResult(x, f, status, it - 1, n_evals, alpha)
 
         f_ref = max(history[-_NONMONOTONE_MEMORY:])
         lam = 1.0
@@ -128,7 +142,7 @@ def bound_solve(value: Callable[[Vector], float],
             x_new = x + lam * d
             f_new = value(x_new)
             n_evals += 1
-            if f_new <= f_ref + _SUFF_DECREASE * lam * gtd:
+            if np.isfinite(f_new) and f_new <= f_ref + _SUFF_DECREASE * lam * gtd:
                 break
             lam *= _BACKTRACK
             if lam < 1e-14:
@@ -137,17 +151,17 @@ def bound_solve(value: Callable[[Vector], float],
                 break
 
         if f_new < unbounded_objective or np.abs(x_new).max() > unbounded_norm:
-            return BoundSolveResult(x_new, UNBOUNDED, it, n_evals, alpha)
+            return BoundSolveResult(x_new, f_new, UNBOUNDED, it, n_evals, alpha)
 
         s = x_new - x
         if not s.any():
             # line search collapsed without progress; accept the point when it
             # is stationary to within an order of the requested tolerance
             status = CONVERGED if np.abs(pg).max() <= 10 * tol else ITERATION_LIMIT
-            return BoundSolveResult(x, status, it, n_evals, alpha)
+            return BoundSolveResult(x, f, status, it, n_evals, alpha)
 
-        f2, g_new = value_grad(x_new)
-        n_evals += 1
+        _, g_new = value_grad(x_new)
+        _check_finite("accepted", x_new, g_new)
         ydiff = g_new - g
         sty = float(s @ ydiff)
         if sty > 1e-30:
@@ -159,21 +173,31 @@ def bound_solve(value: Callable[[Vector], float],
         if len(history) > _NONMONOTONE_MEMORY:
             history.pop(0)
 
-    return BoundSolveResult(x, ITERATION_LIMIT, iter_cap, n_evals, alpha)
+    return BoundSolveResult(x, f, ITERATION_LIMIT, iter_cap, n_evals, alpha)
 
 
 def _al_value_grad(sub: ElasticSubproblem, mu: Vector, rho_in: float):
-    """Closures for the row-penalized objective of the lifted subproblem."""
+    """Closures for the row-penalized objective of the lifted subproblem.
+
+    value keeps the point it saw last with the slack-form residual computed
+    there, and value_grad at that point reuses both, so one kernel trial plus
+    the gradient at the accepted point calls each of f, c, g and J once.
+    """
+    last_u = last_val = last_r = last_rows = None
 
     def value(u: Vector) -> float:
-        r = sub.row_residual(u)
-        return sub.objective(u) - float(mu @ r) + 0.5 * rho_in * float(r @ r)
+        nonlocal last_u, last_val, last_r, last_rows
+        obj, last_r = sub.evaluate(u)
+        last_rows = sub.row_residual(u)
+        last_val = obj - float(mu @ last_rows) + 0.5 * rho_in * float(last_rows @ last_rows)
+        last_u = u
+        return last_val
 
     def value_grad(u: Vector) -> tuple[float, Vector]:
-        r = sub.row_residual(u)
-        val = sub.objective(u) - float(mu @ r) + 0.5 * rho_in * float(r @ r)
-        grad = sub.gradient(u) + sub.R.T @ (rho_in * r - mu)
-        return val, grad
+        if u is not last_u:
+            value(u)
+        grad = sub.gradient(u, last_r) + sub.rows_t(rho_in * last_rows - mu)
+        return last_val, grad
 
     return value, value_grad
 
@@ -249,7 +273,7 @@ def solve_lc(sub: ElasticSubproblem, opts: InnerOptions,
         r = sub.row_residual(u)
         r_norm = float(np.abs(r).max(initial=0.0))
         mu_hat = mu - rho_in * r
-        merit_path.append(value(u))
+        merit_path.append(res.f)
 
         if res.status == UNBOUNDED:
             return _finalize(sub, u, mu_hat, opts.omega, UNBOUNDED,
@@ -309,10 +333,6 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     m_c = sub.lin.sf.m_c
     dy_elastic = np.abs(sol.delta_y[:m_c]).max(initial=0.0)
     return dy_elastic <= sub.sigma_k + omega + 1e-12
-
-
-def _proximal_rows(sf: SlackForm, x: Vector) -> Vector:
-    return sf.nlp.A @ x
 
 
 def solve_proximal(sf: SlackForm, x_tilde: Vector, variant: str = "pp2",

@@ -49,13 +49,16 @@ def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
 
 @dataclass
 class ElasticSubproblem:
-    """Lifted elastic subproblem over u = (x_ext, v, w)."""
+    """Lifted elastic subproblem over u = (x_ext, v, w).
+
+    Its rows are R u + offset with R = [J_k, I, -I]; R is applied by blocks
+    and never formed.
+    """
 
     lin: Linearization
     y_k: Vector
     rho_k: float
     sigma_k: float
-    R: Matrix = field(init=False)
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
 
@@ -64,7 +67,6 @@ class ElasticSubproblem:
         self.y_k = np.asarray(self.y_k, dtype=float).reshape(m)
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")
-        self.R = np.hstack([self.lin.J_k, np.eye(m), -np.eye(m)])
         elastic_hi = np.where(np.arange(m) < sf.m_c, np.inf, 0.0)
         self.lo = np.concatenate([sf.lo, np.zeros(2 * m)])
         self.hi = np.concatenate([sf.hi, elastic_hi, elastic_hi])
@@ -85,18 +87,33 @@ class ElasticSubproblem:
         n_ext, m = self.n_ext, self.m
         return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
 
-    def objective(self, u: Vector) -> float:
-        x_ext, v, w = self.split(u)
-        val = aug_lagrangian(self.lin.sf, x_ext, self.y_k, self.rho_k)
-        return val + self.sigma_k * float(np.sum(v) + np.sum(w))
+    def evaluate(self, u: Vector) -> tuple[float, Vector]:
+        """Objective at u, with the slack-form residual it was computed from.
 
-    def gradient(self, u: Vector) -> Vector:
-        x_ext, _, _ = self.split(u)
-        gl = aug_lagrangian_grad(self.lin.sf, x_ext, self.y_k, self.rho_k)
+        Passing that residual to gradient at the same point saves a second
+        call to c.
+        """
+        x_ext, v, w = self.split(u)
+        r = self.lin.sf.residual(x_ext)
+        val = aug_lagrangian(self.lin.sf, x_ext, self.y_k, self.rho_k, r)
+        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), r
+
+    def objective(self, u: Vector) -> float:
+        return self.evaluate(u)[0]
+
+    def gradient(self, u: Vector, r: Vector | None = None) -> Vector:
+        """Objective gradient at u; r is the residual evaluate(u) returned."""
+        gl = aug_lagrangian_grad(self.lin.sf, u[:self.n_ext], self.y_k,
+                                 self.rho_k, r)
         return np.concatenate([gl, np.full(2 * self.m, self.sigma_k)])
 
     def row_residual(self, u: Vector) -> Vector:
-        return self.R @ u + self.lin.offset
+        x_ext, v, w = self.split(u)
+        return self.lin.J_k @ x_ext + v - w + self.lin.offset
+
+    def rows_t(self, q: Vector) -> Vector:
+        """R^T q = (J_k^T q; q; -q)."""
+        return np.concatenate([self.lin.J_k.T @ q, q, -q])
 
 
 def assemble_elastic(lin: Linearization, y_k: Vector, rho_k: float,

@@ -15,18 +15,6 @@ from .model import SlackForm, Vector
 
 
 @dataclass
-class Multipliers:
-    """Row multipliers y and bound reduced costs z for an extended point."""
-
-    y: Vector
-    z: Vector
-
-    def check_dims(self, sf: SlackForm) -> None:
-        if self.y.shape != (sf.m,) or self.z.shape != (sf.n_ext,):
-            raise ValueError("multiplier dimensions do not match the slack form")
-
-
-@dataclass
 class KktResidual:
     """Componentwise first-order optimality measures, all in the infinity norm."""
 
@@ -44,18 +32,25 @@ def first_order_multiplier(c_val: Vector, y: Vector, rho: float) -> Vector:
     return y - rho * c_val
 
 
-def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float) -> float:
-    """f(x) - y . ctil + (rho/2) ||ctil||_2^2 at an in-bounds extended point."""
-    r = sf.residual(x_ext)
+def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
+                   r: Vector | None = None) -> float:
+    """f(x) - y . ctil + (rho/2) ||ctil||_2^2 at an in-bounds extended point.
+
+    r is ctil(x_ext) when the caller already holds it.
+    """
+    if r is None:
+        r = sf.residual(x_ext)
     return sf.objective(x_ext) - float(y @ r) + 0.5 * rho * float(r @ r)
 
 
-def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float) -> Vector:
+def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
+                        r: Vector | None = None) -> Vector:
     """Gradient g - J^T (y - rho * ctil), the plain Lagrangian gradient at the
-    shifted multiplier estimate."""
-    r = sf.residual(x_ext)
+    shifted multiplier estimate; r is ctil(x_ext) when the caller holds it."""
+    if r is None:
+        r = sf.residual(x_ext)
     yhat = first_order_multiplier(r, y, rho)
-    return sf.objective_grad(x_ext) - sf.jacobian(x_ext).T @ yhat
+    return sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, yhat)
 
 
 def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -85,7 +80,7 @@ def kkt_residual(sf: SlackForm, x_ext: Vector, y: Vector, z: Vector) -> KktResid
     """
     r = sf.residual(x_ext)
     primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x_ext, sf.lo, sf.hi))
-    dual_vec = sf.objective_grad(x_ext) - sf.jacobian(x_ext).T @ y - z
+    dual_vec = sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, y) - z
     dual = float(np.abs(dual_vec).max(initial=0.0))
     comp = float(np.abs(comp_measure(x_ext, z, sf.lo, sf.hi)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)
@@ -104,6 +99,6 @@ def min_norm_stationarity(sf: SlackForm, x_ext: Vector) -> float:
     gradient of the squared residual is J^T ctil and the measure is its
     two-sided complementarity against the bounds.
     """
-    grad = sf.jacobian(x_ext).T @ sf.residual(x_ext)
+    grad = sf.jacobian_t(x_ext, sf.residual(x_ext))
     comp = comp_measure(x_ext, grad, sf.lo, sf.hi)
     return float(np.abs(comp).max(initial=0.0))

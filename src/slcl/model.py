@@ -69,39 +69,29 @@ class NlpProblem:
         if self.m_c > 0 and (self.eval_c is None or self.eval_J is None):
             raise ValueError("m_c > 0 requires eval_c and eval_J")
 
-    # Counted evaluation wrappers.  All solver code goes through these.
+    # Counted evaluation wrappers.  All solver code goes through these.  They
+    # pass non-finite values through: the inner kernel checks each evaluated
+    # point once, rejecting a trial point and raising at an accepted one.
 
     def f(self, x: Vector) -> float:
         self.n_feval += 1
-        val = float(self.eval_f(x))
-        if not np.isfinite(val):
-            raise ValueError(f"objective returned non-finite value at x={x!r}")
-        return val
+        return float(self.eval_f(x))
 
     def g(self, x: Vector) -> Vector:
         self.n_geval += 1
-        val = np.asarray(self.eval_g(x), dtype=float).reshape(self.n)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"gradient returned non-finite value at x={x!r}")
-        return val
+        return np.asarray(self.eval_g(x), dtype=float).reshape(self.n)
 
     def c(self, x: Vector) -> Vector:
         if self.m_c == 0:
             return np.zeros(0)
         self.n_ceval += 1
-        val = np.asarray(self.eval_c(x), dtype=float).reshape(self.m_c)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"constraint returned non-finite value at x={x!r}")
-        return val
+        return np.asarray(self.eval_c(x), dtype=float).reshape(self.m_c)
 
     def J(self, x: Vector) -> Matrix:
         if self.m_c == 0:
             return np.zeros((0, self.n))
         self.n_jeval += 1
-        val = np.asarray(self.eval_J(x), dtype=float).reshape(self.m_c, self.n)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"Jacobian returned non-finite value at x={x!r}")
-        return val
+        return np.asarray(self.eval_J(x), dtype=float).reshape(self.m_c, self.n)
 
     def eval_total(self) -> int:
         """Total objective plus constraint callback invocations so far."""
@@ -145,6 +135,7 @@ class SlackForm:
         return np.concatenate([self.nlp.c(x) - s_c, self.nlp.A @ x - s_A])
 
     def jacobian(self, x_ext: Vector) -> Matrix:
+        """Dense Jacobian of the residual, built once per linearization."""
         x, _, _ = self.split(x_ext)
         m_c, m_A, n = self.m_c, self.m_A, self.n
         Jt = np.zeros((m_c + m_A, self.n_ext))
@@ -153,6 +144,16 @@ class SlackForm:
         Jt[:m_c, n:n + m_c] = -np.eye(m_c)
         Jt[m_c:, n + m_c:] = -np.eye(m_A)
         return Jt
+
+    def jacobian_t(self, x_ext: Vector, y: Vector) -> Vector:
+        """J^T y for the residual Jacobian, applied by blocks.
+
+        The Jacobian is [J(x), -I, 0; A, 0, -I], so the product is
+        (J(x)^T y_c + A^T y_A; -y_c; -y_A) without forming the slack blocks.
+        """
+        y_c, y_A = y[:self.m_c], y[self.m_c:]
+        jty = self.nlp.J(x_ext[:self.n]).T @ y_c + self.nlp.A.T @ y_A
+        return np.concatenate([jty, -y_c, -y_A])
 
     def objective(self, x_ext: Vector) -> float:
         return self.nlp.f(x_ext[:self.n])
@@ -217,13 +218,16 @@ class DerivReport:
 
 
 def push_interior(x: Vector, lo: Vector, hi: Vector, margin: float) -> Vector:
-    """Move x at least `margin` inside every finite bound (where possible)."""
-    out = np.array(x, dtype=float)
-    lo_f = np.where(np.isfinite(lo), lo + margin, -INF)
-    hi_f = np.where(np.isfinite(hi), hi - margin, INF)
+    """Move x at least `margin` inside every finite bound (where possible).
+
+    Fixed coordinates (lo == hi) have no interior and are set to their value.
+    """
+    fixed = lo == hi
+    lo_f = np.where(np.isfinite(lo) & ~fixed, lo + margin, lo)
+    hi_f = np.where(np.isfinite(hi) & ~fixed, hi - margin, hi)
     if np.any(lo_f > hi_f):
         raise ValueError("box too thin to hold an interior point at this margin")
-    return np.clip(out, lo_f, hi_f)
+    return np.clip(np.array(x, dtype=float), lo_f, hi_f)
 
 
 def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
@@ -231,18 +235,20 @@ def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
     """Compare eval_g and eval_J against central differences of f and c at x.
 
     Relative errors are scaled by 1 + |analytic value|.  x must sit strictly
-    inside every finite bound by at least h so both probe points are valid.
+    inside every finite bound by at least h so both probe points are valid;
+    fixed coordinates (lo == hi) are not perturbed and go unchecked.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     lx, ux = problem.bounds_x
-    if np.any(x - lx < h) or np.any(ux - x < h):
+    free = lx < ux
+    if np.any(free & ((x - lx < h) | (ux - x < h))):
         raise ValueError("derivative check point must be at least h inside the bounds")
 
     g = problem.g(x)
     Jmat = problem.J(x)
     err_g = np.zeros(problem.n)
     err_J = np.zeros((problem.m_c, problem.n))
-    for j in range(problem.n):
+    for j in np.flatnonzero(free):
         e = np.zeros(problem.n)
         e[j] = h
         fp, fm = problem.f(x + e), problem.f(x - e)

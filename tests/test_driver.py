@@ -162,6 +162,30 @@ class TestSolve:
         assert rep.minors > 0 and rep.fevals > 0
         assert len(rep.f_norm_path) == rep.majors + 1
 
+    def test_fixed_variable(self):
+        """x1 fixed at 0.4 leaves the circle point (0.4, sqrt(0.84))."""
+        p = catalog_get("circle-proj").problem
+        p.bounds_x = (np.array([0.4, 0.0]), np.array([0.4, INF]))
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        np.testing.assert_allclose(rep.x, [0.4, np.sqrt(0.84)], atol=1e-6)
+
+    def test_trial_outside_the_domain_of_f(self):
+        """f = x - log x: the first spectral steps leave x > 0 and are cut back."""
+        p = NlpProblem(
+            n=1, m_c=0, m_A=0,
+            eval_f=lambda x: float(x[0] - np.log(x[0])),
+            eval_g=lambda x: np.array([1.0 - 1.0 / x[0]]),
+            eval_c=None, eval_J=None, A=np.zeros((0, 1)),
+            bounds_x=(np.array([-INF]), np.array([INF])),
+            bounds_c=(np.zeros(0), np.zeros(0)),
+            bounds_A=(np.zeros(0), np.zeros(0)),
+            x_tilde=np.array([5.0]))
+        with np.errstate(invalid="ignore"):
+            rep = solve(p)
+        assert rep.status == "Optimal"
+        np.testing.assert_allclose(rep.x, [1.0], atol=1e-6)
+
     def test_optimal_report_is_certified(self):
         rep = solve(catalog_get("two-circles").problem)
         assert rep.status == "Optimal"

@@ -5,8 +5,9 @@ import pytest
 
 from slcl.catalog import catalog_get
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
-                             InnerOptions, PpInfeasible, bound_solve, solve_lc,
-                             solve_proximal, verify_relaxed_kkt)
+                             InnerOptions, PpInfeasible, _al_value_grad,
+                             bound_solve, solve_lc, solve_proximal,
+                             verify_relaxed_kkt)
 from slcl.linearize import assemble_elastic, linearize_constraints
 from slcl.model import INF, NlpProblem, build_slack_form
 
@@ -90,6 +91,26 @@ class TestBoundSolve:
         res = bound_solve(value, value_grad, np.array([0.0]), np.array([INF]),
                           np.array([1.0]), tol=1e-8)
         assert res.status == UNBOUNDED
+
+    def test_non_finite_trial_is_backtracked(self):
+        """sqrt(x) is nan left of 0; a first step landing there is cut back."""
+        value = lambda x: float(0.5 * x[0] - np.sqrt(x[0]))
+        value_grad = lambda x: (value(x), np.array([0.5 - 0.5 / np.sqrt(x[0])]))
+        with np.errstate(invalid="ignore"):
+            # the first step goes from 4 to -21, then -8.5 and -2.25
+            res = bound_solve(value, value_grad, np.array([-INF]),
+                              np.array([INF]), np.array([4.0]), tol=1e-10,
+                              alpha0=100.0)
+        assert res.status == CONVERGED
+        np.testing.assert_allclose(res.x, [1.0], atol=1e-8)
+        assert res.f == value(res.x)
+
+    def test_non_finite_start_raises(self):
+        value = lambda x: float("nan")
+        value_grad = lambda x: (float("nan"), np.zeros(1))
+        with pytest.raises(ValueError, match="start"):
+            bound_solve(value, value_grad, np.array([-INF]), np.array([INF]),
+                        np.array([1.0]), tol=1e-8)
 
     def test_alpha_seed_round_trip(self):
         """The returned steplength reseeds a warm call to the same function."""
@@ -193,6 +214,59 @@ class TestSolveLc:
             sol = solve_lc(sub, InnerOptions())
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
+
+
+def _counted(problem):
+    """Wrap the raw callbacks with per-kind call counters."""
+    calls = dict.fromkeys("fgcJ", 0)
+    for kind in calls:
+        fn = getattr(problem, f"eval_{kind}")
+
+        def counted(x, fn=fn, kind=kind):
+            calls[kind] += 1
+            return fn(x)
+
+        setattr(problem, f"eval_{kind}", counted)
+    return calls
+
+
+class TestEvaluationBudget:
+    def _cycle(self):
+        sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
+        mu = np.array([0.2, -0.1])
+        return sf, sub, _counted(sf.nlp), _al_value_grad(sub, mu, 100.0)
+
+    def test_trial_and_accepted_gradient_call_each_callback_once(self):
+        sf, sub, calls, (value, value_grad) = self._cycle()
+        u = np.clip(np.concatenate([sub.lin.x_k + 0.05, np.zeros(2 * sub.m)]),
+                    sub.lo, sub.hi)
+        f_trial = value(u)
+        f_again, grad = value_grad(u)
+        assert calls == {"f": 1, "g": 1, "c": 1, "J": 1}
+        assert f_again == f_trial
+        assert grad.shape == (sub.n_lifted,)
+
+    def test_gradient_matches_a_fresh_evaluation(self):
+        """The reused residual gives the same gradient as evaluating anew."""
+        sf, sub, calls, (value, value_grad) = self._cycle()
+        fresh = _al_value_grad(sub, np.array([0.2, -0.1]), 100.0)[1]
+        u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
+                    sub.lo, sub.hi)
+        value(u)
+        val, grad = value_grad(u)
+        val_fresh, grad_fresh = fresh(u.copy())
+        assert val == val_fresh
+        np.testing.assert_array_equal(grad, grad_fresh)
+
+    def test_kernel_counts_points_and_accepted_points(self):
+        """f and c once per evaluated point, g and J once per accepted point."""
+        sf, sub, calls, (value, value_grad) = self._cycle()
+        u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m)]),
+                     sub.lo, sub.hi)
+        res = bound_solve(value, value_grad, sub.lo, sub.hi, u0, tol=1e-8)
+        assert res.status == CONVERGED and res.iterations > 5
+        assert calls["f"] == calls["c"] == res.n_evals
+        assert calls["g"] == calls["J"] == res.iterations + 1
 
 
 class TestVerifyRelaxedKkt:

@@ -82,7 +82,21 @@ class TestElasticSubproblem:
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         assert sf.n_ext == 4 and sub.m == 2
         assert sub.n_lifted == 8
-        assert sub.R.shape == (2, 8)
+
+    def test_blockwise_rows_match_dense_matrix(self):
+        """Row residual and its transpose product agree with [J_k, I, -I]."""
+        sf = build_slack_form(catalog_get("circle-chord").problem)
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+        m = sf.m
+        sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
+        R = np.hstack([lin.J_k, np.eye(m), -np.eye(m)])
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            u = rng.standard_normal(sub.n_lifted)
+            q = rng.standard_normal(m)
+            np.testing.assert_allclose(sub.row_residual(u), R @ u + lin.offset,
+                                       rtol=1e-14)
+            np.testing.assert_allclose(sub.rows_t(q), R.T @ q, rtol=1e-14)
 
     def test_zero_sigma_reduces_to_merit(self):
         """With sigma = 0 the elastics drop out of value and gradient."""

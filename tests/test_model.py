@@ -103,6 +103,18 @@ class TestSlackForm:
             col = (sf.residual(x_ext + d) - sf.residual(x_ext - d)) / (2 * h)
             np.testing.assert_allclose(J[:, j], col, atol=1e-7)
 
+    def test_blockwise_transpose_matches_dense_jacobian(self):
+        """J^T y by blocks equals the dense slack-form Jacobian's transpose."""
+        for name in ("circle-chord", "lin-eq-quadratic", "two-circles"):
+            sf = build_slack_form(catalog_get(name).problem)
+            rng = np.random.default_rng(11)
+            for _ in range(10):
+                x_ext = rng.standard_normal(sf.n_ext)
+                y = rng.standard_normal(sf.m)
+                np.testing.assert_allclose(sf.jacobian_t(x_ext, y),
+                                           sf.jacobian(x_ext).T @ y,
+                                           rtol=1e-14, atol=1e-15)
+
     def test_dimension_probe_rejects_bad_callbacks(self):
         p = _circle_problem()
         p.eval_J = lambda x: np.zeros((2, 2))
@@ -146,6 +158,14 @@ class TestDerivativeCheck:
         with pytest.raises(ValueError):
             check_derivatives(p, np.array([0.0, 1.0]))
 
+    def test_fixed_coordinates_are_skipped(self):
+        """A fixed x2 sits on its bounds; only x1 is differenced."""
+        p = _circle_problem()
+        p.bounds_x = (np.array([-INF, 0.5]), np.array([INF, 0.5]))
+        rep = check_derivatives(p, np.array([1.0, 0.5]))
+        assert rep.passed
+        assert p.n_feval == 2 and p.n_ceval == 2
+
     def test_catalog_entries_pass_everywhere(self):
         """Every entry checks clean at its start point and 5 interior samples."""
         rng = np.random.default_rng(314)
@@ -166,6 +186,11 @@ class TestPushInterior:
         hi = np.array([1.0, 2.0])
         out = push_interior(np.array([0.0, 5.0]), lo, hi, margin=0.1)
         np.testing.assert_allclose(out, [0.1, 1.9])
+
+    def test_fixed_coordinates_keep_their_value(self):
+        lo, hi = np.array([0.0, 0.4]), np.array([1.0, 0.4])
+        out = push_interior(np.array([0.0, 3.0]), lo, hi, margin=0.1)
+        np.testing.assert_allclose(out, [0.1, 0.4])
 
     def test_too_thin_box_raises(self):
         lo, hi = np.array([0.0]), np.array([0.1])
