@@ -1,7 +1,6 @@
 """Stabilized linearly constrained Lagrangian solver for smooth nonlinear programs."""
 
-from .bench import (InsufficientData, RateEstimate, SuiteEntry, SuiteReport,
-                    emit_report, estimate_rate, run_suite)
+from .bench import SuiteEntry, SuiteReport, emit_report, run_suite
 from .catalog import CatalogEntry, catalog_get, catalog_names
 from .driver import (OuterOptions, OuterState, SolveReport, TraceRecord,
                      detect_infeasible, detect_unbounded, next_omega, solve,
@@ -10,8 +9,7 @@ from .innersolve import (BoundSolveResult, InnerOptions, PpInfeasible,
                          SubproblemSolution, bound_solve, solve_lc,
                          solve_proximal, verify_relaxed_kkt)
 from .linearize import (ElasticSubproblem, Linearization, assemble_elastic,
-                        elastic_threshold_holds, linearize_constraints,
-                        optimal_elastics)
+                        linearize_constraints, optimal_elastics)
 from .merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
                     comp_measure, first_order_multiplier, is_optimal,
                     kkt_residual, min_norm_stationarity)
@@ -21,15 +19,14 @@ from .model import (DerivReport, NlpProblem, SlackForm, build_slack_form,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundSolveResult", "CatalogEntry", "DerivReport", "ElasticSubproblem",
-    "InnerOptions", "InsufficientData", "KktResidual", "Linearization",
+    "BoundSolveResult", "CatalogEntry", "DerivReport",
+    "ElasticSubproblem", "InnerOptions", "KktResidual", "Linearization",
     "NlpProblem", "OuterOptions", "OuterState", "PpInfeasible",
-    "RateEstimate", "SlackForm", "SolveReport", "SubproblemSolution",
-    "SuiteEntry", "SuiteReport", "TraceRecord", "aug_lagrangian",
-    "aug_lagrangian_grad", "assemble_elastic", "bound_solve",
-    "build_slack_form", "catalog_get", "catalog_names", "check_derivatives",
-    "comp_measure", "detect_infeasible", "detect_unbounded",
-    "elastic_threshold_holds", "emit_report", "estimate_rate",
+    "SlackForm", "SolveReport", "SubproblemSolution", "SuiteEntry",
+    "SuiteReport", "TraceRecord", "aug_lagrangian", "aug_lagrangian_grad",
+    "assemble_elastic", "bound_solve", "build_slack_form", "catalog_get",
+    "catalog_names", "check_derivatives", "comp_measure",
+    "detect_infeasible", "detect_unbounded", "emit_report",
     "first_order_multiplier", "is_optimal", "kkt_residual",
     "linearize_constraints", "min_norm_stationarity", "next_omega",
     "optimal_elastics", "push_interior", "run_suite", "solve", "solve_lc",

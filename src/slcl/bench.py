@@ -1,4 +1,4 @@
-"""Benchmark harness, convergence-rate estimation, report emitters, and CLI."""
+"""Benchmark harness, report emitters, and CLI."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .catalog import catalog_get, catalog_names
 from .driver import (INFEASIBLE, OPTIMAL, OuterOptions, SolveReport,
                      UNBOUNDED_STATUS, solve)
@@ -20,45 +18,6 @@ CSV_COLUMNS = ["name", "status", "majors", "minors", "fevals", "final_objective"
 
 _EXPECTED_STATUS = {"solvable": OPTIMAL, "infeasible": INFEASIBLE,
                     "unbounded": UNBOUNDED_STATUS}
-
-
-class InsufficientData(ValueError):
-    """Not enough strictly decreasing residuals to estimate a rate."""
-
-
-@dataclass
-class RateEstimate:
-    """Observed convergence orders from a residual history.
-
-    orders[k] compares the decay of consecutive residual ratios; the terminal
-    order is the median of the last three, the steady behavior near the end
-    of the run.
-    """
-
-    orders: list[float]
-    terminal_order: float
-
-
-def estimate_rate(residuals) -> RateEstimate:
-    """Estimate the convergence order from a trailing residual sequence.
-
-    Works on the longest strictly positive, strictly decreasing tail of the
-    input; anything shorter than four points cannot support an estimate.
-    """
-    r = np.asarray(list(residuals), dtype=float)
-    end = len(r)
-    begin = end
-    while begin > 0 and r[begin - 1] > 0.0 and (begin == end or r[begin - 1] > r[begin]):
-        begin -= 1
-    tail = r[begin:end]
-    if len(tail) < 4:
-        raise InsufficientData(
-            f"need a strictly decreasing positive tail of length >= 4, got {len(tail)}")
-    logs = np.log(tail)
-    steps = np.diff(logs)
-    orders = [float(steps[i + 1] / steps[i]) for i in range(len(steps) - 1)]
-    terminal = float(np.median(orders[-3:]))
-    return RateEstimate(orders=orders, terminal_order=terminal)
 
 
 @dataclass
@@ -96,30 +55,29 @@ class SuiteReport:
         return all(e.matched for e in self.entries)
 
 
-def _options_dict(opts: OuterOptions) -> dict:
-    out = asdict(opts)
-    return out
+def _solve_entry(name: str, opts: OuterOptions) -> tuple[SuiteEntry, SolveReport]:
+    """Solve one catalog problem and summarize the run as a suite row."""
+    entry = catalog_get(name)
+    t0 = time.perf_counter()
+    result = solve(entry.problem, opts)
+    wall = time.perf_counter() - t0
+    res = result.residual
+    row = SuiteEntry(
+        name=name, status=result.status, majors=result.majors,
+        minors=result.minors, fevals=result.fevals,
+        final_objective=result.final_objective, primal_inf=res.primal_inf,
+        dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
+        classification=entry.classification,
+        matched=result.status == _EXPECTED_STATUS[entry.classification])
+    return row, result
 
 
 def run_suite(names, opts: OuterOptions | None = None, log=None) -> SuiteReport:
     """Solve each named catalog problem once and collect one row per problem."""
     opts = opts if opts is not None else OuterOptions()
-    report = SuiteReport(options=_options_dict(opts))
+    report = SuiteReport(options=asdict(opts))
     for name in names:
-        entry = catalog_get(name)
-        t0 = time.perf_counter()
-        result = solve(entry.problem, opts)
-        wall = time.perf_counter() - t0
-        expected = _EXPECTED_STATUS[entry.classification]
-        row = SuiteEntry(
-            name=name, status=result.status, majors=result.majors,
-            minors=result.minors, fevals=result.fevals,
-            final_objective=result.final_objective,
-            primal_inf=result.residual.primal_inf,
-            dual_inf=result.residual.dual_inf,
-            comp=result.residual.comp, wall_time_s=wall,
-            classification=entry.classification,
-            matched=result.status == expected)
+        row, _ = _solve_entry(name, opts)
         report.entries.append(row)
         if log is not None:
             log(f"{name:<18} {row.status:<14} majors={row.majors:<4} "
@@ -201,28 +159,16 @@ def _cmd_list(_args) -> int:
 
 def _cmd_solve(args) -> int:
     opts = _options_from_args(args)
-    entry = catalog_get(args.name)
-    t0 = time.perf_counter()
-    result = solve(entry.problem, opts)
-    wall = time.perf_counter() - t0
+    row, result = _solve_entry(args.name, opts)
     if args.trace:
         _print_trace(result)
-    res = result.residual
-    print(f"{args.name}: {result.status}  f = {result.final_objective:.10g}  "
-          f"majors = {result.majors}  minors = {result.minors}  "
-          f"fevals = {result.fevals}")
-    print(f"residuals: primal {res.primal_inf:.3e}  dual {res.dual_inf:.3e}  "
-          f"comp {res.comp:.3e}  wall {wall:.3f}s")
-    suite = SuiteReport(options=_options_dict(opts))
-    suite.entries.append(SuiteEntry(
-        name=args.name, status=result.status, majors=result.majors,
-        minors=result.minors, fevals=result.fevals,
-        final_objective=result.final_objective, primal_inf=res.primal_inf,
-        dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
-        classification=entry.classification,
-        matched=result.status == _EXPECTED_STATUS[entry.classification]))
-    _emit_from_args(suite, args)
-    return 0 if suite.entries[0].matched else 1
+    print(f"{args.name}: {row.status}  f = {row.final_objective:.10g}  "
+          f"majors = {row.majors}  minors = {row.minors}  "
+          f"fevals = {row.fevals}")
+    print(f"residuals: primal {row.primal_inf:.3e}  dual {row.dual_inf:.3e}  "
+          f"comp {row.comp:.3e}  wall {row.wall_time_s:.3f}s")
+    _emit_from_args(SuiteReport(entries=[row], options=asdict(opts)), args)
+    return 0 if row.matched else 1
 
 
 def _cmd_suite(args) -> int:

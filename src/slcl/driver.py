@@ -61,9 +61,6 @@ class OuterOptions:
     rho_bar: float = 1e8
     max_major: int = 500
     mode: str = STABILIZED
-    multiplier_update: str = "first-order"
-    z_update: str = "subproblem"
-    pp_variant: str = "pp2"
     inner: InnerOptions = field(default_factory=InnerOptions)
 
     def __post_init__(self) -> None:
@@ -75,10 +72,6 @@ class OuterOptions:
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
         if self.mode not in (STABILIZED, CANONICAL, BCL):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.multiplier_update not in ("first-order", "direct"):
-            raise ValueError(f"unknown multiplier update: {self.multiplier_update!r}")
-        if self.z_update not in ("subproblem", "recompute"):
-            raise ValueError(f"unknown z update: {self.z_update!r}")
         if not (self.omega_star > 0 and self.eta_star > 0):
             raise ValueError("target tolerances must be positive")
 
@@ -152,12 +145,9 @@ def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
     multiplier step, clamped into [sigma_lo, sigma_hi].
     """
     y_star = state.y + sol.delta_y
-    if opts.multiplier_update == "first-order" and opts.mode != CANONICAL:
-        y_new = y_star - state.rho * c_val
-    else:
-        y_new = y_star
     state.x = np.array(sol.x_star)
-    state.y = y_new
+    # the canonical mode takes the subproblem multipliers directly
+    state.y = y_star if opts.mode == CANONICAL else y_star - state.rho * c_val
     state.z = np.array(sol.z_star)
     if opts.mode == STABILIZED:
         dy_norm = float(np.abs(sol.delta_y).max(initial=0.0))
@@ -248,7 +238,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     fev0 = problem.eval_total()
 
     x_tilde = problem.x_tilde if x_start is None else np.asarray(x_start, dtype=float)
-    probe = push_interior(x_tilde, *problem.bounds_x, margin=2e-5)
+    lx, ux = problem.bounds_x
+    # a box thinner than twice the margin is probed at its midpoint
+    probe = push_interior(x_tilde, lx, ux, margin=np.minimum(2e-5, 0.5 * (ux - lx)))
     deriv = check_derivatives(problem, probe)
     if not deriv.passed:
         raise ValueError(
@@ -256,9 +248,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
 
     try:
-        x0 = solve_proximal(sf, x_tilde, opts.pp_variant)
+        x0 = solve_proximal(sf, x_tilde)
     except PpInfeasible:
-        x_ext = sf.embed(np.clip(x_tilde, *problem.bounds_x))
+        x_ext = sf.embed(np.clip(x_tilde, lx, ux))
         return _make_report(INFEASIBLE, sf, x_ext, np.zeros(sf.m),
                             np.zeros(sf.n_ext), majors=0, minors=0,
                             fev0=fev0, trace=[], f_norm_path=[])
@@ -320,8 +312,6 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
 
         if accepted:
             update_on_success(state, sol, c_star, opts)
-            if opts.z_update == "recompute":
-                state.z = sf.objective_grad(state.x) - sf.jacobian_t(state.x, state.y)
             res = kkt_residual(sf, state.x, state.y, state.z)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL

@@ -1,12 +1,13 @@
-"""Inner solver for the lifted elastic subproblems.
+"""Inner solver for the lifted elastic subproblems and the proximal start.
 
-The lifted rows are enforced by an augmented Lagrangian loop of their own:
-each cycle minimizes the row-penalized objective over the box with a spectral
+Linear rows over a box are enforced by one augmented Lagrangian loop: each
+cycle minimizes the row-penalized objective over the box with a spectral
 projected-gradient method (Barzilai-Borwein steps plus a nonmonotone
 backtracking line search), then updates the row multipliers or raises the row
-penalty depending on how much the row residual shrank.  On success the
-returned triple satisfies the relaxed optimality conditions of the subproblem:
-bounds hold, rows hold to delta_lin, z is the reduced gradient at delta_y,
+penalty depending on how much the row residual shrank.  The elastic
+subproblem and the proximal start both run that loop.  On success the
+subproblem triple satisfies its relaxed optimality conditions: bounds hold,
+rows hold to delta_lin, z is the reduced gradient at delta_y,
 complementarity is within omega, and the elastic-row multipliers obey the
 sigma + omega box.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .linearize import ElasticSubproblem, optimal_elastics
 from .merit import comp_measure
-from .model import SlackForm, Vector
+from .model import Matrix, SlackForm, Vector
 
 CONVERGED = "Converged"
 UNBOUNDED = "Unbounded"
@@ -31,8 +32,17 @@ _SUFF_DECREASE = 1e-4
 _BACKTRACK = 0.5
 _ALPHA_MIN = 1e-10
 _ALPHA_MAX = 1e10
+_MAX_INNER_ITERS = 5000
+_UNBOUNDED_OBJECTIVE = -1e15
+_UNBOUNDED_NORM = 1e10
 _MAX_CYCLES = 60
+_MAX_RESTARTS = 3
+_AL_RHO_INIT = 10.0
+_AL_RHO_GROWTH = 10.0
 _AL_RHO_CAP = 1e14
+# the proximal start only needs a nearby point that meets the linear rows
+_PP_OMEGA = 1e-3
+_PP_DELTA_LIN = 1e-6
 
 
 class PpInfeasible(Exception):
@@ -43,12 +53,6 @@ class PpInfeasible(Exception):
 class InnerOptions:
     omega: float = 1e-6
     delta_lin: float = 1e-6
-    max_inner_iters: int = 5000
-    max_restarts: int = 3
-    unbounded_objective: float = -1e15
-    unbounded_norm: float = 1e10
-    al_rho_init: float = 10.0
-    al_rho_growth: float = 10.0
 
 
 @dataclass
@@ -94,9 +98,9 @@ def _check_finite(where: str, x: Vector, *values) -> None:
 def bound_solve(value: Callable[[Vector], float],
                 value_grad: Callable[[Vector], tuple[float, Vector]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
-                iter_cap: int = 5000,
-                unbounded_objective: float = -1e15,
-                unbounded_norm: float = 1e10,
+                iter_cap: int = _MAX_INNER_ITERS,
+                unbounded_objective: float = _UNBOUNDED_OBJECTIVE,
+                unbounded_norm: float = _UNBOUNDED_NORM,
                 alpha0: float | None = None) -> BoundSolveResult:
     """Minimize a smooth function over a box by spectral projected gradient.
 
@@ -176,19 +180,20 @@ def bound_solve(value: Callable[[Vector], float],
     return BoundSolveResult(x, f, ITERATION_LIMIT, iter_cap, n_evals, alpha)
 
 
-def _al_value_grad(sub: ElasticSubproblem, mu: Vector, rho_in: float):
-    """Closures for the row-penalized objective of the lifted subproblem.
+def _al_value_grad(prob, mu: Vector, rho_in: float):
+    """Closures for the row-penalized objective of a problem with linear rows.
 
-    value keeps the point it saw last with the slack-form residual computed
-    there, and value_grad at that point reuses both, so one kernel trial plus
-    the gradient at the accepted point calls each of f, c, g and J once.
+    value keeps the point it saw last with what prob.evaluate returned there
+    (for the elastic subproblem, the slack-form residual), and value_grad at
+    that point reuses both, so one kernel trial plus the gradient at the
+    accepted point calls each of f, c, g and J once.
     """
-    last_u = last_val = last_r = last_rows = None
+    last_u = last_val = last_aux = last_rows = None
 
     def value(u: Vector) -> float:
-        nonlocal last_u, last_val, last_r, last_rows
-        obj, last_r = sub.evaluate(u)
-        last_rows = sub.row_residual(u)
+        nonlocal last_u, last_val, last_aux, last_rows
+        obj, last_aux = prob.evaluate(u)
+        last_rows = prob.row_residual(u)
         last_val = obj - float(mu @ last_rows) + 0.5 * rho_in * float(last_rows @ last_rows)
         last_u = u
         return last_val
@@ -196,118 +201,132 @@ def _al_value_grad(sub: ElasticSubproblem, mu: Vector, rho_in: float):
     def value_grad(u: Vector) -> tuple[float, Vector]:
         if u is not last_u:
             value(u)
-        grad = sub.gradient(u, last_r) + sub.rows_t(rho_in * last_rows - mu)
+        grad = prob.gradient(u, last_aux) + prob.rows_t(rho_in * last_rows - mu)
         return last_val, grad
 
     return value, value_grad
 
 
-def _finalize(sub: ElasticSubproblem, u: Vector, mu_hat: Vector, omega: float,
-              status: str, iters: int, evals: int,
-              merit_path: list[float]) -> SubproblemSolution:
-    x_ext, v, w = sub.split(u)
+@dataclass
+class _CycleResult:
+    u: Vector
+    mu_hat: Vector
+    status: str = ITERATION_LIMIT
+    iterations: int = 0
+    n_evals: int = 0
+    merit_path: list[float] = field(default_factory=list)
+
+
+def _al_cycles(prob, u: Vector, mu: Vector, omega: float,
+               delta_lin: float) -> _CycleResult:
+    """Minimize over a box subject to linear rows by augmented Lagrangian cycles.
+
+    prob exposes lo, hi, evaluate(u) -> (value, aux), gradient(u, aux),
+    row_residual(u) and rows_t(q) = R^T q for the rows R u + offset.  Row
+    multipliers follow the classic update: a cycle whose residual meets the
+    current feasibility target accepts the shifted estimate, any other cycle
+    raises the row penalty instead.  Converged means the rows hold to
+    delta_lin at a point stationary to omega; mu_hat is mu - rho * rows there.
+    """
+    rho_in = _AL_RHO_INIT
+    out = _CycleResult(u=u, mu_hat=mu)
+    restarts = 0
+    eta_j = 0.1
+    omega_j = 1e-2
+    alpha_carry: float | None = None
+
+    for _ in range(_MAX_CYCLES):
+        # early multiplier cycles only need a rough stationary point; both
+        # the feasibility target and the stationarity tolerance tighten as
+        # cycles succeed, bottoming out at delta_lin and omega
+        cycle_tol = max(omega, omega_j)
+        value, value_grad = _al_value_grad(prob, mu, rho_in)
+        res = bound_solve(value, value_grad, prob.lo, prob.hi, out.u,
+                          tol=cycle_tol, alpha0=alpha_carry)
+        out.u = res.x
+        alpha_carry = res.alpha
+        out.iterations += res.iterations
+        out.n_evals += res.n_evals
+        r = prob.row_residual(out.u)
+        r_norm = float(np.abs(r).max(initial=0.0))
+        out.mu_hat = mu - rho_in * r
+        out.merit_path.append(res.f)
+
+        if res.status == UNBOUNDED:
+            out.status = UNBOUNDED
+            return out
+        if res.status == ITERATION_LIMIT:
+            restarts += 1
+            if restarts > _MAX_RESTARTS:
+                return out
+            continue
+
+        if r_norm <= delta_lin and cycle_tol <= omega:
+            out.status = CONVERGED
+            return out
+
+        if r_norm <= eta_j:
+            mu = out.mu_hat
+            eta_j = max(0.1 * eta_j, 0.1 * delta_lin)
+            if r_norm <= delta_lin:
+                # rows already tight, only stationarity needs polishing
+                omega_j = omega
+            else:
+                omega_j = max(0.1 * omega_j, omega)
+        else:
+            rho_in *= _AL_RHO_GROWTH
+            if rho_in > _AL_RHO_CAP:
+                return out
+            # row curvature scales with the penalty, so shrink the carried
+            # spectral steplength to match
+            alpha_carry = alpha_carry / _AL_RHO_GROWTH
+
+    out.mu_hat = mu - rho_in * prob.row_residual(out.u)
+    return out
+
+
+def _finalize(sub: ElasticSubproblem, res: _CycleResult,
+              omega: float) -> SubproblemSolution:
+    x_ext, v, w = sub.split(res.u)
     # shrinking both elastics by their common part keeps v - w (hence the row
     # residual) and can only lower the objective; it restores the exact
     # complementarity min(v, w) = 0 that a zero price cannot enforce
     common = np.minimum(v, w)
     v = v - common
     w = w - common
-    delta_y = np.array(mu_hat, dtype=float)
+    delta_y = np.array(res.mu_hat, dtype=float)
     # elastic-row multipliers must respect the sigma + omega box; clip the
     # rare numerical overshoot and recompute z so the triple stays consistent
     m_c = sub.lin.sf.m_c
     cap = sub.sigma_k + omega
     delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
-    grad_l = sub.gradient(u)[:sub.n_ext]
+    grad_l = sub.gradient(res.u)[:sub.n_ext]
     z = grad_l - sub.lin.J_k.T @ delta_y
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
-        v_star=np.array(v), w_star=np.array(w), status=status,
-        inner_iterations=iters, function_evals=evals,
-        al_merit_path=merit_path)
+        v_star=np.array(v), w_star=np.array(w), status=res.status,
+        inner_iterations=res.iterations, function_evals=res.n_evals,
+        al_merit_path=res.merit_path)
 
 
 def solve_lc(sub: ElasticSubproblem, opts: InnerOptions,
              warm_start: SubproblemSolution | None = None) -> SubproblemSolution:
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
-    Row multipliers follow the classic augmented Lagrangian update: a cycle
-    whose residual shrinks by a factor of ten accepts the shifted estimate,
-    any other cycle raises the row penalty instead.
+    The cycles start from the warm start's point and multipliers when its
+    shape fits, else from the base point with zero multipliers, with the
+    elastics at their cheapest values for the linearized residual there.
     """
-    sf = sub.lin.sf
-    m = sub.m
     if warm_start is not None and warm_start.x_star.shape == (sub.n_ext,):
         x0 = warm_start.x_star
         mu = np.array(warm_start.delta_y, dtype=float)
     else:
         x0 = sub.lin.x_k
-        mu = np.zeros(m)
+        mu = np.zeros(sub.m)
     v0, w0 = optimal_elastics(sub.lin.cbar(x0))
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
-
-    rho_in = opts.al_rho_init
-    total_iters = 0
-    total_evals = 0
-    restarts = 0
-    eta_j = 0.1
-    omega_j = 1e-2
-    alpha_carry: float | None = None
-    merit_path: list[float] = []
-
-    for _ in range(_MAX_CYCLES):
-        # early multiplier cycles only need a rough stationary point; both
-        # the feasibility target and the stationarity tolerance tighten as
-        # cycles succeed, bottoming out at delta_lin and omega
-        cycle_tol = max(opts.omega, omega_j)
-        value, value_grad = _al_value_grad(sub, mu, rho_in)
-        res = bound_solve(value, value_grad, sub.lo, sub.hi, u, tol=cycle_tol,
-                          iter_cap=opts.max_inner_iters,
-                          unbounded_objective=opts.unbounded_objective,
-                          unbounded_norm=opts.unbounded_norm,
-                          alpha0=alpha_carry)
-        u = res.x
-        alpha_carry = res.alpha
-        total_iters += res.iterations
-        total_evals += res.n_evals
-        r = sub.row_residual(u)
-        r_norm = float(np.abs(r).max(initial=0.0))
-        mu_hat = mu - rho_in * r
-        merit_path.append(res.f)
-
-        if res.status == UNBOUNDED:
-            return _finalize(sub, u, mu_hat, opts.omega, UNBOUNDED,
-                             total_iters, total_evals, merit_path)
-        if res.status == ITERATION_LIMIT:
-            restarts += 1
-            if restarts > opts.max_restarts:
-                return _finalize(sub, u, mu_hat, opts.omega, ITERATION_LIMIT,
-                                 total_iters, total_evals, merit_path)
-            continue
-
-        if r_norm <= opts.delta_lin and cycle_tol <= opts.omega:
-            return _finalize(sub, u, mu_hat, opts.omega, CONVERGED,
-                             total_iters, total_evals, merit_path)
-
-        if r_norm <= eta_j:
-            mu = mu_hat
-            eta_j = max(0.1 * eta_j, 0.1 * opts.delta_lin)
-            if r_norm <= opts.delta_lin:
-                # rows already tight, only stationarity needs polishing
-                omega_j = opts.omega
-            else:
-                omega_j = max(0.1 * omega_j, opts.omega)
-        else:
-            rho_in *= opts.al_rho_growth
-            if rho_in > _AL_RHO_CAP:
-                return _finalize(sub, u, mu_hat, opts.omega, ITERATION_LIMIT,
-                                 total_iters, total_evals, merit_path)
-            # row curvature scales with the penalty, so shrink the carried
-            # spectral steplength to match
-            alpha_carry = alpha_carry / opts.al_rho_growth
-
-    return _finalize(sub, u, mu - rho_in * sub.row_residual(u), opts.omega,
-                     ITERATION_LIMIT, total_iters, total_evals, merit_path)
+    res = _al_cycles(sub, u, mu, opts.omega, opts.delta_lin)
+    return _finalize(sub, res, opts.omega)
 
 
 def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
@@ -335,92 +354,53 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     return dy_elastic <= sub.sigma_k + omega + 1e-12
 
 
-def solve_proximal(sf: SlackForm, x_tilde: Vector, variant: str = "pp2",
-                   tol: float = 1e-2, delta_lin: float = 1e-6) -> Vector:
-    """Find a starting point near x_tilde inside the bounds and linear rows.
+@dataclass
+class _ProximalProblem:
+    """min (1/2)||x - x_tilde||^2 over u = (x, s_A) in a box, rows A x - s_A."""
 
-    pp2 minimizes (1/2)||x - x_tilde||^2, pp1 minimizes ||x - x_tilde||_1,
-    both subject to the box and the linear rows only; the optimality
-    tolerance is loose since any nearby feasible point serves.  Raises
-    PpInfeasible when no such point exists.
+    A: Matrix
+    x_tilde: Vector
+    lo: Vector
+    hi: Vector
+
+    def evaluate(self, u: Vector) -> tuple[float, Vector]:
+        d = u[:self.x_tilde.size] - self.x_tilde
+        return 0.5 * float(d @ d), d
+
+    def gradient(self, u: Vector, d: Vector) -> Vector:
+        return np.concatenate([d, np.zeros(self.A.shape[0])])
+
+    def row_residual(self, u: Vector) -> Vector:
+        n = self.x_tilde.size
+        return self.A @ u[:n] - u[n:]
+
+    def rows_t(self, q: Vector) -> Vector:
+        return np.concatenate([self.A.T @ q, -q])
+
+
+def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
+    """Project x_tilde onto the bounds and linear rows; return it embedded.
+
+    Minimizes (1/2)||x - x_tilde||^2 subject to the box and the linear rows
+    only, by the same augmented Lagrangian loop as the subproblems; the
+    stationarity tolerance is loose since any nearby feasible point serves.
+    Raises PpInfeasible when the loop cannot meet the rows.
     """
-    if variant not in ("pp1", "pp2"):
-        raise ValueError(f"unknown proximal variant: {variant!r}")
     nlp = sf.nlp
-    n, m_A = nlp.n, nlp.m_A
     lx, ux = nlp.bounds_x
-    x_tilde = np.clip(np.asarray(x_tilde, dtype=float).reshape(n), lx, ux)
-    if m_A == 0:
+    x_tilde = np.clip(np.asarray(x_tilde, dtype=float).reshape(nlp.n), lx, ux)
+    if nlp.m_A == 0:
         return sf.embed(x_tilde)
 
     lA, uA = nlp.bounds_A
-    A = nlp.A
-    if variant == "pp2":
-        # variables (x, s_A), rows A x - s_A = 0
-        lo = np.concatenate([lx, lA])
-        hi = np.concatenate([ux, uA])
-        u = np.concatenate([x_tilde, np.clip(A @ x_tilde, lA, uA)])
-
-        def base_grad(u_):
-            d = u_[:n] - x_tilde
-            return 0.5 * float(d @ d), np.concatenate([d, np.zeros(m_A)])
-
-        def rows(u_):
-            return A @ u_[:n] - u_[n:]
-
-        Rt = np.hstack([A, -np.eye(m_A)])
-    else:
-        # variables (x, p, q, s_A), rows x - p + q = x_tilde and A x - s_A = 0
-        big = np.inf
-        lo = np.concatenate([lx, np.zeros(2 * n), lA])
-        hi = np.concatenate([ux, np.full(2 * n, big), uA])
-        u = np.concatenate([x_tilde, np.zeros(2 * n), np.clip(A @ x_tilde, lA, uA)])
-
-        def base_grad(u_):
-            p, q = u_[n:2 * n], u_[2 * n:3 * n]
-            grad = np.concatenate([np.zeros(n), np.ones(2 * n), np.zeros(m_A)])
-            return float(np.sum(p) + np.sum(q)), grad
-
-        def rows(u_):
-            x_, p, q, s = u_[:n], u_[n:2 * n], u_[2 * n:3 * n], u_[3 * n:]
-            return np.concatenate([x_ - p + q - x_tilde, A @ x_ - s])
-
-        Rt = np.zeros((n + m_A, 3 * n + m_A))
-        Rt[:n, :n] = np.eye(n)
-        Rt[:n, n:2 * n] = -np.eye(n)
-        Rt[:n, 2 * n:3 * n] = np.eye(n)
-        Rt[n:, :n] = A
-        Rt[n:, 3 * n:] = -np.eye(m_A)
-
-    mu = np.zeros(Rt.shape[0])
-    rho = 10.0
-    r_prev = np.inf
-    for _ in range(50):
-        def value(u_):
-            r = rows(u_)
-            return base_grad(u_)[0] - float(mu @ r) + 0.5 * rho * float(r @ r)
-
-        def value_grad(u_):
-            val, grad = base_grad(u_)
-            r = rows(u_)
-            val = val - float(mu @ r) + 0.5 * rho * float(r @ r)
-            return val, grad + Rt.T @ (rho * r - mu)
-
-        res = bound_solve(value, value_grad, lo, hi, u, tol=min(tol, 1e-2) * 0.1,
-                          iter_cap=5000)
-        u = res.x
-        r = rows(u)
-        r_norm = float(np.abs(r).max(initial=0.0))
-        if r_norm <= delta_lin:
-            x0 = u[:n]
-            return sf.embed(np.clip(x0, lx, ux))
-        if r_norm <= 0.1 * r_prev:
-            mu = mu - rho * r
-        else:
-            rho *= 10.0
-            if rho > 1e12:
-                raise PpInfeasible(
-                    f"no point satisfies the bounds and linear rows "
-                    f"(best residual {r_norm:.3e})")
-        r_prev = r_norm
-    raise PpInfeasible(f"proximal start stalled with residual {r_norm:.3e}")
+    prob = _ProximalProblem(A=nlp.A, x_tilde=x_tilde,
+                            lo=np.concatenate([lx, lA]),
+                            hi=np.concatenate([ux, uA]))
+    u = np.concatenate([x_tilde, np.clip(nlp.A @ x_tilde, lA, uA)])
+    res = _al_cycles(prob, u, np.zeros(nlp.m_A), _PP_OMEGA, _PP_DELTA_LIN)
+    if res.status != CONVERGED:
+        r_norm = float(np.abs(prob.row_residual(res.u)).max(initial=0.0))
+        raise PpInfeasible(
+            f"no point satisfies the bounds and linear rows "
+            f"(best residual {r_norm:.3e})")
+    return sf.embed(np.clip(res.u[:nlp.n], lx, ux))

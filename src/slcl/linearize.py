@@ -130,12 +130,3 @@ def optimal_elastics(cbar_val: Vector) -> tuple[Vector, Vector]:
     cbar_val = np.asarray(cbar_val, dtype=float)
     return np.maximum(-cbar_val, 0.0), np.maximum(cbar_val, 0.0)
 
-
-def elastic_threshold_holds(delta_y: Vector, sigma: float) -> bool:
-    """Strict dual bound ||delta_y||_inf < sigma.
-
-    When it holds, the elastic relaxation is exact: the subproblem solution
-    leaves all elastics at zero and solves the inelastic subproblem.
-    """
-    norm = float(np.abs(np.asarray(delta_y, dtype=float)).max(initial=0.0))
-    return norm < sigma

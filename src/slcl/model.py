@@ -217,10 +217,12 @@ class DerivReport:
     threshold: float = 1e-5
 
 
-def push_interior(x: Vector, lo: Vector, hi: Vector, margin: float) -> Vector:
+def push_interior(x: Vector, lo: Vector, hi: Vector,
+                  margin: float | Vector) -> Vector:
     """Move x at least `margin` inside every finite bound (where possible).
 
-    Fixed coordinates (lo == hi) have no interior and are set to their value.
+    margin is a scalar or one value per coordinate.  Fixed coordinates
+    (lo == hi) have no interior and are set to their value.
     """
     fixed = lo == hi
     lo_f = np.where(np.isfinite(lo) & ~fixed, lo + margin, lo)
@@ -234,15 +236,18 @@ def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
                       threshold: float = 1e-5) -> DerivReport:
     """Compare eval_g and eval_J against central differences of f and c at x.
 
-    Relative errors are scaled by 1 + |analytic value|.  x must sit strictly
-    inside every finite bound by at least h so both probe points are valid;
-    fixed coordinates (lo == hi) are not perturbed and go unchecked.
+    Relative errors are scaled by 1 + |analytic value|.  A coordinate is
+    stepped by h, or by a fifth of its width when its box is narrower than
+    5 h, and x must sit that step inside its finite bounds so both probe
+    points are valid; fixed coordinates (lo == hi) are not perturbed and go
+    unchecked.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     lx, ux = problem.bounds_x
     free = lx < ux
-    if np.any(free & ((x - lx < h) | (ux - x < h))):
-        raise ValueError("derivative check point must be at least h inside the bounds")
+    step = np.minimum(h, 0.2 * (ux - lx))
+    if np.any(free & ((x - lx < step) | (ux - x < step))):
+        raise ValueError("derivative check point must be a step inside the bounds")
 
     g = problem.g(x)
     Jmat = problem.J(x)
@@ -250,12 +255,12 @@ def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
     err_J = np.zeros((problem.m_c, problem.n))
     for j in np.flatnonzero(free):
         e = np.zeros(problem.n)
-        e[j] = h
+        e[j] = step[j]
         fp, fm = problem.f(x + e), problem.f(x - e)
-        err_g[j] = abs((fp - fm) / (2 * h) - g[j]) / (1.0 + abs(g[j]))
+        err_g[j] = abs((fp - fm) / (2 * step[j]) - g[j]) / (1.0 + abs(g[j]))
         if problem.m_c > 0:
             cp, cm = problem.c(x + e), problem.c(x - e)
-            col = (cp - cm) / (2 * h)
+            col = (cp - cm) / (2 * step[j])
             err_J[:, j] = np.abs(col - Jmat[:, j]) / (1.0 + np.abs(Jmat[:, j]))
 
     max_g = float(err_g.max(initial=0.0))

@@ -1,53 +1,13 @@
-"""Tests for rate estimation, suite running, report emission, and the CLI."""
+"""Tests for suite running, report emission, and the CLI."""
 
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from slcl.bench import (CSV_COLUMNS, InsufficientData, RateEstimate,
-                        SuiteReport, emit_report, estimate_rate, main,
-                        run_suite)
+from slcl.bench import CSV_COLUMNS, SuiteReport, emit_report, main, run_suite
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
-
-
-class TestEstimateRate:
-    def test_exactly_quadratic_sequence(self):
-        est = estimate_rate([1e-1, 1e-2, 1e-4, 1e-8])
-        np.testing.assert_allclose(est.terminal_order, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(est.orders, [2.0, 2.0], rtol=1e-12)
-
-    def test_exactly_linear_sequence(self):
-        est = estimate_rate([1e-1, 1e-2, 1e-3, 1e-4])
-        np.testing.assert_allclose(est.terminal_order, 1.0, rtol=1e-12)
-
-    def test_three_points_are_not_enough(self):
-        with pytest.raises(InsufficientData):
-            estimate_rate([1e-1, 1e-2, 1e-4])
-
-    def test_only_the_decreasing_tail_counts(self):
-        """A flat or rising head is trimmed before the order is taken."""
-        est = estimate_rate([3e-3, 5e-1, 1e-1, 1e-2, 1e-4, 1e-8])
-        np.testing.assert_allclose(est.orders[-2:], [2.0, 2.0], rtol=1e-12)
-        with pytest.raises(InsufficientData):
-            estimate_rate([1e-2, 1e-1, 1e-2, 1e-4])
-
-    def test_zeros_invalidate_the_tail(self):
-        with pytest.raises(InsufficientData):
-            estimate_rate([1e-1, 1e-2, 0.0, 0.0])
-
-    def test_terminal_order_is_median_of_last_three(self):
-        # orders for this sequence: 1, 1, 3 -> median 1
-        est = estimate_rate([1e-1, 1e-2, 1e-3, 1e-4, 1e-7])
-        np.testing.assert_allclose(est.orders, [1.0, 1.0, 3.0], rtol=1e-12)
-        np.testing.assert_allclose(est.terminal_order, 1.0, rtol=1e-12)
-
-    def test_estimate_is_a_plain_record(self):
-        est = estimate_rate([1.0, 0.1, 0.01, 0.001])
-        assert isinstance(est, RateEstimate)
-        assert len(est.orders) == 2
 
 
 class TestRunSuite:

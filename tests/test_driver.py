@@ -52,10 +52,11 @@ class TestUpdateOnSuccess:
                           OuterOptions())
         np.testing.assert_allclose(state.y, [3.0])
 
-    def test_direct_multiplier_update(self):
+    def test_canonical_mode_takes_the_subproblem_multipliers(self):
+        """The same step in canonical mode stores y* = 5 unshifted."""
         state = _state(rho=10.0)
         update_on_success(state, _solution([5.0]), np.array([0.2]),
-                          OuterOptions(multiplier_update="direct"))
+                          OuterOptions(mode=CANONICAL))
         np.testing.assert_allclose(state.y, [5.0])
 
     def test_penalty_left_alone(self):
@@ -146,10 +147,6 @@ class TestOptionsValidation:
     def test_bad_targets(self):
         with pytest.raises(ValueError):
             OuterOptions(omega_star=0.0)
-        with pytest.raises(ValueError):
-            OuterOptions(multiplier_update="secant")
-        with pytest.raises(ValueError):
-            OuterOptions(z_update="guess")
 
 
 class TestSolve:
@@ -169,6 +166,26 @@ class TestSolve:
         rep = solve(p)
         assert rep.status == "Optimal"
         np.testing.assert_allclose(rep.x, [0.4, np.sqrt(0.84)], atol=1e-6)
+
+    def test_thin_box(self):
+        """x1 in [0.4, 0.40001], thinner than twice the probe margin.
+
+        The circle point nearest (2, 1) then has x1 at its upper bound.
+        """
+        p = catalog_get("circle-proj").problem
+        p.bounds_x = (np.array([0.4, 0.0]), np.array([0.40001, INF]))
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        np.testing.assert_allclose(rep.x, [0.40001, np.sqrt(1.0 - 0.40001 ** 2)],
+                                   atol=1e-6)
+
+    def test_thin_box_gradient_is_still_checked(self):
+        p = catalog_get("circle-proj").problem
+        p.bounds_x = (np.array([0.4, 0.0]), np.array([0.40001, INF]))
+        p.eval_g = lambda x: np.array([2.0 * (x[0] - 2.0) + 0.1,
+                                       2.0 * (x[1] - 1.0)])
+        with pytest.raises(ValueError, match=r"derivative check failed.*g\[0\]"):
+            solve(p)
 
     def test_trial_outside_the_domain_of_f(self):
         """f = x - log x: the first spectral steps leave x > 0 and are cut back."""
@@ -243,14 +260,6 @@ class TestSolve:
                     OuterOptions(max_major=1))
         assert rep.status == "IterationLimit"
         assert rep.majors == 1
-
-    def test_update_variants_smoke(self):
-        entry = catalog_get("linear-as-nl")
-        for kwargs in ({"z_update": "recompute"},
-                       {"multiplier_update": "direct"}):
-            rep = solve(entry.problem, OuterOptions(**kwargs))
-            assert rep.status == "Optimal"
-            assert abs(rep.final_objective - 2.0) <= 1e-5
 
 
 class TestTraceSchedules:

@@ -308,19 +308,36 @@ class TestSolveProximal:
 
     def test_feasible_guess_is_kept(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        for variant in ("pp2", "pp1"):
-            x0 = solve_proximal(sf, np.array([1.0, 1.0]), variant=variant)
-            np.testing.assert_allclose(x0[:2], [1.0, 1.0], atol=1e-4)
-            np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
+        x0 = solve_proximal(sf, np.array([1.0, 1.0]))
+        np.testing.assert_allclose(x0[:2], [1.0, 1.0], atol=1e-4)
+        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_equality_rows_are_met(self):
         sf = build_slack_form(catalog_get("lin-eq-quadratic").problem)
-        for variant in ("pp2", "pp1"):
-            x0 = solve_proximal(sf, np.array([5.0, 0.0, 0.0]), variant=variant)
-            np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
-            x = x0[:3]
-            assert abs(x[0] + x[1] + x[2] - 4.0) <= 1e-6
-            assert abs(x[0] - x[1]) <= 1e-6
+        x0 = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
+        x = x0[:3]
+        assert abs(x[0] + x[1] + x[2] - 4.0) <= 1e-6
+        assert abs(x[0] - x[1]) <= 1e-6
+
+    def test_start_is_the_projection(self):
+        """Projecting (0.3, 2) onto x1 + x2 <= 1, 0 <= x1 <= 0.3 gives (0, 1).
+
+        Both the row and the lower bound on x1 are active there: the
+        multiplier of the row is 1 and the bound's reduced cost is 0.7.
+        """
+        p = NlpProblem(
+            n=2, m_c=0, m_A=1,
+            eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
+            eval_c=None, eval_J=None, A=np.array([[1.0, 1.0]]),
+            bounds_x=(np.array([0.0, -INF]), np.array([0.3, INF])),
+            bounds_c=(np.zeros(0), np.zeros(0)),
+            bounds_A=(np.array([-INF]), np.array([1.0])),
+            x_tilde=np.array([0.3, 2.0]))
+        sf = build_slack_form(p)
+        x0 = solve_proximal(sf, p.x_tilde)
+        np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
+        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_impossible_rows_raise(self):
         """x1 + x2 = 10 cannot hold inside [0, 1]^2."""
@@ -335,11 +352,6 @@ class TestSolveProximal:
         sf = build_slack_form(p)
         with pytest.raises(PpInfeasible):
             solve_proximal(sf, p.x_tilde)
-
-    def test_unknown_variant_rejected(self):
-        sf = build_slack_form(catalog_get("box-quadratic").problem)
-        with pytest.raises(ValueError):
-            solve_proximal(sf, np.array([1.0, 1.0]), variant="pp3")
 
     def test_no_linear_rows_is_plain_embedding(self):
         sf = build_slack_form(catalog_get("circle-proj").problem)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from slcl.catalog import catalog_get
-from slcl.linearize import (assemble_elastic, elastic_threshold_holds,
-                            linearize_constraints, optimal_elastics)
+from slcl.linearize import (assemble_elastic, linearize_constraints,
+                            optimal_elastics)
 from slcl.merit import aug_lagrangian
 from slcl.model import INF, NlpProblem, build_slack_form
 
@@ -202,13 +202,3 @@ class TestOptimalElastics:
                                            atol=1e-15)
                 assert cand >= best - 1e-12
 
-
-class TestElasticThreshold:
-    def test_below(self):
-        assert elastic_threshold_holds(np.array([0.5, -0.9]), 1.0)
-
-    def test_strict_at_equality(self):
-        assert not elastic_threshold_holds(np.array([1.0]), 1.0)
-
-    def test_zero_step(self):
-        assert elastic_threshold_holds(np.zeros(3), 1e-3)

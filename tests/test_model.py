@@ -166,6 +166,15 @@ class TestDerivativeCheck:
         assert rep.passed
         assert p.n_feval == 2 and p.n_ceval == 2
 
+    def test_thin_coordinate_is_stepped_inside_its_box(self):
+        """x1 in [1, 1 + 1e-5] is differenced at a fifth of its width."""
+        p = _circle_problem()
+        p.bounds_x = (np.array([1.0, -INF]), np.array([1.0 + 1e-5, INF]))
+        rep = check_derivatives(p, np.array([1.0 + 5e-6, 1.0]))
+        assert rep.passed
+        assert rep.max_rel_err_J <= 1e-8
+        assert p.n_feval == 4 and p.n_ceval == 4
+
     def test_catalog_entries_pass_everywhere(self):
         """Every entry checks clean at its start point and 5 interior samples."""
         rng = np.random.default_rng(314)
