@@ -1,15 +1,18 @@
 """Inner solver for the lifted elastic subproblems and the proximal start.
 
 Linear rows over a box are enforced by one augmented Lagrangian loop: each
-cycle minimizes the row-penalized objective over the box with a spectral
-projected-gradient method (Barzilai-Borwein steps plus a nonmonotone
-backtracking line search), then updates the row multipliers or raises the row
-penalty depending on how much the row residual shrank.  The elastic
-subproblem and the proximal start both run that loop.  On success the
-subproblem triple satisfies its relaxed optimality conditions: bounds hold,
-rows hold to delta_lin, z is the reduced gradient at delta_y,
-complementarity is within omega, and the elastic-row multipliers obey the
-sigma + omega box.
+cycle minimizes the row-penalized objective over the box with a projected
+BFGS method (two-metric projection with an epsilon-active set and a
+nonmonotone Armijo search along the projection arc, spectral projected
+gradient as its first step and fallback), then updates the row multipliers
+or raises the row penalty depending on how much the row residual shrank.
+The BFGS matrix carries from cycle to cycle, exactly corrected for a raised
+penalty, and each cycle starts from the value and gradient the previous one
+ended on.  The elastic subproblem and the proximal start both run that
+loop.  On success the subproblem triple satisfies its relaxed optimality
+conditions: bounds hold, rows hold to delta_lin, z is the reduced gradient
+at delta_y, complementarity is within omega, and the elastic-row
+multipliers obey the sigma + omega box.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ _SUFF_DECREASE = 1e-4
 _BACKTRACK = 0.5
 _ALPHA_MIN = 1e-10
 _ALPHA_MAX = 1e10
+_EPS_ACTIVE = 1e-3
+_LAM_MIN = 1e-14
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 _MAX_INNER_ITERS = 5000
 _UNBOUNDED_OBJECTIVE = -1e15
 _UNBOUNDED_NORM = 1e10
@@ -76,6 +82,7 @@ class BoundSolveResult:
     iterations: int
     n_evals: int
     alpha: float = 1.0
+    hess: Matrix | None = None
 
 
 def projected_gradient(x: Vector, g: Vector, lo: Vector, hi: Vector,
@@ -101,21 +108,36 @@ def bound_solve(value: Callable[[Vector], float],
                 iter_cap: int = _MAX_INNER_ITERS,
                 unbounded_objective: float = _UNBOUNDED_OBJECTIVE,
                 unbounded_norm: float = _UNBOUNDED_NORM,
-                alpha0: float | None = None) -> BoundSolveResult:
-    """Minimize a smooth function over a box by spectral projected gradient.
+                alpha0: float | None = None,
+                hess0: Matrix | None = None) -> BoundSolveResult:
+    """Minimize a smooth function over a box by projected BFGS.
+
+    Each iteration splits the movable coordinates into an epsilon-active set
+    (within epsilon of a bound the gradient pushes towards) and a free set.
+    The active coordinates head for their bounds, the free ones take the
+    quasi-Newton step that solves the free block of the BFGS matrix B, and a
+    nonmonotone Armijo search runs along the projection of that step onto
+    the box (two-metric projection, Bertsekas 1982).  Without hess0 the
+    first step is a spectral projected-gradient step, and B starts as I/alpha
+    at the Barzilai-Borwein steplength alpha of that step.  The same step is
+    the fallback when the quasi-Newton search fails, which also restarts B.
+    A step along which the gradient does not change drops B and returns to
+    long spectral steps.  Coordinates with lo == hi never move.
 
     Terminates when the projected gradient infinity norm drops to tol, when
     the iterate certifies unboundedness (objective below unbounded_objective
     or iterate norm beyond unbounded_norm while still descending), or at the
-    iteration cap.  alpha0 seeds the spectral steplength, letting callers
-    reuse curvature learned on a previous call to the same function.
+    iteration cap.  alpha0 seeds the spectral steplength and hess0 the BFGS
+    matrix, letting callers reuse curvature learned on a previous call; the
+    result returns both as alpha and hess.
 
     value is called at every line-search trial point and value_grad at the
     start point and at each accepted trial point, right after value was
     called there, so a caller can keep what value computed.  A trial with a
     non-finite value fails and is backtracked; a non-finite value or gradient
     at the start or an accepted point raises ValueError.  n_evals counts the
-    points evaluated: the start and every trial.
+    points evaluated (the start and every trial), iterations the accepted
+    points.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
     f, g = value_grad(x)
@@ -127,49 +149,93 @@ def bound_solve(value: Callable[[Vector], float],
     else:
         g_scale = np.abs(projected_gradient(x, g, lo, hi)).max(initial=0.0)
         alpha = min(max(1.0 / max(g_scale, 1.0), _ALPHA_MIN), 1.0)
-    for it in range(1, iter_cap + 1):
-        pg = projected_gradient(x, g, lo, hi)
-        if np.abs(pg).max(initial=0.0) <= tol:
-            return BoundSolveResult(x, f, CONVERGED, it - 1, n_evals, alpha)
+    B = None if hess0 is None else np.array(hess0, dtype=float)
+    movable = lo < hi
+    accepted = 0
 
-        d = np.clip(x - alpha * g, lo, hi) - x
-        gtd = float(g @ d)
-        if gtd > -1e-30:
-            # the spectral step produced no descent direction; the point is
-            # stationary to working precision
-            status = CONVERGED if np.abs(pg).max() <= max(tol, 1e-9) else ITERATION_LIMIT
-            return BoundSolveResult(x, f, status, it - 1, n_evals, alpha)
+    def search(d: Vector):
+        """Nonmonotone Armijo backtracking along the projection of x + lam d.
 
+        Returns the accepted point and value, or None when the search fails.
+        """
+        nonlocal n_evals
         f_ref = max(history[-_NONMONOTONE_MEMORY:])
         lam = 1.0
-        while True:
-            x_new = x + lam * d
+        while lam >= _LAM_MIN:
+            x_new = np.clip(x + lam * d, lo, hi)
+            s = x_new - x
+            gts = float(g @ s)
+            if not gts < 0.0 or (np.abs(s) <= _ROUNDOFF * np.abs(x)).all():
+                # no descent along the arc, or a step lost in rounding
+                return None
             f_new = value(x_new)
             n_evals += 1
-            if np.isfinite(f_new) and f_new <= f_ref + _SUFF_DECREASE * lam * gtd:
-                break
+            if np.isfinite(f_new) and f_new <= f_ref + _SUFF_DECREASE * gts:
+                return x_new, f_new
             lam *= _BACKTRACK
-            if lam < 1e-14:
-                x_new = x
-                f_new = f
-                break
+        return None
 
+    for _ in range(iter_cap):
+        pg = projected_gradient(x, g, lo, hi)
+        pg_norm = np.abs(pg).max(initial=0.0)
+        if pg_norm <= tol:
+            return BoundSolveResult(x, f, CONVERGED, accepted, n_evals, alpha, B)
+
+        step = None
+        if B is not None:
+            eps = min(_EPS_ACTIVE, pg_norm)
+            to_lo = (x - lo <= eps) & (g > 0.0)
+            to_hi = (hi - x <= eps) & (g < 0.0)
+            free = np.flatnonzero(movable & ~to_lo & ~to_hi)
+            d = np.zeros_like(x)
+            d[to_lo] = (lo - x)[to_lo]
+            d[to_hi] = (hi - x)[to_hi]
+            try:
+                d[free] = np.linalg.solve(B[free[:, None], free], -g[free])
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                step = search(d)
+            if step is None:
+                # B misleads here; restart it from the spectral scaling
+                B = None
+
+        if step is None:
+            d = np.clip(x - alpha * g, lo, hi) - x
+            if float(g @ d) > -1e-30:
+                # the spectral step produced no descent direction; the point
+                # is stationary to working precision
+                status = CONVERGED if pg_norm <= max(tol, 1e-9) else ITERATION_LIMIT
+                return BoundSolveResult(x, f, status, accepted, n_evals, alpha, B)
+            step = search(d)
+            if step is None:
+                # line search collapsed without progress; accept the point when
+                # it is stationary to within an order of the requested tolerance
+                status = CONVERGED if pg_norm <= 10 * tol else ITERATION_LIMIT
+                return BoundSolveResult(x, f, status, accepted, n_evals, alpha, B)
+
+        x_new, f_new = step
         if f_new < unbounded_objective or np.abs(x_new).max() > unbounded_norm:
-            return BoundSolveResult(x_new, f_new, UNBOUNDED, it, n_evals, alpha)
-
-        s = x_new - x
-        if not s.any():
-            # line search collapsed without progress; accept the point when it
-            # is stationary to within an order of the requested tolerance
-            status = CONVERGED if np.abs(pg).max() <= 10 * tol else ITERATION_LIMIT
-            return BoundSolveResult(x, f, status, it, n_evals, alpha)
+            return BoundSolveResult(x_new, f_new, UNBOUNDED, accepted + 1,
+                                    n_evals, alpha, B)
 
         _, g_new = value_grad(x_new)
         _check_finite("accepted", x_new, g_new)
-        ydiff = g_new - g
-        sty = float(s @ ydiff)
-        if sty > 1e-30:
+        accepted += 1
+        s = x_new - x
+        y = g_new - g
+        sty = float(s @ y)
+        if not y.any():
+            # no curvature along s: the function is linear there, so take
+            # long projected-gradient steps again
+            alpha, B = _ALPHA_MAX, None
+        elif sty > 1e-30:
             alpha = min(max(float(s @ s) / sty, _ALPHA_MIN), _ALPHA_MAX)
+            if B is None:
+                B = np.diag(np.full(x.size, 1.0 / alpha))
+            Bs = B @ s
+            U = np.array([y, Bs])
+            B += (U.T * np.array([1.0 / sty, -1.0 / float(s @ Bs)])) @ U
         else:
             alpha = _ALPHA_MAX
         x, f, g = x_new, f_new, g_new
@@ -177,32 +243,53 @@ def bound_solve(value: Callable[[Vector], float],
         if len(history) > _NONMONOTONE_MEMORY:
             history.pop(0)
 
-    return BoundSolveResult(x, f, ITERATION_LIMIT, iter_cap, n_evals, alpha)
+    return BoundSolveResult(x, f, ITERATION_LIMIT, accepted, n_evals, alpha, B)
 
 
-def _al_value_grad(prob, mu: Vector, rho_in: float):
+@dataclass
+class _Point:
+    """A point with the objective value, aux, rows and objective gradient there."""
+
+    u: Vector | None = None
+    obj: float = 0.0
+    aux: object = None
+    rows: Vector | None = None
+    grad: Vector | None = None
+
+    def at(self, u: Vector) -> bool:
+        return self.u is not None and (u is self.u or np.array_equal(u, self.u))
+
+
+def _al_value_grad(prob, mu: Vector, rho_in: float, end: _Point | None = None):
     """Closures for the row-penalized objective of a problem with linear rows.
 
     value keeps the point it saw last with what prob.evaluate returned there
     (for the elastic subproblem, the slack-form residual), and value_grad at
     that point reuses both, so one kernel trial plus the gradient at the
-    accepted point calls each of f, c, g and J once.
+    accepted point calls each of f, c, g and J once.  end holds the last
+    point value_grad was called at, with its objective gradient; value_grad
+    there combines it with this mu and rho_in and calls nothing, which lets
+    a cycle start where the previous one ended for free.
     """
-    last_u = last_val = last_aux = last_rows = None
+    end = _Point() if end is None else end
+    trial = _Point()
+
+    def merit(p: _Point) -> float:
+        return p.obj - float(mu @ p.rows) + 0.5 * rho_in * float(p.rows @ p.rows)
 
     def value(u: Vector) -> float:
-        nonlocal last_u, last_val, last_aux, last_rows
-        obj, last_aux = prob.evaluate(u)
-        last_rows = prob.row_residual(u)
-        last_val = obj - float(mu @ last_rows) + 0.5 * rho_in * float(last_rows @ last_rows)
-        last_u = u
-        return last_val
+        trial.obj, trial.aux = prob.evaluate(u)
+        trial.rows = prob.row_residual(u)
+        trial.u = u
+        return merit(trial)
 
     def value_grad(u: Vector) -> tuple[float, Vector]:
-        if u is not last_u:
-            value(u)
-        grad = prob.gradient(u, last_aux) + prob.rows_t(rho_in * last_rows - mu)
-        return last_val, grad
+        if u is trial.u or not end.at(u):
+            if u is not trial.u:
+                value(u)
+            end.u, end.obj, end.rows = u, trial.obj, trial.rows
+            end.grad = prob.gradient(u, trial.aux)
+        return merit(end), end.grad + prob.rows_t(rho_in * end.rows - mu)
 
     return value, value_grad
 
@@ -211,6 +298,7 @@ def _al_value_grad(prob, mu: Vector, rho_in: float):
 class _CycleResult:
     u: Vector
     mu_hat: Vector
+    end: _Point
     status: str = ITERATION_LIMIT
     iterations: int = 0
     n_evals: int = 0
@@ -227,27 +315,36 @@ def _al_cycles(prob, u: Vector, mu: Vector, omega: float,
     current feasibility target accepts the shifted estimate, any other cycle
     raises the row penalty instead.  Converged means the rows hold to
     delta_lin at a point stationary to omega; mu_hat is mu - rho * rows there.
+
+    Each cycle starts where the last one ended, from the objective, rows and
+    gradient kept there, and with the kernel's BFGS matrix: a multiplier
+    update leaves the Hessian of the row-penalized objective unchanged, and
+    raising the penalty by d_rho adds d_rho * R^T R to it.
     """
     rho_in = _AL_RHO_INIT
-    out = _CycleResult(u=u, mu_hat=mu)
+    end = _Point()
+    out = _CycleResult(u=u, mu_hat=mu, end=end)
     restarts = 0
     eta_j = 0.1
     omega_j = 1e-2
     alpha_carry: float | None = None
+    hess_carry: Matrix | None = None
+    R = np.array([prob.rows_t(q) for q in np.identity(mu.size)]).reshape(mu.size, u.size)
+    rows_gram = R.T @ R
 
     for _ in range(_MAX_CYCLES):
         # early multiplier cycles only need a rough stationary point; both
         # the feasibility target and the stationarity tolerance tighten as
         # cycles succeed, bottoming out at delta_lin and omega
         cycle_tol = max(omega, omega_j)
-        value, value_grad = _al_value_grad(prob, mu, rho_in)
+        value, value_grad = _al_value_grad(prob, mu, rho_in, end)
         res = bound_solve(value, value_grad, prob.lo, prob.hi, out.u,
-                          tol=cycle_tol, alpha0=alpha_carry)
+                          tol=cycle_tol, alpha0=alpha_carry, hess0=hess_carry)
         out.u = res.x
-        alpha_carry = res.alpha
+        alpha_carry, hess_carry = res.alpha, res.hess
         out.iterations += res.iterations
         out.n_evals += res.n_evals
-        r = prob.row_residual(out.u)
+        r = end.rows if end.at(out.u) else prob.row_residual(out.u)
         r_norm = float(np.abs(r).max(initial=0.0))
         out.mu_hat = mu - rho_in * r
         out.merit_path.append(res.f)
@@ -274,6 +371,8 @@ def _al_cycles(prob, u: Vector, mu: Vector, omega: float,
             else:
                 omega_j = max(0.1 * omega_j, omega)
         else:
+            if hess_carry is not None:
+                hess_carry += (_AL_RHO_GROWTH - 1.0) * rho_in * rows_gram
             rho_in *= _AL_RHO_GROWTH
             if rho_in > _AL_RHO_CAP:
                 return out
@@ -281,7 +380,7 @@ def _al_cycles(prob, u: Vector, mu: Vector, omega: float,
             # spectral steplength to match
             alpha_carry = alpha_carry / _AL_RHO_GROWTH
 
-    out.mu_hat = mu - rho_in * prob.row_residual(out.u)
+    out.mu_hat = mu - rho_in * r
     return out
 
 
@@ -300,8 +399,8 @@ def _finalize(sub: ElasticSubproblem, res: _CycleResult,
     m_c = sub.lin.sf.m_c
     cap = sub.sigma_k + omega
     delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
-    grad_l = sub.gradient(res.u)[:sub.n_ext]
-    z = grad_l - sub.lin.J_k.T @ delta_y
+    grad = res.end.grad if res.end.at(res.u) else sub.gradient(res.u)
+    z = grad[:sub.n_ext] - sub.lin.J_k.T @ delta_y
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,

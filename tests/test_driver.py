@@ -215,6 +215,48 @@ class TestSolve:
         assert rep.status == "Unbounded"
         assert rep.majors <= 10
 
+    def test_circles_from_the_origin(self):
+        """32 unit-circle projections within x >= 0, started at x = 0.
+
+        The nearest circle points are a_i / ||a_i||; one loose linear row
+        sum(x) <= 640 stays inactive.
+        """
+        k = 32
+        a = np.random.default_rng(0).uniform(0.5, 3.0, (k, 2))
+        n, t, rows = 2 * k, a.ravel(), np.arange(k)
+
+        def jac(x):
+            out = np.zeros((k, n))
+            out[rows, 2 * rows] = 2.0 * x[0::2]
+            out[rows, 2 * rows + 1] = 2.0 * x[1::2]
+            return out
+
+        p = NlpProblem(
+            n=n, m_c=k, m_A=1,
+            eval_f=lambda x: float((x - t) @ (x - t)),
+            eval_g=lambda x: 2.0 * (x - t),
+            eval_c=lambda x: x[0::2] ** 2 + x[1::2] ** 2, eval_J=jac,
+            A=np.ones((1, n)), bounds_x=(np.zeros(n), np.full(n, INF)),
+            bounds_c=(np.ones(k), np.ones(k)),
+            bounds_A=(np.array([-INF]), np.array([640.0])),
+            x_tilde=np.zeros(n))
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        x_star = a / np.linalg.norm(a, axis=1)[:, None]
+        np.testing.assert_allclose(rep.x, x_star.ravel(), atol=1e-4)
+
+    def test_quarter_ellipse_near_its_solution(self):
+        """A warm start 2.2e-2 from the solution (0, 1), with y 2.2e-2 off.
+
+        A first-order kernel took 633 minors here and 48 from a start 1.3e-3
+        away; the solve should not depend on the start that much.
+        """
+        rep = solve(catalog_get("quarter-ellipse").problem,
+                    x_start=np.array([0.02154435, 1.00006509]),
+                    y_start=np.array([0.10345565]))
+        assert rep.status == "Optimal"
+        assert rep.minors <= 100
+
     def test_infeasible_rows_surface_before_the_loop(self):
         p = NlpProblem(
             n=2, m_c=0, m_A=1,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slcl.catalog import catalog_get
+from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
                              InnerOptions, PpInfeasible, _al_value_grad,
                              bound_solve, solve_lc, solve_proximal,
@@ -122,6 +123,34 @@ class TestBoundSolve:
         assert warm.status == CONVERGED
         assert warm.iterations <= cold.iterations + 1
 
+    def test_stiff_quadratic_reaches_its_active_set_solution(self):
+        """A rotated quadratic with condition 1e4 over [-1, 1]^10.
+
+        Its minimizer has x7 at the lower bound and x8 at the upper; the
+        free coordinates then solve the KKT system of that active set.  A
+        first-order step needs hundreds of iterations here.
+        """
+        rng = np.random.default_rng(5)
+        V, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        Q = V @ np.diag(np.geomspace(1.0, 1e4, 10)) @ V.T
+        a = rng.uniform(-2.0, 2.0, 10)
+        value, value_grad = _quadratic(Q, a)
+        res = bound_solve(value, value_grad, np.full(10, -1.0),
+                          np.full(10, 1.0), np.zeros(10), tol=1e-9)
+        assert res.status == CONVERGED
+        assert res.iterations <= 150
+
+        act = np.array([7, 8])
+        free = np.setdiff1d(np.arange(10), act)
+        x = np.empty(10)
+        x[act] = [-1.0, 1.0]
+        x[free] = a[free] - np.linalg.solve(Q[np.ix_(free, free)],
+                                            Q[np.ix_(free, act)] @ (x[act] - a[act]))
+        g = Q @ (x - a)
+        assert np.all(np.abs(x[free]) < 1.0)
+        assert g[7] > 0.0 and g[8] < 0.0
+        np.testing.assert_allclose(res.x, x, atol=1e-8)
+
 
 def _subproblem(name, x, y, rho, sigma):
     sf = build_slack_form(catalog_get(name).problem)
@@ -215,6 +244,19 @@ class TestSolveLc:
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
 
+    def test_cycles_reuse_their_end_point(self):
+        """A cycle starts from the value and gradient the last one ended on.
+
+        g and J are then called once at the first start and once per
+        accepted kernel step, with no extra call per cycle or at the end.
+        """
+        sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
+        calls = _counted(sf.nlp)
+        sol = solve_lc(sub, InnerOptions())
+        assert sol.status == CONVERGED
+        assert len(sol.al_merit_path) >= 2
+        assert calls["g"] == calls["J"] == sol.inner_iterations + 1
+
 
 def _counted(problem):
     """Wrap the raw callbacks with per-kind call counters."""
@@ -267,6 +309,17 @@ class TestEvaluationBudget:
         assert res.status == CONVERGED and res.iterations > 5
         assert calls["f"] == calls["c"] == res.n_evals
         assert calls["g"] == calls["J"] == res.iterations + 1
+
+
+class TestTightRows:
+    """Row tolerances far below the default still end Optimal."""
+
+    @pytest.mark.parametrize("name, delta_lin",
+                             [("rosenbrock-ball", 1e-8), ("circle-proj", 1e-10)])
+    def test_tight_row_tolerance(self, name, delta_lin):
+        opts = OuterOptions(inner=InnerOptions(delta_lin=delta_lin))
+        rep = solve(catalog_get(name).problem, opts)
+        assert rep.status == "Optimal"
 
 
 class TestVerifyRelaxedKkt:
