@@ -5,9 +5,9 @@ from .catalog import CatalogEntry, catalog_get, catalog_names
 from .driver import (OuterOptions, OuterState, SolveReport, TraceRecord,
                      detect_infeasible, detect_unbounded, next_omega, solve,
                      update_on_failure, update_on_success)
-from .innersolve import (BoundSolveResult, InnerOptions, PpInfeasible,
-                         SubproblemSolution, bound_solve, solve_lc,
-                         solve_proximal, verify_relaxed_kkt)
+from .innersolve import (BoundSolveResult, PpInfeasible, SubproblemSolution,
+                         bound_solve, solve_lc, solve_proximal,
+                         verify_relaxed_kkt)
 from .linearize import (ElasticSubproblem, Linearization, assemble_elastic,
                         linearize_constraints, optimal_elastics)
 from .merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundSolveResult", "CatalogEntry", "DerivReport",
-    "ElasticSubproblem", "InnerOptions", "KktResidual", "Linearization",
+    "ElasticSubproblem", "KktResidual", "Linearization",
     "NlpProblem", "OuterOptions", "OuterState", "PpInfeasible",
     "SlackForm", "SolveReport", "SubproblemSolution", "SuiteEntry",
     "SuiteReport", "TraceRecord", "aug_lagrangian", "aug_lagrangian_grad",

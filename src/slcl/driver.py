@@ -21,13 +21,12 @@ first-order stationary point of the squared-residual minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
-                         InnerOptions, SubproblemSolution, solve_lc,
-                         solve_proximal)
+                         SubproblemSolution, solve_lc, solve_proximal)
 from .linearize import assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
 from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
@@ -61,7 +60,6 @@ class OuterOptions:
     rho_bar: float = 1e8
     max_major: int = 500
     mode: str = STABILIZED
-    inner: InnerOptions = field(default_factory=InnerOptions)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0 and self.beta > 0.0):
@@ -214,8 +212,7 @@ def _solve_linear_only(sf: SlackForm, x0: Vector, y0: Vector, opts: OuterOptions
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
     lin = linearize_constraints(sf, x0)
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
-    inner = replace(opts.inner, omega=opts.omega_star)
-    sol = solve_lc(sub, inner)
+    sol = solve_lc(sub, opts.omega_star)
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = {CONVERGED: OPTIMAL, UNBOUNDED: UNBOUNDED_STATUS,
@@ -278,8 +275,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         rho_k, sigma_k, eta_k, omega_k = state.rho, state.sigma, state.eta, state.omega
         lin = linearize_constraints(sf, state.x)
         sub = assemble_elastic(lin, state.y, rho_k, sigma_k)
-        inner = replace(opts.inner, omega=omega_k)
-        sol = solve_lc(sub, inner, warm_start=warm)
+        sol = solve_lc(sub, omega_k, warm_start=warm)
         minors += sol.inner_iterations
 
         c_star = sf.residual(sol.x_star)

@@ -1,23 +1,22 @@
 """Inner solver for the lifted elastic subproblems and the proximal start.
 
-Linear rows over a box are enforced by one augmented Lagrangian loop: each
-cycle minimizes the row-penalized objective over the box with a projected
-BFGS method (two-metric projection with an epsilon-active set and a
-nonmonotone Armijo search along the projection arc, spectral projected
-gradient as its first step and fallback), then updates the row multipliers
-or raises the row penalty depending on how much the row residual shrank.
-The BFGS matrix carries from cycle to cycle, exactly corrected for a raised
-penalty, and each cycle starts from the value and gradient the previous one
-ended on.  The elastic subproblem and the proximal start both run that
-loop.  On success the subproblem triple satisfies its relaxed optimality
-conditions: bounds hold, rows hold to delta_lin, z is the reduced gradient
-at delta_y, complementarity is within omega, and the elastic-row
+One kernel minimizes a smooth function over a box subject to linear rows
+R u + offset = 0 and keeps the rows satisfied from a start that meets them.
+It is an active-set quasi-Newton method: each iteration solves the KKT
+system of the free variables and the rows with a dense BFGS matrix, which
+gives the step and the row multipliers together; a ratio test stops the
+step at the first bound it hits, and that bound joins the working set; once
+the free variables are stationary, a bound whose multiplier has the wrong
+sign leaves it.  The elastic subproblem is one kernel call and the proximal
+start at most two.  On success the subproblem triple satisfies its relaxed
+optimality conditions: bounds hold, rows hold to roundoff, z is the reduced
+gradient at delta_y, complementarity is within omega, and the elastic-row
 multipliers obey the sigma + omega box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,35 +29,21 @@ CONVERGED = "Converged"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 
-_NONMONOTONE_MEMORY = 10
 _SUFF_DECREASE = 1e-4
 _BACKTRACK = 0.5
-_ALPHA_MIN = 1e-10
-_ALPHA_MAX = 1e10
-_EPS_ACTIVE = 1e-3
 _LAM_MIN = 1e-14
 _ROUNDOFF = 4.0 * np.finfo(float).eps
+_F_PRECISION = np.finfo(float).eps ** 0.8
 _MAX_INNER_ITERS = 5000
 _UNBOUNDED_OBJECTIVE = -1e15
 _UNBOUNDED_NORM = 1e10
-_MAX_CYCLES = 60
-_MAX_RESTARTS = 3
-_AL_RHO_INIT = 10.0
-_AL_RHO_GROWTH = 10.0
-_AL_RHO_CAP = 1e14
-# the proximal start only needs a nearby point that meets the linear rows
-_PP_OMEGA = 1e-3
-_PP_DELTA_LIN = 1e-6
+# stationarity of both proximal phases: the elastic phase stops short of a
+# feasible point when a row scaling makes its reduced costs smaller than this
+_PP_OMEGA = 1e-9
 
 
 class PpInfeasible(Exception):
     """The proximal start problem has no point satisfying bounds and linear rows."""
-
-
-@dataclass
-class InnerOptions:
-    omega: float = 1e-6
-    delta_lin: float = 1e-6
 
 
 @dataclass
@@ -70,31 +55,19 @@ class SubproblemSolution:
     w_star: Vector
     status: str
     inner_iterations: int
-    function_evals: int
-    al_merit_path: list[float] = field(default_factory=list)
 
 
 @dataclass
 class BoundSolveResult:
+    """The last point with its value, gradient g and row multipliers y."""
+
     x: Vector
     f: float
     status: str
     iterations: int
     n_evals: int
-    alpha: float = 1.0
-    hess: Matrix | None = None
-
-
-def projected_gradient(x: Vector, g: Vector, lo: Vector, hi: Vector,
-                       tol_active: float = 1e-12) -> Vector:
-    """Gradient with components clipped to feasible directions at active bounds."""
-    pg = np.array(g, dtype=float)
-    at_lo = np.isfinite(lo) & (x - lo <= tol_active * (1.0 + np.abs(lo)))
-    at_hi = np.isfinite(hi) & (hi - x <= tol_active * (1.0 + np.abs(hi)))
-    pg[at_lo] = np.minimum(pg[at_lo], 0.0)
-    pg[at_hi & ~at_lo] = np.maximum(pg[at_hi & ~at_lo], 0.0)
-    pg[at_lo & at_hi] = 0.0
-    return pg
+    g: Vector
+    y: Vector
 
 
 def _check_finite(where: str, x: Vector, *values) -> None:
@@ -102,34 +75,55 @@ def _check_finite(where: str, x: Vector, *values) -> None:
         raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
 
 
+def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
+              r: Vector) -> tuple[Vector, Vector]:
+    """Step d and row multipliers y of min g'd + d'Bd/2 s.t. R d = -r.
+
+    Only the free coordinates move; g + B d = R^T y on them.  A singular
+    system (dependent rows on the free set) takes the least-squares solution.
+    """
+    m = R.shape[0]
+    RF = R[:, free]
+    K = np.block([[B[np.ix_(free, free)], RF.T], [RF, np.zeros((m, m))]])
+    rhs = np.concatenate([-g[free], -r])
+    try:
+        sol = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    d = np.zeros_like(g)
+    d[free] = sol[:free.size]
+    return d, -sol[free.size:]
+
+
 def bound_solve(value: Callable[[Vector], float],
                 value_grad: Callable[[Vector], tuple[float, Vector]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
-                iter_cap: int = _MAX_INNER_ITERS,
-                unbounded_objective: float = _UNBOUNDED_OBJECTIVE,
-                unbounded_norm: float = _UNBOUNDED_NORM,
-                alpha0: float | None = None,
-                hess0: Matrix | None = None) -> BoundSolveResult:
-    """Minimize a smooth function over a box by projected BFGS.
+                rows: Matrix | None = None, offset: Vector | None = None,
+                iter_cap: int = _MAX_INNER_ITERS) -> BoundSolveResult:
+    """Minimize a smooth function over a box subject to rows R u + offset = 0.
 
-    Each iteration splits the movable coordinates into an epsilon-active set
-    (within epsilon of a bound the gradient pushes towards) and a free set.
-    The active coordinates head for their bounds, the free ones take the
-    quasi-Newton step that solves the free block of the BFGS matrix B, and a
-    nonmonotone Armijo search runs along the projection of that step onto
-    the box (two-metric projection, Bertsekas 1982).  Without hess0 the
-    first step is a spectral projected-gradient step, and B starts as I/alpha
-    at the Barzilai-Borwein steplength alpha of that step.  The same step is
-    the fallback when the quasi-Newton search fails, which also restarts B.
-    A step along which the gradient does not change drops B and returns to
-    long spectral steps.  Coordinates with lo == hi never move.
+    An active-set quasi-Newton method.  The working set holds the bounds the
+    iterate sits on, starting with those of the start point; coordinates
+    with lo == hi never leave it.  Each iteration solves the KKT system of
+    the free coordinates and the rows with a dense BFGS matrix B, which
+    gives the step and the row multipliers y together, and runs an Armijo
+    search along the step cut at the first bound it meets; a step accepted
+    at that bound adds the bound to the working set, and a bound already
+    within rounding of the iterate joins without a search.  A trial whose
+    predicted decrease is below the precision of value, eps^0.8 (1 + |f|),
+    passes when value rises by no more than that.  Once the free
+    coordinates are stationary, the working bound whose multiplier g - R^T y
+    has the worst wrong sign is released.  B starts as the identity, takes
+    Powell-damped updates and resets to the identity when a search fails or
+    B has become singular along a step; a failed search from the identity
+    ends the solve.  The rows must hold at the start; each step also cancels
+    their rounding drift.  Without rows this is a box-constrained
+    quasi-Newton method.
 
-    Terminates when the projected gradient infinity norm drops to tol, when
-    the iterate certifies unboundedness (objective below unbounded_objective
-    or iterate norm beyond unbounded_norm while still descending), or at the
-    iteration cap.  alpha0 seeds the spectral steplength and hess0 the BFGS
-    matrix, letting callers reuse curvature learned on a previous call; the
-    result returns both as alpha and hess.
+    Converged means the two-sided complementarity of g - R^T y against the
+    box (see merit.comp_measure) is at most tol.  Unbounded means an
+    accepted point has an objective below -1e15 or a coordinate beyond
+    1e10.  IterationLimit means the cap or a failed search ended the solve.
 
     value is called at every line-search trial point and value_grad at the
     start point and at each accepted trial point, right after value was
@@ -140,292 +134,169 @@ def bound_solve(value: Callable[[Vector], float],
     points.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
+    R = np.zeros((0, x.size)) if rows is None else rows
+    offset = np.zeros(R.shape[0]) if offset is None else offset
     f, g = value_grad(x)
     _check_finite("start", x, f, g)
     n_evals = 1
-    history = [f]
-    if alpha0 is not None:
-        alpha = min(max(alpha0, _ALPHA_MIN), _ALPHA_MAX)
-    else:
-        g_scale = np.abs(projected_gradient(x, g, lo, hi)).max(initial=0.0)
-        alpha = min(max(1.0 / max(g_scale, 1.0), _ALPHA_MIN), 1.0)
-    B = None if hess0 is None else np.array(hess0, dtype=float)
-    movable = lo < hi
     accepted = 0
-
-    def search(d: Vector):
-        """Nonmonotone Armijo backtracking along the projection of x + lam d.
-
-        Returns the accepted point and value, or None when the search fails.
-        """
-        nonlocal n_evals
-        f_ref = max(history[-_NONMONOTONE_MEMORY:])
-        lam = 1.0
-        while lam >= _LAM_MIN:
-            x_new = np.clip(x + lam * d, lo, hi)
-            s = x_new - x
-            gts = float(g @ s)
-            if not gts < 0.0 or (np.abs(s) <= _ROUNDOFF * np.abs(x)).all():
-                # no descent along the arc, or a step lost in rounding
-                return None
-            f_new = value(x_new)
-            n_evals += 1
-            if np.isfinite(f_new) and f_new <= f_ref + _SUFF_DECREASE * gts:
-                return x_new, f_new
-            lam *= _BACKTRACK
-        return None
+    movable = lo < hi
+    at_lo = x == lo
+    at_hi = (x == hi) & ~at_lo
+    identity = np.identity(x.size)
+    B = identity
+    status = ITERATION_LIMIT
 
     for _ in range(iter_cap):
-        pg = projected_gradient(x, g, lo, hi)
-        pg_norm = np.abs(pg).max(initial=0.0)
-        if pg_norm <= tol:
-            return BoundSolveResult(x, f, CONVERGED, accepted, n_evals, alpha, B)
+        free = np.flatnonzero(~(at_lo | at_hi))
+        d, y = _kkt_step(B, R, free, g, R @ x + offset)
+        z = g - R.T @ y
+        if np.abs(comp_measure(x, z, lo, hi)).max(initial=0.0) <= tol:
+            status = CONVERGED
+            break
+        if np.abs(z[free]).max(initial=0.0) <= tol:
+            # stationary on this face: release the worst wrong-signed bound
+            wrong = np.where(at_lo, -z, z) * ((at_lo | at_hi) & movable)
+            i = int(np.argmax(wrong))
+            at_lo[i] = at_hi[i] = False
+            continue
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(d < 0.0, (lo - x) / d,
+                              np.where(d > 0.0, (hi - x) / d, np.inf))
+        i = int(np.argmin(ratios))
+        alpha_max = float(ratios[i])
+        bound_i = lo[i] if d[i] < 0.0 else hi[i]
+        if alpha_max < 1.0 and abs(bound_i - x[i]) <= _ROUNDOFF * (1.0 + abs(x[i])):
+            x = x.copy()
+            x[i] = bound_i
+            at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
+            continue
 
         step = None
-        if B is not None:
-            eps = min(_EPS_ACTIVE, pg_norm)
-            to_lo = (x - lo <= eps) & (g > 0.0)
-            to_hi = (hi - x <= eps) & (g < 0.0)
-            free = np.flatnonzero(movable & ~to_lo & ~to_hi)
-            d = np.zeros_like(x)
-            d[to_lo] = (lo - x)[to_lo]
-            d[to_hi] = (hi - x)[to_hi]
-            try:
-                d[free] = np.linalg.solve(B[free[:, None], free], -g[free])
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                step = search(d)
-            if step is None:
-                # B misleads here; restart it from the spectral scaling
-                B = None
-
+        gtd = float(g @ d)
+        # a decrease below the precision of value cannot be seen, so a step
+        # predicted to make one passes when value holds level
+        noise = _F_PRECISION * (1.0 + abs(f))
+        alpha = min(1.0, alpha_max)
+        while gtd < 0.0:
+            x_new = np.clip(x + alpha * d, lo, hi)
+            if alpha == alpha_max:
+                x_new[i] = bound_i
+            if (np.abs(x_new - x) <= _ROUNDOFF * np.abs(x)).all():
+                break  # the step is lost in rounding
+            f_new = value(x_new)
+            n_evals += 1
+            if np.isfinite(f_new) and (
+                    f_new <= f + _SUFF_DECREASE * alpha * gtd
+                    or (-alpha * gtd <= noise and f_new <= f + noise)):
+                step = x_new, f_new, alpha == alpha_max
+                break
+            alpha *= _BACKTRACK
+            if alpha < _LAM_MIN:
+                break
         if step is None:
-            d = np.clip(x - alpha * g, lo, hi) - x
-            if float(g @ d) > -1e-30:
-                # the spectral step produced no descent direction; the point
-                # is stationary to working precision
-                status = CONVERGED if pg_norm <= max(tol, 1e-9) else ITERATION_LIMIT
-                return BoundSolveResult(x, f, status, accepted, n_evals, alpha, B)
-            step = search(d)
-            if step is None:
-                # line search collapsed without progress; accept the point when
-                # it is stationary to within an order of the requested tolerance
-                status = CONVERGED if pg_norm <= 10 * tol else ITERATION_LIMIT
-                return BoundSolveResult(x, f, status, accepted, n_evals, alpha, B)
+            if B is identity:
+                break
+            B = identity
+            continue
 
-        x_new, f_new = step
-        if f_new < unbounded_objective or np.abs(x_new).max() > unbounded_norm:
-            return BoundSolveResult(x_new, f_new, UNBOUNDED, accepted + 1,
-                                    n_evals, alpha, B)
-
+        x_new, f_new, hit = step
         _, g_new = value_grad(x_new)
         _check_finite("accepted", x_new, g_new)
         accepted += 1
+        if hit:
+            at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
         s = x_new - x
-        y = g_new - g
-        sty = float(s @ y)
-        if not y.any():
-            # no curvature along s: the function is linear there, so take
-            # long projected-gradient steps again
-            alpha, B = _ALPHA_MAX, None
-        elif sty > 1e-30:
-            alpha = min(max(float(s @ s) / sty, _ALPHA_MIN), _ALPHA_MAX)
-            if B is None:
-                B = np.diag(np.full(x.size, 1.0 / alpha))
-            Bs = B @ s
-            U = np.array([y, Bs])
-            B += (U.T * np.array([1.0 / sty, -1.0 / float(s @ Bs)])) @ U
-        else:
-            alpha = _ALPHA_MAX
+        dg = g_new - g
         x, f, g = x_new, f_new, g_new
-        history.append(f)
-        if len(history) > _NONMONOTONE_MEMORY:
-            history.pop(0)
+        if f < _UNBOUNDED_OBJECTIVE or np.abs(x).max() > _UNBOUNDED_NORM:
+            status = UNBOUNDED
+            break
+        Bs = B @ s
+        sBs = float(s @ Bs)
+        if not sBs > _ROUNDOFF * B.diagonal().max() * float(s @ s):
+            # B is singular along s to working precision
+            B = identity
+            continue
+        sdg = float(s @ dg)
+        if sdg < 0.2 * sBs:
+            # Powell damping keeps B positive definite; along a function
+            # that is linear on s it cuts the curvature there to a fifth,
+            # so the steps grow until a bound blocks them
+            theta = 0.8 * sBs / (sBs - sdg)
+            dg = theta * dg + (1.0 - theta) * Bs
+            sdg = 0.2 * sBs
+        U = np.array([dg, Bs])
+        B = B + (U.T * np.array([1.0 / sdg, -1.0 / sBs])) @ U
 
-    return BoundSolveResult(x, f, ITERATION_LIMIT, accepted, n_evals, alpha, B)
+    return BoundSolveResult(x, f, status, accepted, n_evals, g, y)
 
 
-@dataclass
-class _Point:
-    """A point with the objective value, aux, rows and objective gradient there."""
-
-    u: Vector | None = None
-    obj: float = 0.0
-    aux: object = None
-    rows: Vector | None = None
-    grad: Vector | None = None
-
-    def at(self, u: Vector) -> bool:
-        return self.u is not None and (u is self.u or np.array_equal(u, self.u))
-
-
-def _al_value_grad(prob, mu: Vector, rho_in: float, end: _Point | None = None):
-    """Closures for the row-penalized objective of a problem with linear rows.
+def _cached_value_grad(prob):
+    """value and value_grad closures over prob.evaluate and prob.gradient.
 
     value keeps the point it saw last with what prob.evaluate returned there
     (for the elastic subproblem, the slack-form residual), and value_grad at
     that point reuses both, so one kernel trial plus the gradient at the
-    accepted point calls each of f, c, g and J once.  end holds the last
-    point value_grad was called at, with its objective gradient; value_grad
-    there combines it with this mu and rho_in and calls nothing, which lets
-    a cycle start where the previous one ended for free.
+    accepted point calls each of f, c, g and J once.
     """
-    end = _Point() if end is None else end
-    trial = _Point()
-
-    def merit(p: _Point) -> float:
-        return p.obj - float(mu @ p.rows) + 0.5 * rho_in * float(p.rows @ p.rows)
+    trial = [None, 0.0, None]
 
     def value(u: Vector) -> float:
-        trial.obj, trial.aux = prob.evaluate(u)
-        trial.rows = prob.row_residual(u)
-        trial.u = u
-        return merit(trial)
+        f, aux = prob.evaluate(u)
+        trial[:] = u, f, aux
+        return f
 
     def value_grad(u: Vector) -> tuple[float, Vector]:
-        if u is trial.u or not end.at(u):
-            if u is not trial.u:
-                value(u)
-            end.u, end.obj, end.rows = u, trial.obj, trial.rows
-            end.grad = prob.gradient(u, trial.aux)
-        return merit(end), end.grad + prob.rows_t(rho_in * end.rows - mu)
+        if u is not trial[0]:
+            value(u)
+        return trial[1], prob.gradient(u, trial[2])
 
     return value, value_grad
 
 
-@dataclass
-class _CycleResult:
-    u: Vector
-    mu_hat: Vector
-    end: _Point
-    status: str = ITERATION_LIMIT
-    iterations: int = 0
-    n_evals: int = 0
-    merit_path: list[float] = field(default_factory=list)
-
-
-def _al_cycles(prob, u: Vector, mu: Vector, omega: float,
-               delta_lin: float) -> _CycleResult:
-    """Minimize over a box subject to linear rows by augmented Lagrangian cycles.
-
-    prob exposes lo, hi, evaluate(u) -> (value, aux), gradient(u, aux),
-    row_residual(u) and rows_t(q) = R^T q for the rows R u + offset.  Row
-    multipliers follow the classic update: a cycle whose residual meets the
-    current feasibility target accepts the shifted estimate, any other cycle
-    raises the row penalty instead.  Converged means the rows hold to
-    delta_lin at a point stationary to omega; mu_hat is mu - rho * rows there.
-
-    Each cycle starts where the last one ended, from the objective, rows and
-    gradient kept there, and with the kernel's BFGS matrix: a multiplier
-    update leaves the Hessian of the row-penalized objective unchanged, and
-    raising the penalty by d_rho adds d_rho * R^T R to it.
-    """
-    rho_in = _AL_RHO_INIT
-    end = _Point()
-    out = _CycleResult(u=u, mu_hat=mu, end=end)
-    restarts = 0
-    eta_j = 0.1
-    omega_j = 1e-2
-    alpha_carry: float | None = None
-    hess_carry: Matrix | None = None
-    R = np.array([prob.rows_t(q) for q in np.identity(mu.size)]).reshape(mu.size, u.size)
-    rows_gram = R.T @ R
-
-    for _ in range(_MAX_CYCLES):
-        # early multiplier cycles only need a rough stationary point; both
-        # the feasibility target and the stationarity tolerance tighten as
-        # cycles succeed, bottoming out at delta_lin and omega
-        cycle_tol = max(omega, omega_j)
-        value, value_grad = _al_value_grad(prob, mu, rho_in, end)
-        res = bound_solve(value, value_grad, prob.lo, prob.hi, out.u,
-                          tol=cycle_tol, alpha0=alpha_carry, hess0=hess_carry)
-        out.u = res.x
-        alpha_carry, hess_carry = res.alpha, res.hess
-        out.iterations += res.iterations
-        out.n_evals += res.n_evals
-        r = end.rows if end.at(out.u) else prob.row_residual(out.u)
-        r_norm = float(np.abs(r).max(initial=0.0))
-        out.mu_hat = mu - rho_in * r
-        out.merit_path.append(res.f)
-
-        if res.status == UNBOUNDED:
-            out.status = UNBOUNDED
-            return out
-        if res.status == ITERATION_LIMIT:
-            restarts += 1
-            if restarts > _MAX_RESTARTS:
-                return out
-            continue
-
-        if r_norm <= delta_lin and cycle_tol <= omega:
-            out.status = CONVERGED
-            return out
-
-        if r_norm <= eta_j:
-            mu = out.mu_hat
-            eta_j = max(0.1 * eta_j, 0.1 * delta_lin)
-            if r_norm <= delta_lin:
-                # rows already tight, only stationarity needs polishing
-                omega_j = omega
-            else:
-                omega_j = max(0.1 * omega_j, omega)
-        else:
-            if hess_carry is not None:
-                hess_carry += (_AL_RHO_GROWTH - 1.0) * rho_in * rows_gram
-            rho_in *= _AL_RHO_GROWTH
-            if rho_in > _AL_RHO_CAP:
-                return out
-            # row curvature scales with the penalty, so shrink the carried
-            # spectral steplength to match
-            alpha_carry = alpha_carry / _AL_RHO_GROWTH
-
-    out.mu_hat = mu - rho_in * r
-    return out
-
-
-def _finalize(sub: ElasticSubproblem, res: _CycleResult,
+def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
               omega: float) -> SubproblemSolution:
-    x_ext, v, w = sub.split(res.u)
+    x_ext, v, w = sub.split(res.x)
     # shrinking both elastics by their common part keeps v - w (hence the row
     # residual) and can only lower the objective; it restores the exact
     # complementarity min(v, w) = 0 that a zero price cannot enforce
     common = np.minimum(v, w)
     v = v - common
     w = w - common
-    delta_y = np.array(res.mu_hat, dtype=float)
+    delta_y = np.array(res.y, dtype=float)
     # elastic-row multipliers must respect the sigma + omega box; clip the
     # rare numerical overshoot and recompute z so the triple stays consistent
     m_c = sub.lin.sf.m_c
     cap = sub.sigma_k + omega
     delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
-    grad = res.end.grad if res.end.at(res.u) else sub.gradient(res.u)
-    z = grad[:sub.n_ext] - sub.lin.J_k.T @ delta_y
+    z = res.g[:sub.n_ext] - sub.lin.J_k.T @ delta_y
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, function_evals=res.n_evals,
-        al_merit_path=res.merit_path)
+        inner_iterations=res.iterations)
 
 
-def solve_lc(sub: ElasticSubproblem, opts: InnerOptions,
+def solve_lc(sub: ElasticSubproblem, omega: float,
              warm_start: SubproblemSolution | None = None) -> SubproblemSolution:
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
-    The cycles start from the warm start's point and multipliers when its
-    shape fits, else from the base point with zero multipliers, with the
-    elastics at their cheapest values for the linearized residual there.
+    The kernel starts from the warm start's point when its shape fits, else
+    from the base point, with the elastics at their cheapest values for the
+    linearized residual there, so the rows hold from the start on.
     """
     if warm_start is not None and warm_start.x_star.shape == (sub.n_ext,):
         x0 = warm_start.x_star
-        mu = np.array(warm_start.delta_y, dtype=float)
     else:
         x0 = sub.lin.x_k
-        mu = np.zeros(sub.m)
     v0, w0 = optimal_elastics(sub.lin.cbar(x0))
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
-    res = _al_cycles(sub, u, mu, opts.omega, opts.delta_lin)
-    return _finalize(sub, res, opts.omega)
+    value, value_grad = _cached_value_grad(sub)
+    res = bound_solve(value, value_grad, sub.lo, sub.hi, u, omega,
+                      rows=sub.rows_t(np.identity(sub.m)).T,
+                      offset=sub.lin.offset)
+    return _finalize(sub, res, omega)
 
 
 def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
@@ -453,37 +324,14 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     return dy_elastic <= sub.sigma_k + omega + 1e-12
 
 
-@dataclass
-class _ProximalProblem:
-    """min (1/2)||x - x_tilde||^2 over u = (x, s_A) in a box, rows A x - s_A."""
-
-    A: Matrix
-    x_tilde: Vector
-    lo: Vector
-    hi: Vector
-
-    def evaluate(self, u: Vector) -> tuple[float, Vector]:
-        d = u[:self.x_tilde.size] - self.x_tilde
-        return 0.5 * float(d @ d), d
-
-    def gradient(self, u: Vector, d: Vector) -> Vector:
-        return np.concatenate([d, np.zeros(self.A.shape[0])])
-
-    def row_residual(self, u: Vector) -> Vector:
-        n = self.x_tilde.size
-        return self.A @ u[:n] - u[n:]
-
-    def rows_t(self, q: Vector) -> Vector:
-        return np.concatenate([self.A.T @ q, -q])
-
-
 def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
     """Project x_tilde onto the bounds and linear rows; return it embedded.
 
-    Minimizes (1/2)||x - x_tilde||^2 subject to the box and the linear rows
-    only, by the same augmented Lagrangian loop as the subproblems; the
-    stationarity tolerance is loose since any nearby feasible point serves.
-    Raises PpInfeasible when the loop cannot meet the rows.
+    Minimizes (1/2)||x - x_tilde||^2 over u = (x, s_A) in the box subject to
+    the rows A x - s_A = 0.  When the clipped start violates a row, a first
+    kernel call minimizes the elastic sum of v + w on the rows
+    A x - s_A + v - w = 0 to find a feasible point, and raises PpInfeasible
+    when that sum stays above the rounding of the rows.
     """
     nlp = sf.nlp
     lx, ux = nlp.bounds_x
@@ -491,15 +339,32 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
     if nlp.m_A == 0:
         return sf.embed(x_tilde)
 
+    n, m = nlp.n, nlp.m_A
     lA, uA = nlp.bounds_A
-    prob = _ProximalProblem(A=nlp.A, x_tilde=x_tilde,
-                            lo=np.concatenate([lx, lA]),
-                            hi=np.concatenate([ux, uA]))
+    lo = np.concatenate([lx, lA])
+    hi = np.concatenate([ux, uA])
+    rows = np.hstack([nlp.A, -np.identity(m)])
     u = np.concatenate([x_tilde, np.clip(nlp.A @ x_tilde, lA, uA)])
-    res = _al_cycles(prob, u, np.zeros(nlp.m_A), _PP_OMEGA, _PP_DELTA_LIN)
-    if res.status != CONVERGED:
-        r_norm = float(np.abs(prob.row_residual(res.u)).max(initial=0.0))
-        raise PpInfeasible(
-            f"no point satisfies the bounds and linear rows "
-            f"(best residual {r_norm:.3e})")
-    return sf.embed(np.clip(res.u[:nlp.n], lx, ux))
+    r = rows @ u
+    if r.any():
+        v, w = optimal_elastics(r)
+        cost = np.concatenate([np.zeros(n + m), np.ones(2 * m)])
+        res = bound_solve(lambda q: float(cost @ q),
+                          lambda q: (float(cost @ q), cost),
+                          np.concatenate([lo, np.zeros(2 * m)]),
+                          np.concatenate([hi, np.full(2 * m, np.inf)]),
+                          np.concatenate([u, v, w]), _PP_OMEGA,
+                          rows=np.hstack([rows, np.identity(m), -np.identity(m)]))
+        u = res.x[:n + m]
+        if res.f > _ROUNDOFF * (1.0 + float(np.sum(np.abs(rows) @ np.abs(u)))):
+            raise PpInfeasible(
+                f"no point satisfies the bounds and linear rows "
+                f"(least elastic sum {res.f:.3e})")
+
+    def value_grad(q: Vector) -> tuple[float, Vector]:
+        d = q[:n] - x_tilde
+        return 0.5 * float(d @ d), np.concatenate([d, np.zeros(m)])
+
+    res = bound_solve(lambda q: value_grad(q)[0], value_grad, lo, hi, u,
+                      _PP_OMEGA, rows=rows)
+    return sf.embed(np.clip(res.x[:n], lx, ux))

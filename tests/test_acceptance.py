@@ -15,7 +15,7 @@ import pytest
 from slcl.bench import run_suite
 from slcl.catalog import SOLVABLE, catalog_get, catalog_names
 from slcl.driver import BCL, STABILIZED, OuterOptions, SolveReport, solve
-from slcl.innersolve import CONVERGED, InnerOptions
+from slcl.innersolve import CONVERGED
 from slcl.merit import aug_lagrangian, aug_lagrangian_grad, min_norm_stationarity
 from slcl.model import build_slack_form
 
@@ -169,8 +169,7 @@ def _one_step_order(entry, d: np.ndarray, mode: str) -> tuple[float, list[float]
     iteration from x* + r*d, y* + r.  Each step must be a resolved one: its
     subproblem Converged and the outer test accepted it.
     """
-    opts = OuterOptions(mode=mode, max_major=1, omega_0=1e-8,
-                        inner=InnerOptions(delta_lin=1e-9))
+    opts = OuterOptions(mode=mode, max_major=1, omega_0=1e-8)
     f0, f1 = [], []
     for r in RATE_LADDER:
         rep = solve(entry.problem, opts,
@@ -203,9 +202,7 @@ def test_criterion_7_local_rate():
     - max_major=1, because only the first step from each start is measured;
     - omega_0=1e-8, over two decades below the smallest F1 on the ladder
       (about 4e-6) and one decade above the inner kernel's 1e-9 stationarity
-      floor, so the subproblem tolerance does not cut the step short;
-    - InnerOptions(delta_lin=1e-9) for the same reason on the linearized
-      rows, whose default 1e-6 tolerance is close to the F1 being measured.
+      floor, so the subproblem tolerance does not cut the step short.
 
     The fitted slope of log F1 on log F0 must be at least 1.5.  As a
     negative control the bcl mode, whose fixed-penalty first-order

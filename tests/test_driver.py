@@ -22,7 +22,7 @@ def _solution(delta_y, n_ext=3):
     return SubproblemSolution(
         x_star=np.zeros(n_ext), delta_y=delta_y, z_star=np.zeros(n_ext),
         v_star=np.zeros(len(delta_y)), w_star=np.zeros(len(delta_y)),
-        status=CONVERGED, inner_iterations=1, function_evals=1)
+        status=CONVERGED, inner_iterations=1)
 
 
 class TestUpdateOnSuccess:

@@ -1,14 +1,14 @@
-"""Tests for the inner subproblem solver and the projected-gradient kernel."""
+"""Tests for the inner solver: active-set kernel, subproblems, proximal start."""
 
 import numpy as np
 import pytest
 
+from slcl import driver
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
-                             InnerOptions, PpInfeasible, _al_value_grad,
-                             bound_solve, solve_lc, solve_proximal,
-                             verify_relaxed_kkt)
+                             PpInfeasible, _cached_value_grad, bound_solve,
+                             solve_lc, solve_proximal, verify_relaxed_kkt)
 from slcl.linearize import assemble_elastic, linearize_constraints
 from slcl.model import INF, NlpProblem, build_slack_form
 
@@ -95,13 +95,13 @@ class TestBoundSolve:
 
     def test_non_finite_trial_is_backtracked(self):
         """sqrt(x) is nan left of 0; a first step landing there is cut back."""
-        value = lambda x: float(0.5 * x[0] - np.sqrt(x[0]))
-        value_grad = lambda x: (value(x), np.array([0.5 - 0.5 / np.sqrt(x[0])]))
+        value = lambda x: float(100.0 * (0.5 * x[0] - np.sqrt(x[0])))
+        value_grad = lambda x: (value(x),
+                                np.array([100.0 * (0.5 - 0.5 / np.sqrt(x[0]))]))
         with np.errstate(invalid="ignore"):
             # the first step goes from 4 to -21, then -8.5 and -2.25
             res = bound_solve(value, value_grad, np.array([-INF]),
-                              np.array([INF]), np.array([4.0]), tol=1e-10,
-                              alpha0=100.0)
+                              np.array([INF]), np.array([4.0]), tol=1e-10)
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, [1.0], atol=1e-8)
         assert res.f == value(res.x)
@@ -112,16 +112,6 @@ class TestBoundSolve:
         with pytest.raises(ValueError, match="start"):
             bound_solve(value, value_grad, np.array([-INF]), np.array([INF]),
                         np.array([1.0]), tol=1e-8)
-
-    def test_alpha_seed_round_trip(self):
-        """The returned steplength reseeds a warm call to the same function."""
-        value, value_grad = _quadratic(np.diag([1.0, 4.0]), np.zeros(2))
-        cold = bound_solve(value, value_grad, np.full(2, -5.0), np.full(2, 5.0),
-                           np.array([3.0, 2.0]), tol=1e-9)
-        warm = bound_solve(value, value_grad, np.full(2, -5.0), np.full(2, 5.0),
-                           np.array([3.0, 2.0]), tol=1e-9, alpha0=cold.alpha)
-        assert warm.status == CONVERGED
-        assert warm.iterations <= cold.iterations + 1
 
     def test_stiff_quadratic_reaches_its_active_set_solution(self):
         """A rotated quadratic with condition 1e4 over [-1, 1]^10.
@@ -152,6 +142,82 @@ class TestBoundSolve:
         np.testing.assert_allclose(res.x, x, atol=1e-8)
 
 
+class TestLinearRows:
+    """Degenerate inputs for the kernel's rows and working set."""
+
+    def test_duplicate_rows(self):
+        """Projecting (2, 0) onto x1 + x2 = 1, stated twice, gives (1.5, -0.5).
+
+        The KKT matrix is singular; only the sum of the two multipliers is
+        determined, and it is -0.5.
+        """
+        value, value_grad = _quadratic(np.eye(2), np.array([2.0, 0.0]))
+        R = np.ones((2, 2))
+        res = bound_solve(value, value_grad, np.full(2, -10.0),
+                          np.full(2, 10.0), np.array([0.5, 0.5]), tol=1e-10,
+                          rows=R, offset=np.full(2, -1.0))
+        assert res.status == CONVERGED
+        np.testing.assert_allclose(res.x, [1.5, -0.5], atol=1e-10)
+        np.testing.assert_allclose(res.y.sum(), -0.5, atol=1e-10)
+        np.testing.assert_allclose(R @ res.x - 1.0, 0.0, atol=1e-15)
+
+    def test_bound_within_rounding_blocks_the_first_step(self):
+        """min (x1 + 1)^2 + (x2 - 1)^2 over x >= 0 from x1 = 1e-16: (0, 1).
+
+        x1 joins the working set without a line search, and one step along
+        x2 alone reaches the solution.
+        """
+        value, value_grad = _quadratic(2.0 * np.eye(2), np.array([-1.0, 1.0]))
+        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, INF),
+                          np.array([1e-16, 1.5]), tol=1e-10)
+        assert res.status == CONVERGED
+        assert res.iterations == 1
+        assert res.x[0] == 0.0
+        np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-10)
+
+    def test_bounds_released_to_reach_the_solution(self):
+        """min (x1 - 0.5)^2 + (x2 - 1.5)^2 on x1 + x2 = 2 in [0, 2]^2.
+
+        The start (0, 2) holds both bounds with wrong-signed multipliers;
+        the solution (0.5, 1.5) is interior with a zero row multiplier.
+        """
+        value, value_grad = _quadratic(2.0 * np.eye(2), np.array([0.5, 1.5]))
+        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, 2.0),
+                          np.array([0.0, 2.0]), tol=1e-10,
+                          rows=np.ones((1, 2)), offset=np.array([-2.0]))
+        assert res.status == CONVERGED
+        np.testing.assert_allclose(res.x, [0.5, 1.5], atol=1e-10)
+        np.testing.assert_allclose(res.y, [0.0], atol=1e-10)
+
+    def test_negative_curvature_along_the_row(self):
+        """min -(x1 - x2)^2 on x1 + x2 = 10 in [0, 10]^2 from (5.5, 4.5).
+
+        Along the row the objective is -(2 x1 - 10)^2, concave, so the
+        minimizer on the side of the start is the corner (10, 0).  The first
+        step sees the negative curvature; the damped update keeps B positive
+        definite, so the next step runs on to the corner.
+        """
+        Q = -2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        value, value_grad = _quadratic(Q, np.zeros(2))
+        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, 10.0),
+                          np.array([5.5, 4.5]), tol=1e-10,
+                          rows=np.ones((1, 2)), offset=np.array([-10.0]))
+        assert res.status == CONVERGED
+        assert res.iterations >= 2
+        np.testing.assert_allclose(res.x, [10.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(res.f, -100.0, rtol=1e-14)
+
+    def test_descent_ray_along_a_row_is_unbounded(self):
+        """-x1 - x2 on x1 = x2 over x >= 0 decreases without bound."""
+        value = lambda x: float(-x.sum())
+        value_grad = lambda x: (value(x), -np.ones(2))
+        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, INF),
+                          np.ones(2), tol=1e-8,
+                          rows=np.array([[1.0, -1.0]]), offset=np.zeros(1))
+        assert res.status == UNBOUNDED
+        assert res.x[0] == res.x[1] > 1e9
+
+
 def _subproblem(name, x, y, rho, sigma):
     sf = build_slack_form(catalog_get(name).problem)
     x0 = sf.embed(np.asarray(x, dtype=float))
@@ -170,7 +236,7 @@ class TestSolveLc:
         assert abs(g[i] - 1.0) <= 1e-3 and abs(fg[i] - 2.0) <= 1e-5
 
         sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 0.0, 100.0)
-        sol = solve_lc(sub, InnerOptions())
+        sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
         np.testing.assert_allclose(sol.x_star, [1.0, 1.0, 2.0], atol=1e-5)
         np.testing.assert_allclose(sol.delta_y, [2.0], atol=1e-5)
@@ -189,7 +255,7 @@ class TestSolveLc:
         np.testing.assert_allclose([X[j], Y[j]], [2.0 / 3.0] * 2, atol=2e-3)
 
         sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 2.0, 0.0)
-        sol = solve_lc(sub, InnerOptions())
+        sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
         np.testing.assert_allclose(sol.x_star[:2], [2.0 / 3.0] * 2, atol=1e-4)
         # the row is absorbed by the elastics: v - w = 2 - x1 - x2
@@ -200,13 +266,13 @@ class TestSolveLc:
     def test_descent_ray_is_flagged(self):
         """Linearizing x2^2 = 0 at x2 = 0 frees the -x1 ray in x >= 0."""
         sf, sub = _subproblem("unbounded-ray", [1.0, 0.0], 0.0, 0.0, 100.0)
-        sol = solve_lc(sub, InnerOptions())
+        sol = solve_lc(sub, 1e-6)
         assert sol.status == UNBOUNDED
 
     def test_elastic_complementarity_at_convergence(self):
         for sigma in (0.0, 1.0, 100.0):
             sf, sub = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, sigma)
-            sol = solve_lc(sub, InnerOptions())
+            sol = solve_lc(sub, 1e-6)
             assert sol.status == CONVERGED
             assert np.minimum(sol.v_star, sol.w_star).max(initial=0.0) <= 1e-8
             assert np.all(sol.v_star >= 0.0) and np.all(sol.w_star >= 0.0)
@@ -214,24 +280,16 @@ class TestSolveLc:
     def test_high_price_zeroes_elastics(self):
         """A consistent linearization plus a large price leaves no elastic use."""
         sf, sub = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
-        sol = solve_lc(sub, InnerOptions())
+        sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
         assert np.abs(sol.v_star).max() + np.abs(sol.w_star).max() <= 1e-6
 
     def test_warm_start_is_cheaper(self):
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.0, 10.0, 100.0)
-        cold = solve_lc(sub, InnerOptions())
-        warm = solve_lc(sub, InnerOptions(), warm_start=cold)
+        cold = solve_lc(sub, 1e-6)
+        warm = solve_lc(sub, 1e-6, warm_start=cold)
         assert warm.status == CONVERGED
         assert warm.inner_iterations <= cold.inner_iterations
-
-    def test_dual_cycle_values_climb_on_convex_instance(self):
-        """Each cycle minimum is a dual value; on a convex problem they ascend."""
-        sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 0.0, 100.0)
-        sol = solve_lc(sub, InnerOptions())
-        path = np.array(sol.al_merit_path)
-        assert len(path) >= 2
-        assert np.all(np.diff(path) >= -1e-8)
 
     def test_converged_triples_verify(self):
         rng = np.random.default_rng(67)
@@ -240,7 +298,7 @@ class TestSolveLc:
             x0 = sf.embed(sf.nlp.x_tilde + 0.1 * rng.standard_normal(sf.n))
             lin = linearize_constraints(sf, x0)
             sub = assemble_elastic(lin, rng.standard_normal(sf.m), 10.0, 50.0)
-            sol = solve_lc(sub, InnerOptions())
+            sol = solve_lc(sub, 1e-6)
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
 
@@ -252,9 +310,8 @@ class TestSolveLc:
         """
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
         calls = _counted(sf.nlp)
-        sol = solve_lc(sub, InnerOptions())
+        sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
-        assert len(sol.al_merit_path) >= 2
         assert calls["g"] == calls["J"] == sol.inner_iterations + 1
 
 
@@ -275,8 +332,7 @@ def _counted(problem):
 class TestEvaluationBudget:
     def _cycle(self):
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-        mu = np.array([0.2, -0.1])
-        return sf, sub, _counted(sf.nlp), _al_value_grad(sub, mu, 100.0)
+        return sf, sub, _counted(sf.nlp), _cached_value_grad(sub)
 
     def test_trial_and_accepted_gradient_call_each_callback_once(self):
         sf, sub, calls, (value, value_grad) = self._cycle()
@@ -291,7 +347,7 @@ class TestEvaluationBudget:
     def test_gradient_matches_a_fresh_evaluation(self):
         """The reused residual gives the same gradient as evaluating anew."""
         sf, sub, calls, (value, value_grad) = self._cycle()
-        fresh = _al_value_grad(sub, np.array([0.2, -0.1]), 100.0)[1]
+        fresh = _cached_value_grad(sub)[1]
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
                     sub.lo, sub.hi)
         value(u)
@@ -311,21 +367,48 @@ class TestEvaluationBudget:
         assert calls["g"] == calls["J"] == res.iterations + 1
 
 
-class TestTightRows:
-    """Row tolerances far below the default still end Optimal."""
+class TestExactRows:
+    """The subproblem rows hold to roundoff, whatever the outer targets."""
 
-    @pytest.mark.parametrize("name, delta_lin",
-                             [("rosenbrock-ball", 1e-8), ("circle-proj", 1e-10)])
-    def test_tight_row_tolerance(self, name, delta_lin):
-        opts = OuterOptions(inner=InnerOptions(delta_lin=delta_lin))
-        rep = solve(catalog_get(name).problem, opts)
+    @pytest.mark.parametrize("name", ["circle-proj", "two-circles",
+                                      "rosenbrock-ball"])
+    def test_converged_subproblems_meet_their_rows(self, name, monkeypatch):
+        seen = []
+
+        def recorded(sub, omega, warm_start=None):
+            sol = solve_lc(sub, omega, warm_start)
+            seen.append((sub, sol, omega))
+            return sol
+
+        monkeypatch.setattr(driver, "solve_lc", recorded)
+        assert solve(catalog_get(name).problem).status == "Optimal"
+        converged = [(sub, sol, omega) for sub, sol, omega in seen
+                     if sol.status == CONVERGED]
+        assert converged
+        for sub, sol, omega in converged:
+            assert verify_relaxed_kkt(sub, sol, omega, 1e-12)
+
+    def test_tight_targets_from_the_capture_start(self):
+        """circle-proj at omega_star = eta_star = 1e-9 from criterion 7's start.
+
+        Row errors that a loose row tolerance leaves in each accepted step
+        used to push the constraint residual back up after acceptance,
+        forcing rejections before the tight target was met.
+        """
+        entry = catalog_get("circle-proj")
+        d = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        rep = solve(entry.problem, OuterOptions(omega_star=1e-9, eta_star=1e-9),
+                    x_start=entry.known_x + 1e-2 * d,
+                    y_start=entry.known_y + 1e-2)
         assert rep.status == "Optimal"
+        assert rep.majors <= 4, rep.majors
+        assert all(t.accepted for t in rep.trace)
 
 
 class TestVerifyRelaxedKkt:
     def _converged(self):
         sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 0.0, 100.0)
-        return sub, solve_lc(sub, InnerOptions())
+        return sub, solve_lc(sub, 1e-6)
 
     def test_exact_solution_passes(self):
         sub, sol = self._converged()
@@ -391,6 +474,41 @@ class TestSolveProximal:
         x0 = solve_proximal(sf, p.x_tilde)
         np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
+
+    def test_violated_equality_row_is_met_exactly(self):
+        """The start (0, 0) violates x1 + 2 x2 = 3; its projection is (0.6, 1.2)."""
+        p = NlpProblem(
+            n=2, m_c=0, m_A=1,
+            eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
+            eval_c=None, eval_J=None, A=np.array([[1.0, 2.0]]),
+            bounds_x=(np.zeros(2), np.full(2, 10.0)),
+            bounds_c=(np.zeros(0), np.zeros(0)),
+            bounds_A=(np.array([3.0]), np.array([3.0])),
+            x_tilde=np.zeros(2))
+        sf = build_slack_form(p)
+        x0 = solve_proximal(sf, p.x_tilde)
+        assert abs(x0[0] + 2.0 * x0[1] - 3.0) <= 1e-12
+        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(x0[:2], [0.6, 1.2], atol=1e-5)
+
+    def test_badly_scaled_row_is_met(self):
+        """1e-7 x = 1 in [0, 1e8] from x = 0: the start is x = 1e7.
+
+        Finding a point on the row is a linear program whose reduced cost is
+        1e-7, so its steps must run to the blocking bound.
+        """
+        p = NlpProblem(
+            n=1, m_c=0, m_A=1,
+            eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(1),
+            eval_c=None, eval_J=None, A=np.array([[1e-7]]),
+            bounds_x=(np.zeros(1), np.array([1e8])),
+            bounds_c=(np.zeros(0), np.zeros(0)),
+            bounds_A=(np.array([1.0]), np.array([1.0])),
+            x_tilde=np.zeros(1))
+        sf = build_slack_form(p)
+        x0 = solve_proximal(sf, p.x_tilde)
+        np.testing.assert_allclose(x0[0], 1e7, rtol=1e-12)
+        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
 
     def test_impossible_rows_raise(self):
         """x1 + x2 = 10 cannot hold inside [0, 1]^2."""
