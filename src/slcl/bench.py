@@ -10,14 +10,14 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .catalog import catalog_get, catalog_names
-from .driver import (INFEASIBLE, OPTIMAL, OuterOptions, SolveReport,
-                     UNBOUNDED_STATUS, solve)
+from .driver import INFEASIBLE, OPTIMAL, OuterOptions, SolveReport, solve
+from .innersolve import UNBOUNDED
 
 CSV_COLUMNS = ["name", "status", "majors", "minors", "fevals", "final_objective",
                "primal_inf", "dual_inf", "comp", "wall_time_s"]
 
 _EXPECTED_STATUS = {"solvable": OPTIMAL, "infeasible": INFEASIBLE,
-                    "unbounded": UNBOUNDED_STATUS}
+                    "unbounded": UNBOUNDED}
 
 
 @dataclass

@@ -8,13 +8,13 @@ current estimates, raises the penalty, and tightens the elastic price.  The
 elastic weight sigma makes the method degrade gracefully between the two
 classical extremes, which are also available directly as modes:
 
-    stabilized  adaptive sigma between sigma_lo and sigma_hi (the default)
-    canonical   fixed penalty, sigma pinned at sigma_hi, direct multiplier
+    stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI (the default)
+    canonical   fixed penalty, sigma pinned at SIGMA_HI, direct multiplier
                 updates, every candidate accepted
     bcl         sigma pinned at zero, so each subproblem is a pure
                 bound-constrained augmented Lagrangian minimization
 
-Infeasible problems surface when the penalty climbs past rho_bar while the
+Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
 first-order stationary point of the squared-residual minimization.
 """
@@ -36,11 +36,21 @@ STABILIZED = "stabilized"
 CANONICAL = "canonical"
 BCL = "bcl"
 
+# the solver's statuses besides the kernel's UNBOUNDED and ITERATION_LIMIT
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-UNBOUNDED_STATUS = "Unbounded"
-ITERATION_LIMIT_STATUS = "IterationLimit"
 CANNOT_IMPROVE = "CannotImprove"
+
+# the outer schedule
+ETA_0 = 1.0       # first feasibility target
+SIGMA_LO = 1.0    # elastic price box of the stabilized mode
+SIGMA_HI = 1e4
+SIGMA_0 = 1e2     # first stabilized price, scaled by 1 + |y0|
+TAU_RHO = 10.0    # a rejection multiplies rho by TAU_RHO
+TAU_SIGMA = 10.0  # and divides a stabilized sigma by TAU_SIGMA
+ALPHA = 0.1       # eta = ETA_0 / rho^ALPHA after a rejection
+BETA = 0.9        # eta /= rho^BETA after an acceptance
+RHO_BAR = 1e8     # rows still violated past this penalty mean Infeasible
 
 
 @dataclass
@@ -48,26 +58,10 @@ class OuterOptions:
     omega_star: float = 1e-6
     eta_star: float = 1e-6
     omega_0: float = 1e-3
-    eta_0: float = 1.0
-    sigma_lo: float = 1.0
-    sigma_hi: float = 1e4
-    sigma_0: float = 1e2
-    tau_rho: float = 10.0
-    tau_sigma: float = 10.0
-    alpha: float = 0.1
-    beta: float = 0.9
-    rho_0: float | None = None
-    rho_bar: float = 1e8
     max_major: int = 500
     mode: str = STABILIZED
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0 and self.beta > 0.0):
-            raise ValueError("schedule exponents need 0 < alpha < 1 and beta > 0")
-        if self.tau_rho <= 1.0 or self.tau_sigma <= 1.0:
-            raise ValueError("penalty and elastic factors must exceed 1")
-        if not (0.0 < self.sigma_lo <= self.sigma_hi):
-            raise ValueError("need 0 < sigma_lo <= sigma_hi")
         if self.mode not in (STABILIZED, CANONICAL, BCL):
             raise ValueError(f"unknown mode: {self.mode!r}")
         if not (self.omega_star > 0 and self.eta_star > 0):
@@ -124,7 +118,7 @@ class SolveReport:
     f_norm_path: list[float]
 
 
-def next_omega(omega_k: float, f_norm: float, omega_star: float = 1e-6) -> float:
+def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
     """Subproblem tolerance for the next iteration.
 
     Tightens toward the square of the current optimality measure, halves as a
@@ -139,8 +133,8 @@ def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
     """Accept the candidate: move the point, refresh multipliers, relax sigma.
 
     The penalty stays put.  The feasibility target tightens by the current
-    penalty raised to beta; sigma restarts at the size of the latest row
-    multiplier step, clamped into [sigma_lo, sigma_hi].
+    penalty raised to BETA; sigma restarts at the size of the latest row
+    multiplier step, clamped into [SIGMA_LO, SIGMA_HI].
     """
     y_star = state.y + sol.delta_y
     state.x = np.array(sol.x_star)
@@ -149,8 +143,8 @@ def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
     state.z = np.array(sol.z_star)
     if opts.mode == STABILIZED:
         dy_norm = float(np.abs(sol.delta_y).max(initial=0.0))
-        state.sigma = max(opts.sigma_lo, min(dy_norm, opts.sigma_hi))
-    state.eta = state.eta / state.rho ** opts.beta
+        state.sigma = max(SIGMA_LO, min(dy_norm, SIGMA_HI))
+    state.eta = state.eta / state.rho ** BETA
     return state
 
 
@@ -161,17 +155,17 @@ def update_on_failure(state: OuterState, opts: OuterOptions) -> OuterState:
     feasibility target is recomputed there.
     """
     if opts.mode != CANONICAL:
-        state.rho = state.rho * opts.tau_rho
+        state.rho = state.rho * TAU_RHO
     if opts.mode == STABILIZED:
-        state.sigma = state.sigma / opts.tau_sigma
-    state.eta = opts.eta_0 / state.rho ** opts.alpha
+        state.sigma = state.sigma / TAU_SIGMA
+    state.eta = ETA_0 / state.rho ** ALPHA
     return state
 
 
 def detect_infeasible(nonlinear_violation: float, rho: float,
                       opts: OuterOptions) -> bool:
     """Declare infeasibility once the penalty is exhausted and rows still violate."""
-    return nonlinear_violation > opts.eta_star and rho > opts.rho_bar
+    return nonlinear_violation > opts.eta_star and rho > RHO_BAR
 
 
 def detect_unbounded(x_k_feasible: bool, inner_status: str) -> bool:
@@ -181,16 +175,14 @@ def detect_unbounded(x_k_feasible: bool, inner_status: str) -> bool:
 
 def _initial_sigma(opts: OuterOptions, y0: Vector) -> float:
     if opts.mode == CANONICAL:
-        return opts.sigma_hi
+        return SIGMA_HI
     if opts.mode == BCL:
         return 0.0
     y_norm = float(np.abs(y0).max(initial=0.0))
-    return min(opts.sigma_hi, max(opts.sigma_lo, opts.sigma_0 * (1.0 + y_norm)))
+    return min(SIGMA_HI, max(SIGMA_LO, SIGMA_0 * (1.0 + y_norm)))
 
 
-def _default_rho(opts: OuterOptions, m_c: int) -> float:
-    if opts.rho_0 is not None:
-        return max(opts.rho_0, 1.0 + 1e-3)
+def _default_rho(m_c: int) -> float:
     return max(10.0 ** 2.5 / max(m_c, 1), 1.0 + 1e-3)
 
 
@@ -215,8 +207,7 @@ def _solve_linear_only(sf: SlackForm, x0: Vector, y0: Vector, opts: OuterOptions
     sol = solve_lc(sub, opts.omega_star)
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
-    status = {CONVERGED: OPTIMAL, UNBOUNDED: UNBOUNDED_STATUS,
-              ITERATION_LIMIT: ITERATION_LIMIT_STATUS}[sol.status]
+    status = OPTIMAL if sol.status == CONVERGED else sol.status
     if status == OPTIMAL:
         res = kkt_residual(sf, sol.x_star, y, z)
         if not is_optimal(res, opts.omega_star, opts.eta_star):
@@ -259,15 +250,14 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         return _solve_linear_only(sf, x0, y, opts, fev0)
 
     state = OuterState(k=0, x=x0, y=y, z=z,
-                       rho=_default_rho(opts, sf.m_c),
-                       sigma=_initial_sigma(opts, y),
-                       eta=opts.eta_0, omega=opts.omega_0)
-    res0 = kkt_residual(sf, state.x, state.y, state.z)
-    f_norm_path = [res0.f_norm]
+                       rho=_default_rho(sf.m_c), sigma=_initial_sigma(opts, y),
+                       eta=ETA_0, omega=opts.omega_0)
+    res = kkt_residual(sf, state.x, state.y, state.z)
+    f_norm_path = [res.f_norm]
     minors = 0
     warm: SubproblemSolution | None = None
     stalls_at_floor = 0
-    status = ITERATION_LIMIT_STATUS
+    status = ITERATION_LIMIT
     final_from_candidate: SubproblemSolution | None = None
 
     for k in range(opts.max_major):
@@ -286,12 +276,10 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
 
         exit_status: str | None = None
         if sol.status == UNBOUNDED:
+            accepted = False
             feasible_here = sf.nonlinear_bound_violation(state.x) <= opts.eta_star
             if detect_unbounded(feasible_here, sol.status):
-                exit_status = UNBOUNDED_STATUS
-                accepted = False
-            else:
-                accepted = False
+                exit_status = UNBOUNDED
         elif sol.status == ITERATION_LIMIT:
             accepted = False
             if opts.mode == CANONICAL:
@@ -321,9 +309,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                 if detect_infeasible(viol, rho_k, opts):
                     exit_status = INFEASIBLE
                     final_from_candidate = sol
+            # a rejection moves only rho, sigma and eta, so res still holds
             if exit_status is None:
                 update_on_failure(state, opts)
-            res = kkt_residual(sf, state.x, state.y, state.z)
 
         f_norm_path.append(res.f_norm)
         state.omega = next_omega(omega_k, res.f_norm, opts.omega_star)
@@ -340,8 +328,6 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         if exit_status is not None:
             status = exit_status
             break
-    else:
-        status = ITERATION_LIMIT_STATUS
 
     if status == INFEASIBLE and final_from_candidate is not None:
         # report the candidate itself: it is the stationary point of the

@@ -51,8 +51,8 @@ def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
 class ElasticSubproblem:
     """Lifted elastic subproblem over u = (x_ext, v, w).
 
-    Its rows are R u + offset with R = [J_k, I, -I]; R is applied by blocks
-    and never formed.
+    Its rows are R u + offset with R = [J_k, I, -I].  row_residual and
+    rows_t apply R by blocks; solve_lc forms it densely for the kernel.
     """
 
     lin: Linearization

@@ -23,6 +23,10 @@ Matrix = np.ndarray
 
 INF = np.inf
 
+# central-difference step and relative error bound of the derivative check
+_DERIV_STEP = 1e-5
+_DERIV_TOL = 1e-5
+
 
 def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
     lo = np.asarray(pair[0], dtype=float).reshape(size)
@@ -214,7 +218,6 @@ class DerivReport:
     max_rel_err_J: float
     worst_index: str
     passed: bool
-    threshold: float = 1e-5
 
 
 def push_interior(x: Vector, lo: Vector, hi: Vector,
@@ -232,20 +235,19 @@ def push_interior(x: Vector, lo: Vector, hi: Vector,
     return np.clip(np.array(x, dtype=float), lo_f, hi_f)
 
 
-def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
-                      threshold: float = 1e-5) -> DerivReport:
+def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     """Compare eval_g and eval_J against central differences of f and c at x.
 
-    Relative errors are scaled by 1 + |analytic value|.  A coordinate is
-    stepped by h, or by a fifth of its width when its box is narrower than
-    5 h, and x must sit that step inside its finite bounds so both probe
-    points are valid; fixed coordinates (lo == hi) are not perturbed and go
-    unchecked.
+    Relative errors are scaled by 1 + |analytic value| and pass up to
+    _DERIV_TOL.  A coordinate is stepped by _DERIV_STEP, or by a fifth of
+    its width when its box is narrower than five steps, and x must sit that
+    step inside its finite bounds so both probe points are valid; fixed
+    coordinates (lo == hi) are not perturbed and go unchecked.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     lx, ux = problem.bounds_x
     free = lx < ux
-    step = np.minimum(h, 0.2 * (ux - lx))
+    step = np.minimum(_DERIV_STEP, 0.2 * (ux - lx))
     if np.any(free & ((x - lx < step) | (ux - x < step))):
         raise ValueError("derivative check point must be a step inside the bounds")
 
@@ -270,6 +272,6 @@ def check_derivatives(problem: NlpProblem, x: Vector, h: float = 1e-5,
     else:
         i, j = np.unravel_index(int(np.argmax(err_J)), err_J.shape)
         worst = f"J[{i},{j}]"
-    passed = bool(max_g <= threshold and max_J <= threshold)
+    passed = bool(max_g <= _DERIV_TOL and max_J <= _DERIV_TOL)
     return DerivReport(max_rel_err_g=max_g, max_rel_err_J=max_J,
-                       worst_index=worst, passed=passed, threshold=threshold)
+                       worst_index=worst, passed=passed)

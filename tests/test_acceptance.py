@@ -14,7 +14,8 @@ import pytest
 
 from slcl.bench import run_suite
 from slcl.catalog import SOLVABLE, catalog_get, catalog_names
-from slcl.driver import BCL, STABILIZED, OuterOptions, SolveReport, solve
+from slcl.driver import (ALPHA, BCL, ETA_0, STABILIZED, OuterOptions,
+                         SolveReport, solve)
 from slcl.innersolve import CONVERGED
 from slcl.merit import aug_lagrangian, aug_lagrangian_grad, min_norm_stationarity
 from slcl.model import build_slack_form
@@ -268,7 +269,7 @@ def test_criterion_9_schedule_invariants(stab_reports, mode_reports):
             assert t.omega_next <= t.omega, tag
             assert t.omega_next >= opts.omega_star * (1.0 - 1e-12), tag
             if not t.accepted and t.rho_next > t.rho:
-                want = opts.eta_0 / t.rho_next ** opts.alpha
+                want = ETA_0 / t.rho_next ** ALPHA
                 assert abs(t.eta_next - want) <= 1e-12 * max(1.0, want), tag
     assert records > 0
     print(f"criterion 9: PASS - {records} trace records over "

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from slcl import driver
 from slcl.catalog import catalog_get
-from slcl.driver import (BCL, CANONICAL, STABILIZED, OuterOptions, OuterState,
+from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, SIGMA_HI, SIGMA_LO,
+                         STABILIZED, TAU_RHO, OuterOptions, OuterState,
                          detect_infeasible, detect_unbounded, next_omega,
                          solve, update_on_failure, update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
@@ -104,14 +106,14 @@ class TestUpdateOnFailure:
 
 class TestNextOmega:
     def test_large_measure_just_halves(self):
-        assert next_omega(1e-3, 0.2) == 5e-4
+        assert next_omega(1e-3, 0.2, 1e-6) == 5e-4
 
     def test_small_measure_squares_first(self):
-        np.testing.assert_allclose(next_omega(1e-3, 1e-2), 5e-5, rtol=1e-12)
+        np.testing.assert_allclose(next_omega(1e-3, 1e-2, 1e-6), 5e-5, rtol=1e-12)
 
     def test_floor_reached(self):
-        assert next_omega(2e-6, 10.0) == 1e-6
-        assert next_omega(1e-6, 1e-9) == 1e-6
+        assert next_omega(2e-6, 10.0, 1e-6) == 1e-6
+        assert next_omega(1e-6, 1e-9, 1e-6) == 1e-6
 
 
 class TestDetectors:
@@ -131,18 +133,6 @@ class TestOptionsValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             OuterOptions(mode="turbo")
-
-    def test_bad_exponents(self):
-        with pytest.raises(ValueError):
-            OuterOptions(alpha=1.5)
-        with pytest.raises(ValueError):
-            OuterOptions(beta=0.0)
-
-    def test_bad_factors(self):
-        with pytest.raises(ValueError):
-            OuterOptions(tau_rho=1.0)
-        with pytest.raises(ValueError):
-            OuterOptions(sigma_lo=10.0, sigma_hi=1.0)
 
     def test_bad_targets(self):
         with pytest.raises(ValueError):
@@ -297,6 +287,23 @@ class TestSolve:
         assert rep.status == "Optimal"
         assert rep.majors <= 5
 
+    def test_rejection_reuses_the_residual(self, monkeypatch):
+        """A rejected major leaves x, y and z alone, so the KKT residual is
+        evaluated once at the start, once per accepted major and once for
+        the report."""
+        original = driver.kkt_residual
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(driver, "kkt_residual", counted)
+        rep = solve(catalog_get("circle-proj").problem)
+        accepted = sum(rec.accepted for rec in rep.trace)
+        assert accepted < rep.majors
+        assert len(calls) == 1 + accepted + 1
+
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,
                     OuterOptions(max_major=1))
@@ -319,18 +326,17 @@ class TestTraceSchedules:
             assert cur.omega == prev.omega_next
 
     def test_acceptance_branches_move_the_right_knobs(self):
-        opts = OuterOptions()
         trace = self._trace()
         saw_failure = False
         for rec in trace[:-1]:
             if rec.accepted:
                 assert rec.rho_next == rec.rho
-                assert opts.sigma_lo <= rec.sigma_next <= opts.sigma_hi
+                assert SIGMA_LO <= rec.sigma_next <= SIGMA_HI
             else:
                 saw_failure = True
-                assert rec.rho_next == opts.tau_rho * rec.rho
+                assert rec.rho_next == TAU_RHO * rec.rho
                 np.testing.assert_allclose(
-                    rec.eta_next, opts.eta_0 / rec.rho_next ** opts.alpha,
+                    rec.eta_next, ETA_0 / rec.rho_next ** ALPHA,
                     rtol=1e-12)
         assert saw_failure
 
@@ -340,11 +346,10 @@ class TestTraceSchedules:
             assert rec.omega_next >= 1e-6
 
     def test_eta_tightens_after_acceptance(self):
-        opts = OuterOptions()
         for rec in self._trace():
             if rec.accepted:
                 np.testing.assert_allclose(
-                    rec.eta_next, rec.eta / rec.rho ** opts.beta, rtol=1e-12)
+                    rec.eta_next, rec.eta / rec.rho ** BETA, rtol=1e-12)
 
     def test_canonical_mode_pins_price_and_penalty(self):
         trace = self._trace("linear-as-nl", mode=CANONICAL)
