@@ -134,12 +134,14 @@ def _options_from_args(args) -> OuterOptions:
 
 def _print_trace(report: SolveReport) -> None:
     head = (f"{'k':>3} {'acc':>3} {'rho':>10} {'sigma':>10} {'eta':>10} "
-            f"{'omega':>10} {'||c||':>10} {'f_norm':>10} {'inner':>6}")
+            f"{'eta_target':>10} {'omega':>10} {'||c||':>10} {'f_norm':>10} "
+            f"{'inner':>6}")
     print(head)
     for rec in report.trace:
         print(f"{rec.k:>3} {'S' if rec.accepted else 'F':>3} {rec.rho:>10.3e} "
-              f"{rec.sigma:>10.3e} {rec.eta:>10.3e} {rec.omega:>10.3e} "
-              f"{rec.c_norm:>10.3e} {rec.f_norm:>10.3e} {rec.inner_iterations:>6}")
+              f"{rec.sigma:>10.3e} {rec.eta:>10.3e} {rec.eta_target:>10.3e} "
+              f"{rec.omega:>10.3e} {rec.c_norm:>10.3e} {rec.f_norm:>10.3e} "
+              f"{rec.inner_iterations:>6}")
 
 
 def _emit_from_args(report: SuiteReport, args) -> None:

@@ -75,6 +75,7 @@ class TraceRecord:
     rho: float
     sigma: float
     eta: float
+    eta_target: float  # max(eta, eta_star), what the acceptance test used
     omega: float
     c_norm: float
     f_norm: float
@@ -129,12 +130,13 @@ def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
 
 
 def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
-                      opts: OuterOptions) -> OuterState:
+                      opts: OuterOptions, m_c: int) -> OuterState:
     """Accept the candidate: move the point, refresh multipliers, relax sigma.
 
     The penalty stays put.  The feasibility target tightens by the current
-    penalty raised to BETA; sigma restarts at the size of the latest row
-    multiplier step, clamped into [SIGMA_LO, SIGMA_HI].
+    penalty raised to BETA; sigma restarts at the size of the latest
+    multiplier step of the m_c nonlinear rows, the rows it prices, clamped
+    into [SIGMA_LO, SIGMA_HI].
     """
     y_star = state.y + sol.delta_y
     state.x = np.array(sol.x_star)
@@ -142,7 +144,7 @@ def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
     state.y = y_star if opts.mode == CANONICAL else y_star - state.rho * c_val
     state.z = np.array(sol.z_star)
     if opts.mode == STABILIZED:
-        dy_norm = float(np.abs(sol.delta_y).max(initial=0.0))
+        dy_norm = float(np.abs(sol.delta_y[:m_c]).max(initial=0.0))
         state.sigma = max(SIGMA_LO, min(dy_norm, SIGMA_HI))
     state.eta = state.eta / state.rho ** BETA
     return state
@@ -263,6 +265,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     for k in range(opts.max_major):
         state.k = k
         rho_k, sigma_k, eta_k, omega_k = state.rho, state.sigma, state.eta, state.omega
+        eta_target = max(opts.eta_star, eta_k)
         lin = linearize_constraints(sf, state.x)
         sub = assemble_elastic(lin, state.y, rho_k, sigma_k)
         sol = solve_lc(sub, omega_k, warm_start=warm)
@@ -291,11 +294,10 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                     exit_status = CANNOT_IMPROVE
         else:
             stalls_at_floor = 0
-            accepted = (opts.mode == CANONICAL or
-                        c_norm <= max(opts.eta_star, eta_k))
+            accepted = opts.mode == CANONICAL or c_norm <= eta_target
 
         if accepted:
-            update_on_success(state, sol, c_star, opts)
+            update_on_success(state, sol, c_star, opts, sf.m_c)
             res = kkt_residual(sf, state.x, state.y, state.z)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL
@@ -317,7 +319,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         state.omega = next_omega(omega_k, res.f_norm, opts.omega_star)
         state.trace.append(TraceRecord(
             k=k, accepted=accepted, rho=rho_k, sigma=sigma_k, eta=eta_k,
-            omega=omega_k, c_norm=c_norm, f_norm=res.f_norm,
+            eta_target=eta_target, omega=omega_k, c_norm=c_norm, f_norm=res.f_norm,
             inner_status=sol.status, inner_iterations=sol.inner_iterations,
             delta_y_norm=dy_norm, elastic_inf=elastic_inf,
             objective=sf.objective(sol.x_star),

@@ -7,10 +7,12 @@ system of the free variables and the rows with a dense BFGS matrix, which
 gives the step and the row multipliers together; a ratio test stops the
 step at the first bound it hits, and that bound joins the working set; once
 the free variables are stationary, a bound whose multiplier has the wrong
-sign leaves it.  The elastic subproblem is one kernel call and the proximal
-start at most two.  On success the subproblem triple satisfies its relaxed
-optimality conditions: bounds hold, rows hold to roundoff, z is the reduced
-gradient at delta_y, complementarity is within omega, and the elastic-row
+sign leaves it.  The elastic subproblem is one kernel call, started on its
+linearized rows where one step reaches them and from the BFGS matrix the
+previous subproblem ended with; the proximal start is at most two calls.
+On success the subproblem triple satisfies its relaxed optimality
+conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
+at delta_y, complementarity is within omega, and the elastic-row
 multipliers obey the sigma + omega box.
 """
 
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linearize import ElasticSubproblem, optimal_elastics
+from .linearize import ElasticSubproblem, Linearization, optimal_elastics
 from .merit import comp_measure
 from .model import Matrix, SlackForm, Vector
 
@@ -55,11 +57,15 @@ class SubproblemSolution:
     w_star: Vector
     status: str
     inner_iterations: int
+    # the kernel's last BFGS matrix and the penalty it was built for
+    hess: Matrix | None = None
+    rho: float = 0.0
 
 
 @dataclass
 class BoundSolveResult:
-    """The last point with its value, gradient g and row multipliers y."""
+    """The last point with its value, gradient g, row multipliers y and
+    BFGS matrix."""
 
     x: Vector
     f: float
@@ -68,6 +74,7 @@ class BoundSolveResult:
     n_evals: int
     g: Vector
     y: Vector
+    hess: Matrix
 
 
 def _check_finite(where: str, x: Vector, *values) -> None:
@@ -82,24 +89,39 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
     Only the free coordinates move; g + B d = R^T y on them.  A singular
     system (dependent rows on the free set) takes the least-squares solution.
     """
-    m = R.shape[0]
+    nf = free.size
+    size = nf + R.shape[0]
     RF = R[:, free]
-    K = np.block([[B[np.ix_(free, free)], RF.T], [RF, np.zeros((m, m))]])
+    K = np.zeros((size, size))
+    K[:nf, :nf] = B[np.ix_(free, free)]
+    K[:nf, nf:] = RF.T
+    K[nf:, :nf] = RF
     rhs = np.concatenate([-g[free], -r])
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
     d = np.zeros_like(g)
-    d[free] = sol[:free.size]
-    return d, -sol[free.size:]
+    d[free] = sol[:nf]
+    return d, -sol[nf:]
+
+
+def _ratio_test(x: Vector, d: Vector, lo: Vector,
+                hi: Vector) -> tuple[int, float, float]:
+    """First bound met along x + alpha d: its index, alpha and value."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(d < 0.0, (lo - x) / d,
+                          np.where(d > 0.0, (hi - x) / d, np.inf))
+    i = int(np.argmin(ratios))
+    return i, float(ratios[i]), float(lo[i] if d[i] < 0.0 else hi[i])
 
 
 def bound_solve(value: Callable[[Vector], float],
                 value_grad: Callable[[Vector], tuple[float, Vector]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
                 rows: Matrix | None = None, offset: Vector | None = None,
-                iter_cap: int = _MAX_INNER_ITERS) -> BoundSolveResult:
+                iter_cap: int = _MAX_INNER_ITERS,
+                hess: Matrix | None = None) -> BoundSolveResult:
     """Minimize a smooth function over a box subject to rows R u + offset = 0.
 
     An active-set quasi-Newton method.  The working set holds the bounds the
@@ -113,12 +135,12 @@ def bound_solve(value: Callable[[Vector], float],
     predicted decrease is below the precision of value, eps^0.8 (1 + |f|),
     passes when value rises by no more than that.  Once the free
     coordinates are stationary, the working bound whose multiplier g - R^T y
-    has the worst wrong sign is released.  B starts as the identity, takes
-    Powell-damped updates and resets to the identity when a search fails or
-    B has become singular along a step; a failed search from the identity
-    ends the solve.  The rows must hold at the start; each step also cancels
-    their rounding drift.  Without rows this is a box-constrained
-    quasi-Newton method.
+    has the worst wrong sign is released.  B starts as hess, or as the
+    identity without one, takes Powell-damped updates and resets to the
+    identity when a search fails or B has become singular along a step; a
+    failed search from the identity ends the solve.  The rows must hold at
+    the start; each step also cancels their rounding drift.  Without rows
+    this is a box-constrained quasi-Newton method.
 
     Converged means the two-sided complementarity of g - R^T y against the
     box (see merit.comp_measure) is at most tol.  Unbounded means an
@@ -144,7 +166,7 @@ def bound_solve(value: Callable[[Vector], float],
     at_lo = x == lo
     at_hi = (x == hi) & ~at_lo
     identity = np.identity(x.size)
-    B = identity
+    B = identity if hess is None else hess
     status = ITERATION_LIMIT
 
     for _ in range(iter_cap):
@@ -161,12 +183,7 @@ def bound_solve(value: Callable[[Vector], float],
             at_lo[i] = at_hi[i] = False
             continue
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(d < 0.0, (lo - x) / d,
-                              np.where(d > 0.0, (hi - x) / d, np.inf))
-        i = int(np.argmin(ratios))
-        alpha_max = float(ratios[i])
-        bound_i = lo[i] if d[i] < 0.0 else hi[i]
+        i, alpha_max, bound_i = _ratio_test(x, d, lo, hi)
         if alpha_max < 1.0 and abs(bound_i - x[i]) <= _ROUNDOFF * (1.0 + abs(x[i])):
             x = x.copy()
             x[i] = bound_i
@@ -230,7 +247,7 @@ def bound_solve(value: Callable[[Vector], float],
         U = np.array([dg, Bs])
         B = B + (U.T * np.array([1.0 / sdg, -1.0 / sBs])) @ U
 
-    return BoundSolveResult(x, f, status, accepted, n_evals, g, y)
+    return BoundSolveResult(x, f, status, accepted, n_evals, g, y, B)
 
 
 def _cached_value_grad(prob):
@@ -275,7 +292,37 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k)
+
+
+def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
+    """Rounding level of each linearized row J_k x + offset at x_ext."""
+    scale = np.abs(lin.J_k) @ np.abs(x_ext) + np.abs(lin.offset)
+    return _ROUNDOFF * (1.0 + scale)
+
+
+def _step_to_rows(lin: Linearization, x_ext: Vector) -> Vector:
+    """x_ext moved by one least-squares step toward J_k x + offset = 0.
+
+    Only the coordinates off their bounds move, and the step stops at the
+    first bound it meets.  x_ext comes back unchanged when the step would
+    leave a linear row, whose elastics are pinned at zero, violated beyond
+    rounding, as free columns of deficient rank can.
+    """
+    lo, hi = lin.sf.lo, lin.sf.hi
+    free = np.flatnonzero((lo < x_ext) & (x_ext < hi))
+    r = lin.cbar(x_ext)
+    d = np.zeros_like(x_ext)
+    d[free] = np.linalg.lstsq(lin.J_k[:, free], -r, rcond=None)[0]
+    i, alpha_max, bound_i = _ratio_test(x_ext, d, lo, hi)
+    x_new = np.clip(x_ext + min(1.0, alpha_max) * d, lo, hi)
+    if alpha_max <= 1.0:
+        x_new[i] = bound_i
+    m_c = lin.sf.m_c
+    kept = np.maximum(np.abs(r[m_c:]), _row_rounding(lin, x_new)[m_c:])
+    if np.any(np.abs(lin.cbar(x_new)[m_c:]) > kept):
+        return x_ext
+    return x_new
 
 
 def solve_lc(sub: ElasticSubproblem, omega: float,
@@ -283,19 +330,37 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
     The kernel starts from the warm start's point when its shape fits, else
-    from the base point, with the elastics at their cheapest values for the
-    linearized residual there, so the rows hold from the start on.
+    from the base point.  At the base point (the first major, or the one
+    after an acceptance) it first takes one least-squares step toward the
+    linearized rows (see _step_to_rows); a warm start elsewhere, the
+    candidate of a rejected major, already meets this linearization.  The
+    elastics start at their cheapest values for the linearized residual
+    left there, taking residuals at rounding level as zero, so the rows hold
+    from the start on.  The kernel also starts from the warm start's BFGS
+    matrix when its shape fits, plus (rho_k - rho) J_k^T J_k on the x_ext
+    block when the penalty has risen from the rho that matrix was built for.
     """
-    if warm_start is not None and warm_start.x_star.shape == (sub.n_ext,):
+    lin, n_ext = sub.lin, sub.n_ext
+    x0, hess = lin.x_k, None
+    if warm_start is not None and warm_start.x_star.shape == (n_ext,):
         x0 = warm_start.x_star
-    else:
-        x0 = sub.lin.x_k
-    v0, w0 = optimal_elastics(sub.lin.cbar(x0))
+        carried = warm_start.hess
+        if carried is not None and carried.shape == (sub.n_lifted,) * 2:
+            hess = carried
+            if sub.rho_k > warm_start.rho:
+                hess = carried.copy()
+                hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
+                                         * (lin.J_k.T @ lin.J_k))
+    if np.array_equal(x0, lin.x_k):
+        x0 = _step_to_rows(lin, x0)
+    r = lin.cbar(x0)
+    r[np.abs(r) <= _row_rounding(lin, x0)] = 0.0
+    v0, w0 = optimal_elastics(r)
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
     value, value_grad = _cached_value_grad(sub)
     res = bound_solve(value, value_grad, sub.lo, sub.hi, u, omega,
                       rows=sub.rows_t(np.identity(sub.m)).T,
-                      offset=sub.lin.offset)
+                      offset=lin.offset, hess=hess)
     return _finalize(sub, res, omega)
 
 

@@ -108,8 +108,8 @@ class TestCli:
         assert main(["solve", "circle-proj", "--trace"]) == 0
         out = capsys.readouterr().out
         head = out.splitlines()[0].split()
-        assert head == ["k", "acc", "rho", "sigma", "eta", "omega", "||c||",
-                        "f_norm", "inner"]
+        assert head == ["k", "acc", "rho", "sigma", "eta", "eta_target",
+                        "omega", "||c||", "f_norm", "inner"]
 
     def test_mode_flag(self, capsys):
         assert main(["solve", "linear-as-nl", "--mode", "bcl"]) == 0

@@ -27,49 +27,84 @@ def _solution(delta_y, n_ext=3):
         status=CONVERGED, inner_iterations=1)
 
 
+def _circles(x0, k=32, seed=0):
+    """Project k targets uniform in [0.5, 3]^2 onto the unit circle, x >= 0,
+    with the loose linear row sum(x) <= 20 k, from x = x0."""
+    a = np.random.default_rng(seed).uniform(0.5, 3.0, (k, 2))
+    n, t, rows = 2 * k, a.ravel(), np.arange(k)
+
+    def jac(x):
+        out = np.zeros((k, n))
+        out[rows, 2 * rows] = 2.0 * x[0::2]
+        out[rows, 2 * rows + 1] = 2.0 * x[1::2]
+        return out
+
+    return a, NlpProblem(
+        n=n, m_c=k, m_A=1,
+        eval_f=lambda x: float((x - t) @ (x - t)),
+        eval_g=lambda x: 2.0 * (x - t),
+        eval_c=lambda x: x[0::2] ** 2 + x[1::2] ** 2, eval_J=jac,
+        A=np.ones((1, n)), bounds_x=(np.zeros(n), np.full(n, INF)),
+        bounds_c=(np.ones(k), np.ones(k)),
+        bounds_A=(np.array([-INF]), np.array([20.0 * k])),
+        x_tilde=np.full(n, x0))
+
+
 class TestUpdateOnSuccess:
     def test_sigma_resets_to_dual_step_size(self):
         state = _state(m=2)
         sol = _solution([3.0, -7.0])
-        update_on_success(state, sol, np.zeros(2), OuterOptions())
+        update_on_success(state, sol, np.zeros(2), OuterOptions(), m_c=2)
         assert state.sigma == 7.0
+
+    def test_linear_row_step_leaves_sigma_alone(self):
+        """sigma prices the nonlinear rows only; the linear row's 500 does
+        not count."""
+        state = _state(m=2)
+        update_on_success(state, _solution([3.0, 500.0]), np.zeros(2),
+                          OuterOptions(), m_c=1)
+        assert state.sigma == 3.0
 
     def test_sigma_clamped_into_box(self):
         state = _state()
-        update_on_success(state, _solution([1e-9]), np.zeros(1), OuterOptions())
+        update_on_success(state, _solution([1e-9]), np.zeros(1), OuterOptions(),
+                          m_c=1)
         assert state.sigma == 1.0
         state = _state()
-        update_on_success(state, _solution([1e6]), np.zeros(1), OuterOptions())
+        update_on_success(state, _solution([1e6]), np.zeros(1), OuterOptions(),
+                          m_c=1)
         assert state.sigma == 1e4
 
     def test_eta_tightens_by_penalty_power(self):
         state = _state(rho=4.0, eta=0.5)
-        update_on_success(state, _solution([1.0]), np.zeros(1), OuterOptions())
+        update_on_success(state, _solution([1.0]), np.zeros(1), OuterOptions(),
+                          m_c=1)
         np.testing.assert_allclose(state.eta, 0.1435872943746294, rtol=1e-12)
 
     def test_first_order_multiplier_update(self):
         """y* = 5 with rho = 10 and residual 0.2 stores y = 3."""
         state = _state(rho=10.0)
         update_on_success(state, _solution([5.0]), np.array([0.2]),
-                          OuterOptions())
+                          OuterOptions(), m_c=1)
         np.testing.assert_allclose(state.y, [3.0])
 
     def test_canonical_mode_takes_the_subproblem_multipliers(self):
         """The same step in canonical mode stores y* = 5 unshifted."""
         state = _state(rho=10.0)
         update_on_success(state, _solution([5.0]), np.array([0.2]),
-                          OuterOptions(mode=CANONICAL))
+                          OuterOptions(mode=CANONICAL), m_c=1)
         np.testing.assert_allclose(state.y, [5.0])
 
     def test_penalty_left_alone(self):
         state = _state(rho=37.0)
-        update_on_success(state, _solution([1.0]), np.zeros(1), OuterOptions())
+        update_on_success(state, _solution([1.0]), np.zeros(1), OuterOptions(),
+                          m_c=1)
         assert state.rho == 37.0
 
     def test_bcl_mode_keeps_sigma_at_zero(self):
         state = _state(sigma=0.0)
         update_on_success(state, _solution([4.0]), np.zeros(1),
-                          OuterOptions(mode=BCL))
+                          OuterOptions(mode=BCL), m_c=1)
         assert state.sigma == 0.0
 
 
@@ -211,29 +246,26 @@ class TestSolve:
         The nearest circle points are a_i / ||a_i||; one loose linear row
         sum(x) <= 640 stays inactive.
         """
-        k = 32
-        a = np.random.default_rng(0).uniform(0.5, 3.0, (k, 2))
-        n, t, rows = 2 * k, a.ravel(), np.arange(k)
-
-        def jac(x):
-            out = np.zeros((k, n))
-            out[rows, 2 * rows] = 2.0 * x[0::2]
-            out[rows, 2 * rows + 1] = 2.0 * x[1::2]
-            return out
-
-        p = NlpProblem(
-            n=n, m_c=k, m_A=1,
-            eval_f=lambda x: float((x - t) @ (x - t)),
-            eval_g=lambda x: 2.0 * (x - t),
-            eval_c=lambda x: x[0::2] ** 2 + x[1::2] ** 2, eval_J=jac,
-            A=np.ones((1, n)), bounds_x=(np.zeros(n), np.full(n, INF)),
-            bounds_c=(np.ones(k), np.ones(k)),
-            bounds_A=(np.array([-INF]), np.array([640.0])),
-            x_tilde=np.zeros(n))
+        a, p = _circles(x0=0.0)
         rep = solve(p)
         assert rep.status == "Optimal"
         x_star = a / np.linalg.norm(a, axis=1)[:, None]
         np.testing.assert_allclose(rep.x, x_star.ravel(), atol=1e-4)
+
+    def test_circles_from_the_benchmark_start(self):
+        """The same 32 circles from x = 0.5, the benchmark's start.
+
+        Each major's kernel starts on the linearized rows and from the last
+        major's BFGS matrix: 92 minors over 5 majors.  Starting each major
+        with the elastics holding the rows' residuals and B at the identity
+        took 255.
+        """
+        a, p = _circles(x0=0.5)
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        x_star = a / np.linalg.norm(a, axis=1)[:, None]
+        np.testing.assert_allclose(rep.x, x_star.ravel(), atol=1e-4)
+        assert rep.minors <= 150, rep.minors
 
     def test_quarter_ellipse_near_its_solution(self):
         """A warm start 2.2e-2 from the solution (0, 1), with y 2.2e-2 off.
@@ -350,6 +382,15 @@ class TestTraceSchedules:
             if rec.accepted:
                 np.testing.assert_allclose(
                     rec.eta_next, rec.eta / rec.rho ** BETA, rtol=1e-12)
+
+    def test_eta_target_is_what_acceptance_used(self):
+        """eta underflows far below eta_star; the test used the larger one."""
+        trace = self._trace()
+        assert any(rec.eta < 1e-6 for rec in trace)
+        for rec in trace:
+            assert rec.eta_target == max(rec.eta, 1e-6)
+            if rec.inner_status == CONVERGED:
+                assert rec.accepted == (rec.c_norm <= rec.eta_target)
 
     def test_canonical_mode_pins_price_and_penalty(self):
         trace = self._trace("linear-as-nl", mode=CANONICAL)

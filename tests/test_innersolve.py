@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from slcl import driver
+from slcl import driver, innersolve
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
                              PpInfeasible, _cached_value_grad, bound_solve,
                              solve_lc, solve_proximal, verify_relaxed_kkt)
-from slcl.linearize import assemble_elastic, linearize_constraints
+from slcl.linearize import (assemble_elastic, linearize_constraints,
+                            optimal_elastics)
 from slcl.model import INF, NlpProblem, build_slack_form
 
 
@@ -403,6 +404,87 @@ class TestExactRows:
         assert rep.status == "Optimal"
         assert rep.majors <= 4, rep.majors
         assert all(t.accepted for t in rep.trace)
+
+
+def _recorded_starts(monkeypatch):
+    """Record the start point and start matrix of every kernel call."""
+    seen = []
+    original = innersolve.bound_solve
+
+    def recorded(value, value_grad, lo, hi, start, tol, **kwargs):
+        seen.append((np.array(start), kwargs.get("hess")))
+        return original(value, value_grad, lo, hi, start, tol, **kwargs)
+
+    monkeypatch.setattr(innersolve, "bound_solve", recorded)
+    return seen
+
+
+class TestSubproblemStart:
+    """Where the kernel starts: rows met at a new base point, the candidate
+    after a rejection, and the BFGS matrix carried from major to major."""
+
+    def test_accepted_major_starts_on_its_rows(self, monkeypatch):
+        """Relinearizing at the last candidate: its linearized row can be met
+        inside the box, so the kernel starts with both elastics at zero."""
+        sf, sub0 = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
+        sol0 = solve_lc(sub0, 1e-6)
+        sub = assemble_elastic(linearize_constraints(sf, sol0.x_star),
+                               sol0.delta_y, 10.0, 100.0)
+        assert np.abs(sub.lin.c_k).max() > 1e-3
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6, warm_start=sol0)
+        (u0, _), = starts
+        assert np.all(u0[sub.n_ext:] == 0.0)
+        assert sol.status == CONVERGED
+        u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
+        assert np.abs(sub.row_residual(u)).max() <= 1e-12
+
+    def test_rejected_major_restarts_from_the_candidate(self, monkeypatch):
+        """Same linearization, rho raised tenfold: the kernel starts at the
+        candidate with its elastics and from its BFGS matrix plus
+        (rho_k - rho) J_k^T J_k on the x_ext block."""
+        sf, sub0 = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
+        sol0 = solve_lc(sub0, 1e-6)
+        sub = assemble_elastic(sub0.lin, sub0.y_k, 100.0, 10.0)
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6, warm_start=sol0)
+        (u0, hess), = starts
+        n_ext, J = sub.n_ext, sub.lin.J_k
+        np.testing.assert_array_equal(u0[:n_ext], sol0.x_star)
+        np.testing.assert_allclose(
+            u0[n_ext:], np.concatenate([sol0.v_star, sol0.w_star]), atol=1e-12)
+        expected = sol0.hess.copy()
+        expected[:n_ext, :n_ext] += 90.0 * J.T @ J
+        np.testing.assert_allclose(hess, expected, rtol=1e-15)
+        assert sol.status == CONVERGED
+        assert sol.rho == 100.0
+
+    def test_row_parallel_to_a_linear_row_keeps_it_met(self, monkeypatch):
+        """x1^2 + x2^2 = 1 linearized at (0.5, 0.5) has gradient (1, 1), the
+        linear row x1 + x2 = 1.  No step meets both, so the least-squares
+        step would break the linear row; the start keeps it and the
+        nonlinear row's elastic takes up the 0.5 left over."""
+        p = NlpProblem(
+            n=2, m_c=1, m_A=1,
+            eval_f=lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
+            eval_g=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]),
+            eval_c=lambda x: np.array([x @ x]),
+            eval_J=lambda x: 2.0 * x.reshape(1, 2),
+            A=np.ones((1, 2)), bounds_x=(np.zeros(2), np.full(2, INF)),
+            bounds_c=(np.ones(1), np.ones(1)),
+            bounds_A=(np.ones(1), np.ones(1)), x_tilde=np.full(2, 0.5))
+        sf = build_slack_form(p)
+        sub = assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)),
+                               np.zeros(2), 10.0, 100.0)
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6)
+        (u0, _), = starts
+        assert abs(u0[0] + u0[1] - 1.0) <= 1e-12
+        assert np.abs(sub.row_residual(u0)).max() <= 1e-12
+        assert sol.status == CONVERGED
+        assert abs(sol.x_star[0] + sol.x_star[1] - 1.0) <= 1e-12
+        np.testing.assert_allclose(sol.v_star[0] - sol.w_star[0], 0.5,
+                                   atol=1e-12)
 
 
 class TestVerifyRelaxedKkt:
