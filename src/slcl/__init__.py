@@ -3,16 +3,14 @@
 from .bench import SuiteEntry, SuiteReport, emit_report, run_suite
 from .catalog import CatalogEntry, catalog_get, catalog_names
 from .driver import (OuterOptions, OuterState, SolveReport, TraceRecord,
-                     detect_infeasible, detect_unbounded, next_omega, solve,
-                     update_on_failure, update_on_success)
+                     next_omega, solve, update_on_failure, update_on_success)
 from .innersolve import (BoundSolveResult, PpInfeasible, SubproblemSolution,
-                         bound_solve, solve_lc, solve_proximal,
-                         verify_relaxed_kkt)
+                         bound_solve, solve_lc, solve_proximal)
 from .linearize import (ElasticSubproblem, Linearization, assemble_elastic,
                         linearize_constraints, optimal_elastics)
 from .merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
-                    comp_measure, first_order_multiplier, is_optimal,
-                    kkt_residual, min_norm_stationarity)
+                    comp_measure, is_optimal, kkt_residual,
+                    min_norm_stationarity)
 from .model import (DerivReport, NlpProblem, SlackForm, build_slack_form,
                     check_derivatives, push_interior)
 
@@ -25,11 +23,9 @@ __all__ = [
     "SlackForm", "SolveReport", "SubproblemSolution", "SuiteEntry",
     "SuiteReport", "TraceRecord", "aug_lagrangian", "aug_lagrangian_grad",
     "assemble_elastic", "bound_solve", "build_slack_form", "catalog_get",
-    "catalog_names", "check_derivatives", "comp_measure",
-    "detect_infeasible", "detect_unbounded", "emit_report",
-    "first_order_multiplier", "is_optimal", "kkt_residual",
-    "linearize_constraints", "min_norm_stationarity", "next_omega",
-    "optimal_elastics", "push_interior", "run_suite", "solve", "solve_lc",
-    "solve_proximal", "update_on_failure", "update_on_success",
-    "verify_relaxed_kkt",
+    "catalog_names", "check_derivatives", "comp_measure", "emit_report",
+    "is_optimal", "kkt_residual", "linearize_constraints",
+    "min_norm_stationarity", "next_omega", "optimal_elastics",
+    "push_interior", "run_suite", "solve", "solve_lc", "solve_proximal",
+    "update_on_failure", "update_on_success",
 ]

@@ -160,8 +160,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    opts = _options_from_args(args)
-    row, result = _solve_entry(args.name, opts)
+    row, result = _solve_entry(args.name, args.opts)
     if args.trace:
         _print_trace(result)
     print(f"{args.name}: {row.status}  f = {row.final_objective:.10g}  "
@@ -169,7 +168,7 @@ def _cmd_solve(args) -> int:
           f"fevals = {row.fevals}")
     print(f"residuals: primal {row.primal_inf:.3e}  dual {row.dual_inf:.3e}  "
           f"comp {row.comp:.3e}  wall {row.wall_time_s:.3f}s")
-    _emit_from_args(SuiteReport(entries=[row], options=asdict(opts)), args)
+    _emit_from_args(SuiteReport(entries=[row], options=asdict(args.opts)), args)
     return 0 if row.matched else 1
 
 
@@ -181,8 +180,7 @@ def _cmd_suite(args) -> int:
     else:
         print("suite: give problem names or --all", file=sys.stderr)
         return 2
-    opts = _options_from_args(args)
-    report = run_suite(names, opts, log=print)
+    report = run_suite(names, args.opts, log=print)
     totals = report.totals
     print(f"total: majors = {totals['majors']}  minors = {totals['minors']}  "
           f"fevals = {totals['fevals']}  wall = {totals['wall_time_s']:.3f}s")
@@ -211,6 +209,12 @@ def main(argv=None) -> int:
     p_suite.set_defaults(func=_cmd_suite)
 
     args = parser.parse_args(argv)
+    if args.command != "list":
+        try:
+            args.opts = _options_from_args(args)
+        except ValueError as exc:
+            print(f"slcl: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except KeyError as exc:

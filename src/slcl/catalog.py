@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import INF, NlpProblem, Vector
+from .model import INF, NlpProblem, Vector, bound_violation
 
 SOLVABLE = "solvable"
 INFEASIBLE = "infeasible"
@@ -59,19 +59,11 @@ def catalog_get(name: str) -> CatalogEntry:
 
 def _check_feasible(p: NlpProblem, x: Vector, tol: float = 1e-8) -> None:
     # raw callbacks here: lookups must hand out zeroed evaluation counters
-    lx, ux = p.bounds_x
-    viol = max(np.maximum(lx - x, 0.0).max(initial=0.0),
-               np.maximum(x - ux, 0.0).max(initial=0.0))
+    viol = max(bound_violation(x, *p.bounds_x),
+               bound_violation(p.A @ x, *p.bounds_A))
     if p.m_c > 0:
-        cval = np.asarray(p.eval_c(x), dtype=float)
-        lc, uc = p.bounds_c
-        viol = max(viol, np.maximum(lc - cval, 0.0).max(initial=0.0),
-                   np.maximum(cval - uc, 0.0).max(initial=0.0))
-    if p.m_A > 0:
-        aval = p.A @ x
-        lA, uA = p.bounds_A
-        viol = max(viol, np.maximum(lA - aval, 0.0).max(initial=0.0),
-                   np.maximum(aval - uA, 0.0).max(initial=0.0))
+        viol = max(viol, bound_violation(np.asarray(p.eval_c(x), dtype=float),
+                                         *p.bounds_c))
     if viol > tol:
         raise ValueError(f"declared solution of {p.name!r} violates constraints by {viol:.2e}")
 

@@ -66,6 +66,10 @@ class OuterOptions:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if not (self.omega_star > 0 and self.eta_star > 0):
             raise ValueError("target tolerances must be positive")
+        if not 0.0 < self.omega_0 < np.inf:
+            raise ValueError("omega_0 must be positive and finite")
+        if self.max_major < 1:
+            raise ValueError("max_major must be at least 1")
 
 
 @dataclass
@@ -92,7 +96,6 @@ class TraceRecord:
 
 @dataclass
 class OuterState:
-    k: int
     x: Vector
     y: Vector
     z: Vector
@@ -162,17 +165,6 @@ def update_on_failure(state: OuterState, opts: OuterOptions) -> OuterState:
         state.sigma = state.sigma / TAU_SIGMA
     state.eta = ETA_0 / state.rho ** ALPHA
     return state
-
-
-def detect_infeasible(nonlinear_violation: float, rho: float,
-                      opts: OuterOptions) -> bool:
-    """Declare infeasibility once the penalty is exhausted and rows still violate."""
-    return nonlinear_violation > opts.eta_star and rho > RHO_BAR
-
-
-def detect_unbounded(x_k_feasible: bool, inner_status: str) -> bool:
-    """Unboundedness is certified only from a nonlinearly feasible point."""
-    return inner_status == UNBOUNDED and x_k_feasible
 
 
 def _initial_sigma(opts: OuterOptions, y0: Vector) -> float:
@@ -251,7 +243,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     if sf.m_c == 0:
         return _solve_linear_only(sf, x0, y, opts, fev0)
 
-    state = OuterState(k=0, x=x0, y=y, z=z,
+    state = OuterState(x=x0, y=y, z=z,
                        rho=_default_rho(sf.m_c), sigma=_initial_sigma(opts, y),
                        eta=ETA_0, omega=opts.omega_0)
     res = kkt_residual(sf, state.x, state.y, state.z)
@@ -263,7 +255,6 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     final_from_candidate: SubproblemSolution | None = None
 
     for k in range(opts.max_major):
-        state.k = k
         rho_k, sigma_k, eta_k, omega_k = state.rho, state.sigma, state.eta, state.omega
         eta_target = max(opts.eta_star, eta_k)
         lin = linearize_constraints(sf, state.x)
@@ -280,8 +271,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         exit_status: str | None = None
         if sol.status == UNBOUNDED:
             accepted = False
-            feasible_here = sf.nonlinear_bound_violation(state.x) <= opts.eta_star
-            if detect_unbounded(feasible_here, sol.status):
+            # unboundedness is certified only from a nonlinearly feasible point
+            if sf.nonlinear_bound_violation(state.x) <= opts.eta_star:
                 exit_status = UNBOUNDED
         elif sol.status == ITERATION_LIMIT:
             accepted = False
@@ -307,8 +298,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                 exit_status = CANNOT_IMPROVE
         else:
             if exit_status is None and sol.status == CONVERGED:
+                # rows still violated once the penalty is exhausted
                 viol = sf.nonlinear_bound_violation(sol.x_star)
-                if detect_infeasible(viol, rho_k, opts):
+                if viol > opts.eta_star and rho_k > RHO_BAR:
                     exit_status = INFEASIBLE
                     final_from_candidate = sol
             # a rejection moves only rho, sigma and eta, so res still holds
@@ -339,5 +331,5 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         state.z = np.array(final_from_candidate.z_star)
 
     return _make_report(status, sf, state.x, state.y, state.z,
-                        majors=state.k + 1 if state.trace else 0, minors=minors,
+                        majors=len(state.trace), minors=minors,
                         fev0=fev0, trace=state.trace, f_norm_path=f_norm_path)

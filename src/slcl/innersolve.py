@@ -359,34 +359,8 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
     value, value_grad = _cached_value_grad(sub)
     res = bound_solve(value, value_grad, sub.lo, sub.hi, u, omega,
-                      rows=sub.rows_t(np.identity(sub.m)).T,
-                      offset=lin.offset, hess=hess)
+                      rows=sub.rows, offset=lin.offset, hess=hess)
     return _finalize(sub, res, omega)
-
-
-def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
-                       omega: float, delta_lin: float) -> bool:
-    """Check the relaxed subproblem conditions on a returned triple."""
-    u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
-    slack = 1e-9 * (1.0 + np.abs(u).max(initial=0.0))
-    if np.any(u < sub.lo - slack) or np.any(u > sub.hi + slack):
-        return False
-    r = sub.row_residual(u)
-    if np.abs(r).max(initial=0.0) > delta_lin + 1e-12:
-        return False
-    grad_l = sub.gradient(u)[:sub.n_ext]
-    z_def = grad_l - sub.lin.J_k.T @ sol.delta_y
-    if np.abs(z_def - sol.z_star).max(initial=0.0) > 1e-8 * (1.0 + np.abs(z_def).max(initial=0.0)):
-        return False
-    z_lifted = np.concatenate([sol.z_star,
-                               sub.sigma_k - sol.delta_y,
-                               sub.sigma_k + sol.delta_y])
-    comp = comp_measure(u, z_lifted, sub.lo, sub.hi)
-    if np.abs(comp).max(initial=0.0) > omega + 1e-12:
-        return False
-    m_c = sub.lin.sf.m_c
-    dy_elastic = np.abs(sol.delta_y[:m_c]).max(initial=0.0)
-    return dy_elastic <= sub.sigma_k + omega + 1e-12
 
 
 def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:

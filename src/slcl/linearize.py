@@ -30,12 +30,11 @@ class Linearization:
 
     sf: SlackForm
     x_k: Vector
-    c_k: Vector
     J_k: Matrix
     offset: Vector
 
     def cbar(self, x_ext: Vector) -> Vector:
-        """Linearized residual J_k x + offset; equals c_k at the base point."""
+        """Linearized residual J_k x + offset; equals the residual at x_k."""
         return self.J_k @ x_ext + self.offset
 
 
@@ -43,16 +42,15 @@ def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
     x_ext = np.array(x_ext, dtype=float)
     c_k = sf.residual(x_ext)
     J_k = sf.jacobian(x_ext)
-    return Linearization(sf=sf, x_k=x_ext, c_k=c_k, J_k=J_k,
-                         offset=c_k - J_k @ x_ext)
+    return Linearization(sf=sf, x_k=x_ext, J_k=J_k, offset=c_k - J_k @ x_ext)
 
 
 @dataclass
 class ElasticSubproblem:
     """Lifted elastic subproblem over u = (x_ext, v, w).
 
-    Its rows are R u + offset with R = [J_k, I, -I].  row_residual and
-    rows_t apply R by blocks; solve_lc forms it densely for the kernel.
+    Its rows are R u + offset with R = [J_k, I, -I], held densely in rows
+    for the kernel; row_residual applies R by blocks.
     """
 
     lin: Linearization
@@ -61,6 +59,7 @@ class ElasticSubproblem:
     sigma_k: float
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
+    rows: Matrix = field(init=False)
 
     def __post_init__(self) -> None:
         sf, m = self.lin.sf, self.m
@@ -70,6 +69,10 @@ class ElasticSubproblem:
         elastic_hi = np.where(np.arange(m) < sf.m_c, np.inf, 0.0)
         self.lo = np.concatenate([sf.lo, np.zeros(2 * m)])
         self.hi = np.concatenate([sf.hi, elastic_hi, elastic_hi])
+        identity = np.identity(m)
+        # column-major: R's memory order sets how the kernel's products sum,
+        # and with it the iterates in their last bits
+        self.rows = np.vstack([self.lin.J_k.T, identity, -identity]).T
 
     @property
     def m(self) -> int:
@@ -98,9 +101,6 @@ class ElasticSubproblem:
         val = aug_lagrangian(self.lin.sf, x_ext, self.y_k, self.rho_k, r)
         return val + self.sigma_k * float(np.sum(v) + np.sum(w)), r
 
-    def objective(self, u: Vector) -> float:
-        return self.evaluate(u)[0]
-
     def gradient(self, u: Vector, r: Vector | None = None) -> Vector:
         """Objective gradient at u; r is the residual evaluate(u) returned."""
         gl = aug_lagrangian_grad(self.lin.sf, u[:self.n_ext], self.y_k,
@@ -110,10 +110,6 @@ class ElasticSubproblem:
     def row_residual(self, u: Vector) -> Vector:
         x_ext, v, w = self.split(u)
         return self.lin.J_k @ x_ext + v - w + self.lin.offset
-
-    def rows_t(self, q: Vector) -> Vector:
-        """R^T q = (J_k^T q; q; -q)."""
-        return np.concatenate([self.lin.J_k.T @ q, q, -q])
 
 
 def assemble_elastic(lin: Linearization, y_k: Vector, rho_k: float,

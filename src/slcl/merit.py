@@ -1,4 +1,4 @@
-"""Augmented Lagrangian merit values, multiplier estimates, and KKT residuals.
+"""Augmented Lagrangian merit values and KKT residuals.
 
 All routines act on the slack form, where the constraint residual is the
 vector ctil(x_ext) = (c(x) - s_c; A x - s_A) and the only inequalities are
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SlackForm, Vector
+from .model import SlackForm, Vector, bound_violation
 
 
 @dataclass
@@ -25,11 +25,6 @@ class KktResidual:
     @property
     def f_norm(self) -> float:
         return max(self.primal_inf, self.dual_inf, self.comp)
-
-
-def first_order_multiplier(c_val: Vector, y: Vector, rho: float) -> Vector:
-    """Penalty-shifted multiplier estimate y - rho * ctil."""
-    return y - rho * c_val
 
 
 def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
@@ -49,8 +44,7 @@ def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
     shifted multiplier estimate; r is ctil(x_ext) when the caller holds it."""
     if r is None:
         r = sf.residual(x_ext)
-    yhat = first_order_multiplier(r, y, rho)
-    return sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, yhat)
+    return sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, y - rho * r)
 
 
 def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -63,12 +57,6 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     lower = np.minimum(x - lo, np.maximum(z, 0.0))
     upper = np.minimum(hi - x, np.maximum(-z, 0.0))
     return np.maximum(lower, upper)
-
-
-def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
-    low = np.maximum(lo - x, 0.0)
-    high = np.maximum(x - hi, 0.0)
-    return float(max(low.max(initial=0.0), high.max(initial=0.0)))
 
 
 def kkt_residual(sf: SlackForm, x_ext: Vector, y: Vector, z: Vector) -> KktResidual:

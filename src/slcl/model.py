@@ -28,6 +28,13 @@ _DERIV_STEP = 1e-5
 _DERIV_TOL = 1e-5
 
 
+def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
+    """Infinity-norm distance of x from the box [lo, hi]; 0 for empty x."""
+    low = np.maximum(lo - x, 0.0)
+    high = np.maximum(x - hi, 0.0)
+    return float(max(low.max(initial=0.0), high.max(initial=0.0)))
+
+
 def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
     lo = np.asarray(pair[0], dtype=float).reshape(size)
     hi = np.asarray(pair[1], dtype=float).reshape(size)
@@ -182,13 +189,7 @@ class SlackForm:
 
     def nonlinear_bound_violation(self, x_ext: Vector) -> float:
         """Infinity-norm violation of the nonlinear row bounds at x."""
-        if self.m_c == 0:
-            return 0.0
-        cval = self.nlp.c(x_ext[:self.n])
-        lc, uc = self.nlp.bounds_c
-        low = np.maximum(lc - cval, 0.0)
-        high = np.maximum(cval - uc, 0.0)
-        return float(max(low.max(initial=0.0), high.max(initial=0.0)))
+        return bound_violation(self.nlp.c(x_ext[:self.n]), *self.nlp.bounds_c)
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:

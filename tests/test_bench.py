@@ -104,6 +104,13 @@ class TestCli:
         assert main(["solve", "no-such-problem"]) == 2
         assert "no-such-problem" in capsys.readouterr().err
 
+    def test_invalid_options_exit_two(self, capsys):
+        """Options OuterOptions rejects are reported like unknown names."""
+        assert main(["solve", "circle-proj", "--omega-star", "0"]) == 2
+        assert capsys.readouterr().err.startswith("slcl: target tolerances")
+        assert main(["suite", "circle-proj", "--max-major", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("slcl: max_major")
+
     def test_trace_flag_streams_schedule_columns(self, capsys):
         assert main(["solve", "circle-proj", "--trace"]) == 0
         out = capsys.readouterr().out

@@ -7,14 +7,14 @@ from slcl import driver
 from slcl.catalog import catalog_get
 from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, SIGMA_HI, SIGMA_LO,
                          STABILIZED, TAU_RHO, OuterOptions, OuterState,
-                         detect_infeasible, detect_unbounded, next_omega,
-                         solve, update_on_failure, update_on_success)
+                         next_omega, solve, update_on_failure,
+                         update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
 from slcl.model import INF, NlpProblem
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
-    return OuterState(k=0, x=np.zeros(n_ext), y=np.zeros(m),
+    return OuterState(x=np.zeros(n_ext), y=np.zeros(m),
                       z=np.zeros(n_ext), rho=rho, sigma=sigma, eta=eta,
                       omega=omega)
 
@@ -152,16 +152,56 @@ class TestNextOmega:
 
 
 class TestDetectors:
-    def test_infeasible_needs_both_conditions(self):
-        opts = OuterOptions()
-        assert detect_infeasible(1e-2, 1e9, opts)
-        assert not detect_infeasible(1e-2, 1e7, opts)
-        assert not detect_infeasible(1e-8, 1e9, opts)
+    """The Infeasible and Unbounded exits, checked through whole solves."""
+
+    @staticmethod
+    def _converged_rejections(rep):
+        return [t for t in rep.trace
+                if not t.accepted and t.inner_status == CONVERGED]
+
+    def test_infeasible_needs_both_conditions(self, monkeypatch):
+        """A rejected candidate ends the run Infeasible only when rho is past
+        RHO_BAR and its nonlinear rows violate their bounds by more than
+        eta_star.  circle-proj rejects a violating candidate at a small rho
+        and goes on to Optimal; with RHO_BAR at zero the same rejection ends
+        it Infeasible.  ball-proj's rejected candidate meets its nonlinear
+        row, so it ends Optimal even with RHO_BAR at zero."""
+        rep = solve(catalog_get("circle-proj").problem)
+        assert rep.status == "Optimal"
+        first = self._converged_rejections(rep)[0]
+        assert first.rho <= driver.RHO_BAR
+
+        monkeypatch.setattr(driver, "RHO_BAR", 0.0)
+        rep = solve(catalog_get("circle-proj").problem)
+        assert rep.status == "Infeasible"
+        assert rep.majors == first.k + 1
+
+        rep = solve(catalog_get("ball-proj").problem)
+        assert rep.status == "Optimal"
+        assert self._converged_rejections(rep)
 
     def test_unbounded_needs_feasible_point(self):
-        assert detect_unbounded(True, UNBOUNDED)
-        assert not detect_unbounded(False, UNBOUNDED)
-        assert not detect_unbounded(True, CONVERGED)
+        """min -x1 subject to x2^2 = 1 is unbounded along x1, so every
+        subproblem is.  From x2 = 0.5, off the row, the run rejects each
+        major and never reports Unbounded; from x2 = 1 it stops at once."""
+        def problem(x2):
+            return NlpProblem(
+                n=2, m_c=1, m_A=0, eval_f=lambda x: -float(x[0]),
+                eval_g=lambda x: np.array([-1.0, 0.0]),
+                eval_c=lambda x: np.array([x[1] ** 2]),
+                eval_J=lambda x: np.array([[0.0, 2.0 * x[1]]]),
+                A=np.zeros((0, 2)), bounds_x=(np.full(2, -INF), np.full(2, INF)),
+                bounds_c=(np.ones(1), np.ones(1)),
+                bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([0.0, x2]))
+
+        rep = solve(problem(0.5), OuterOptions(max_major=3))
+        assert rep.status == "IterationLimit"
+        assert [t.inner_status for t in rep.trace] == [UNBOUNDED] * 3
+        assert not any(t.accepted for t in rep.trace)
+
+        rep = solve(problem(1.0))
+        assert rep.status == "Unbounded"
+        assert rep.majors == 1
 
 
 class TestOptionsValidation:
@@ -172,6 +212,18 @@ class TestOptionsValidation:
     def test_bad_targets(self):
         with pytest.raises(ValueError):
             OuterOptions(omega_star=0.0)
+
+    def test_bad_first_subproblem_tolerance(self):
+        """A NaN omega_0 would stay NaN through next_omega and end every
+        subproblem at its iteration limit."""
+        for omega_0 in (np.nan, np.inf, 0.0, -1e-3):
+            with pytest.raises(ValueError):
+                OuterOptions(omega_0=omega_0)
+
+    def test_bad_major_limit(self):
+        for max_major in (0, -1):
+            with pytest.raises(ValueError):
+                OuterOptions(max_major=max_major)
 
 
 class TestSolve:

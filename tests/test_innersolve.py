@@ -7,11 +7,38 @@ from slcl import driver, innersolve
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
-                             PpInfeasible, _cached_value_grad, bound_solve,
-                             solve_lc, solve_proximal, verify_relaxed_kkt)
-from slcl.linearize import (assemble_elastic, linearize_constraints,
-                            optimal_elastics)
+                             PpInfeasible, SubproblemSolution,
+                             _cached_value_grad, bound_solve, solve_lc,
+                             solve_proximal)
+from slcl.linearize import (ElasticSubproblem, assemble_elastic,
+                            linearize_constraints)
+from slcl.merit import comp_measure
 from slcl.model import INF, NlpProblem, build_slack_form
+
+
+def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
+                       omega: float, delta_lin: float) -> bool:
+    """Check the relaxed subproblem conditions on a returned triple."""
+    u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
+    slack = 1e-9 * (1.0 + np.abs(u).max(initial=0.0))
+    if np.any(u < sub.lo - slack) or np.any(u > sub.hi + slack):
+        return False
+    r = sub.row_residual(u)
+    if np.abs(r).max(initial=0.0) > delta_lin + 1e-12:
+        return False
+    grad_l = sub.gradient(u)[:sub.n_ext]
+    z_def = grad_l - sub.lin.J_k.T @ sol.delta_y
+    if np.abs(z_def - sol.z_star).max(initial=0.0) > 1e-8 * (1.0 + np.abs(z_def).max(initial=0.0)):
+        return False
+    z_lifted = np.concatenate([sol.z_star,
+                               sub.sigma_k - sol.delta_y,
+                               sub.sigma_k + sol.delta_y])
+    comp = comp_measure(u, z_lifted, sub.lo, sub.hi)
+    if np.abs(comp).max(initial=0.0) > omega + 1e-12:
+        return False
+    m_c = sub.lin.sf.m_c
+    dy_elastic = np.abs(sol.delta_y[:m_c]).max(initial=0.0)
+    return dy_elastic <= sub.sigma_k + omega + 1e-12
 
 
 def _quadratic(Q, a):
@@ -430,7 +457,7 @@ class TestSubproblemStart:
         sol0 = solve_lc(sub0, 1e-6)
         sub = assemble_elastic(linearize_constraints(sf, sol0.x_star),
                                sol0.delta_y, 10.0, 100.0)
-        assert np.abs(sub.lin.c_k).max() > 1e-3
+        assert np.abs(sub.lin.cbar(sub.lin.x_k)).max() > 1e-3
         starts = _recorded_starts(monkeypatch)
         sol = solve_lc(sub, 1e-6, warm_start=sol0)
         (u0, _), = starts

@@ -4,9 +4,9 @@ import numpy as np
 
 from slcl.catalog import catalog_get, catalog_names
 from slcl.merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
-                        bound_violation, comp_measure, first_order_multiplier,
-                        is_optimal, kkt_residual, min_norm_stationarity)
-from slcl.model import INF, build_slack_form
+                        bound_violation, comp_measure, is_optimal,
+                        kkt_residual, min_norm_stationarity)
+from slcl.model import INF, NlpProblem, build_slack_form
 
 
 def _linear_as_nl_form():
@@ -116,17 +116,35 @@ class TestAugLagrangianGrad:
 
 
 class TestFirstOrderMultiplier:
+    """The gradient prices the rows at the shifted estimate y - rho * ctil.
+
+    With c(x) = x and f = 0 the residual at (x, s) is x - s, and the slack
+    block of the gradient is exactly that estimate.
+    """
+
+    @staticmethod
+    def _estimate(x, y, rho):
+        p = NlpProblem(
+            n=2, m_c=2, m_A=0, eval_f=lambda x: 0.0,
+            eval_g=lambda x: np.zeros(2), eval_c=lambda x: np.array(x),
+            eval_J=lambda x: np.identity(2), A=np.zeros((0, 2)),
+            bounds_x=(np.full(2, -INF), np.full(2, INF)),
+            bounds_c=(np.full(2, -INF), np.full(2, INF)),
+            bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.zeros(2))
+        x_ext = np.concatenate([x, np.zeros(2)])
+        return aug_lagrangian_grad(build_slack_form(p), x_ext, y, rho)[2:]
+
     def test_direct_substitution(self):
-        got = first_order_multiplier(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 10.0)
+        got = self._estimate(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 10.0)
         np.testing.assert_allclose(got, [0.0, -3.0])
 
     def test_zero_rho_identity(self):
         y = np.array([2.0, -4.0])
-        np.testing.assert_allclose(first_order_multiplier(np.ones(2), y, 0.0), y)
+        np.testing.assert_allclose(self._estimate(np.ones(2), y, 0.0), y)
 
     def test_zero_residual_identity(self):
         y = np.array([2.0, -4.0])
-        np.testing.assert_allclose(first_order_multiplier(np.zeros(2), y, 7.0), y)
+        np.testing.assert_allclose(self._estimate(np.zeros(2), y, 7.0), y)
 
 
 class TestCompMeasure:
