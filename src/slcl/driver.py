@@ -8,11 +8,14 @@ current estimates, raises the penalty, and tightens the elastic price.  The
 elastic weight sigma makes the method degrade gracefully between the two
 classical extremes, which are also available directly as modes:
 
-    stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI (the default)
+    stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
+                RHO_FLOOR (the default)
     canonical   fixed penalty, sigma pinned at SIGMA_HI, direct multiplier
                 updates, every candidate accepted
     bcl         sigma pinned at zero, so each subproblem is a pure
                 bound-constrained augmented Lagrangian minimization
+
+canonical and bcl start the penalty at 10^2.5 / m_c for m_c nonlinear rows.
 
 Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
@@ -51,6 +54,7 @@ TAU_SIGMA = 10.0  # and divides a stabilized sigma by TAU_SIGMA
 ALPHA = 0.1       # eta = ETA_0 / rho^ALPHA after a rejection
 BETA = 0.9        # eta /= rho^BETA after an acceptance
 RHO_BAR = 1e8     # rows still violated past this penalty mean Infeasible
+RHO_FLOOR = 1.0 + 1e-3  # least penalty; eta tightens only while rho > 1
 
 
 @dataclass
@@ -64,8 +68,8 @@ class OuterOptions:
     def __post_init__(self) -> None:
         if self.mode not in (STABILIZED, CANONICAL, BCL):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if not (self.omega_star > 0 and self.eta_star > 0):
-            raise ValueError("target tolerances must be positive")
+        if not (0.0 < self.omega_star < np.inf and 0.0 < self.eta_star < np.inf):
+            raise ValueError("target tolerances must be positive and finite")
         if not 0.0 < self.omega_0 < np.inf:
             raise ValueError("omega_0 must be positive and finite")
         if self.max_major < 1:
@@ -176,8 +180,12 @@ def _initial_sigma(opts: OuterOptions, y0: Vector) -> float:
     return min(SIGMA_HI, max(SIGMA_LO, SIGMA_0 * (1.0 + y_norm)))
 
 
-def _default_rho(m_c: int) -> float:
-    return max(10.0 ** 2.5 / max(m_c, 1), 1.0 + 1e-3)
+def _initial_rho(opts: OuterOptions, m_c: int) -> float:
+    # on linearized rows the penalty only prices the departure from linearity,
+    # so the stabilized mode starts unbraked and raises rho on rejection alone
+    if opts.mode == STABILIZED:
+        return RHO_FLOOR
+    return max(10.0 ** 2.5 / max(m_c, 1), RHO_FLOOR)
 
 
 def _make_report(status: str, sf: SlackForm, x_ext: Vector, y: Vector, z: Vector,
@@ -244,7 +252,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         return _solve_linear_only(sf, x0, y, opts, fev0)
 
     state = OuterState(x=x0, y=y, z=z,
-                       rho=_default_rho(sf.m_c), sigma=_initial_sigma(opts, y),
+                       rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
                        eta=ETA_0, omega=opts.omega_0)
     res = kkt_residual(sf, state.x, state.y, state.z)
     f_norm_path = [res.f_norm]
@@ -297,12 +305,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                 # it cannot satisfy without elastic help
                 exit_status = CANNOT_IMPROVE
         else:
-            if exit_status is None and sol.status == CONVERGED:
-                # rows still violated once the penalty is exhausted
-                viol = sf.nonlinear_bound_violation(sol.x_star)
-                if viol > opts.eta_star and rho_k > RHO_BAR:
-                    exit_status = INFEASIBLE
-                    final_from_candidate = sol
+            # rows still violated once the penalty is exhausted; c is
+            # evaluated again only when rho has passed RHO_BAR
+            if (exit_status is None and sol.status == CONVERGED and rho_k > RHO_BAR
+                    and sf.nonlinear_bound_violation(sol.x_star) > opts.eta_star):
+                exit_status = INFEASIBLE
+                final_from_candidate = sol
             # a rejection moves only rho, sigma and eta, so res still holds
             if exit_status is None:
                 update_on_failure(state, opts)

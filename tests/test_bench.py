@@ -111,6 +111,13 @@ class TestCli:
         assert main(["suite", "circle-proj", "--max-major", "-1"]) == 2
         assert capsys.readouterr().err.startswith("slcl: max_major")
 
+    def test_infinite_targets_exit_two(self, capsys):
+        """An infinite target would pass every residual and report Optimal."""
+        assert main(["solve", "infeas-affine", "--eta-star", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("slcl: target tolerances")
+        assert main(["solve", "circle-proj", "--omega-star", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("slcl: target tolerances")
+
     def test_trace_flag_streams_schedule_columns(self, capsys):
         assert main(["solve", "circle-proj", "--trace"]) == 0
         out = capsys.readouterr().out

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from slcl import driver
-from slcl.catalog import catalog_get
-from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, SIGMA_HI, SIGMA_LO,
-                         STABILIZED, TAU_RHO, OuterOptions, OuterState,
+from slcl.catalog import SOLVABLE, catalog_get, catalog_names
+from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI,
+                         SIGMA_LO, STABILIZED, TAU_RHO, OuterOptions, OuterState,
                          next_omega, solve, update_on_failure,
                          update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
-from slcl.model import INF, NlpProblem
+from slcl.model import INF, NlpProblem, SlackForm
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
@@ -162,23 +162,41 @@ class TestDetectors:
     def test_infeasible_needs_both_conditions(self, monkeypatch):
         """A rejected candidate ends the run Infeasible only when rho is past
         RHO_BAR and its nonlinear rows violate their bounds by more than
-        eta_star.  circle-proj rejects a violating candidate at a small rho
+        eta_star.  ridge-eq rejects a violating candidate at a small rho
         and goes on to Optimal; with RHO_BAR at zero the same rejection ends
-        it Infeasible.  ball-proj's rejected candidate meets its nonlinear
-        row, so it ends Optimal even with RHO_BAR at zero."""
-        rep = solve(catalog_get("circle-proj").problem)
+        it Infeasible.  ball-proj's rejected candidates from the origin meet
+        its nonlinear row, so it ends Optimal even with RHO_BAR at zero."""
+        rep = solve(catalog_get("ridge-eq").problem)
         assert rep.status == "Optimal"
         first = self._converged_rejections(rep)[0]
         assert first.rho <= driver.RHO_BAR
 
         monkeypatch.setattr(driver, "RHO_BAR", 0.0)
-        rep = solve(catalog_get("circle-proj").problem)
+        rep = solve(catalog_get("ridge-eq").problem)
         assert rep.status == "Infeasible"
         assert rep.majors == first.k + 1
 
-        rep = solve(catalog_get("ball-proj").problem)
+        rep = solve(catalog_get("ball-proj").problem, x_start=np.zeros(3))
         assert rep.status == "Optimal"
         assert self._converged_rejections(rep)
+
+    def test_infeasible_test_waits_for_the_penalty(self, monkeypatch):
+        """The violation test calls c once more, so it runs only once rho is
+        past RHO_BAR: ridge-eq's rejections at small rho call it never."""
+        original = SlackForm.nonlinear_bound_violation
+        c_calls = []
+
+        def counted(sf, x):
+            before = sf.nlp.n_ceval
+            out = original(sf, x)
+            c_calls.append(sf.nlp.n_ceval - before)
+            return out
+
+        monkeypatch.setattr(SlackForm, "nonlinear_bound_violation", counted)
+        rep = solve(catalog_get("ridge-eq").problem)
+        assert rep.status == "Optimal"
+        assert self._converged_rejections(rep)
+        assert sum(c_calls) == 0
 
     def test_unbounded_needs_feasible_point(self):
         """min -x1 subject to x2^2 = 1 is unbounded along x1, so every
@@ -212,6 +230,16 @@ class TestOptionsValidation:
     def test_bad_targets(self):
         with pytest.raises(ValueError):
             OuterOptions(omega_star=0.0)
+
+    def test_non_finite_targets(self):
+        """An infinite eta_star ended infeas-affine Optimal with
+        primal_inf = 1, and an infinite omega_star ended circle-proj Optimal
+        with comp = 1.23: every residual passes an infinite target."""
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                OuterOptions(eta_star=bad)
+            with pytest.raises(ValueError, match="finite"):
+                OuterOptions(omega_star=bad)
 
     def test_bad_first_subproblem_tolerance(self):
         """A NaN omega_0 would stay NaN through next_omega and end every
@@ -308,9 +336,9 @@ class TestSolve:
         """The same 32 circles from x = 0.5, the benchmark's start.
 
         Each major's kernel starts on the linearized rows and from the last
-        major's BFGS matrix: 92 minors over 5 majors.  Starting each major
-        with the elastics holding the rows' residuals and B at the identity
-        took 255.
+        major's BFGS matrix: 75 minors over 5 majors (92 with a first
+        penalty of 316).  At that penalty, starting each major with the
+        elastics holding the rows' residuals and B at the identity took 255.
         """
         a, p = _circles(x0=0.5)
         rep = solve(p)
@@ -383,7 +411,7 @@ class TestSolve:
             return original(*args)
 
         monkeypatch.setattr(driver, "kkt_residual", counted)
-        rep = solve(catalog_get("circle-proj").problem)
+        rep = solve(catalog_get("ridge-eq").problem)
         accepted = sum(rec.accepted for rec in rep.trace)
         assert accepted < rep.majors
         assert len(calls) == 1 + accepted + 1
@@ -410,7 +438,7 @@ class TestTraceSchedules:
             assert cur.omega == prev.omega_next
 
     def test_acceptance_branches_move_the_right_knobs(self):
-        trace = self._trace()
+        trace = self._trace("ridge-eq")
         saw_failure = False
         for rec in trace[:-1]:
             if rec.accepted:
@@ -437,7 +465,7 @@ class TestTraceSchedules:
 
     def test_eta_target_is_what_acceptance_used(self):
         """eta underflows far below eta_star; the test used the larger one."""
-        trace = self._trace()
+        trace = self._trace("ridge-eq", omega_star=1e-8)
         assert any(rec.eta < 1e-6 for rec in trace)
         for rec in trace:
             assert rec.eta_target == max(rec.eta, 1e-6)
@@ -457,6 +485,63 @@ class TestTraceSchedules:
 
     def test_stabilized_mode_constant(self):
         assert STABILIZED == OuterOptions().mode
+
+
+def _hs26():
+    """Hock & Schittkowski (1981) problem 26: min (x1 - x2)^2 + (x2 - x3)^4
+    subject to (1 + x2^2) x1 + x3^4 = 3, from (-2.6, 2, 2); f* = 0 at
+    (1, 1, 1).  Degenerate: the gradient of f vanishes there, so y* = 0."""
+    return NlpProblem(
+        n=3, m_c=1, m_A=0,
+        eval_f=lambda x: float((x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 4),
+        eval_g=lambda x: np.array([2.0 * (x[0] - x[1]),
+                                   -2.0 * (x[0] - x[1]) + 4.0 * (x[1] - x[2]) ** 3,
+                                   -4.0 * (x[1] - x[2]) ** 3]),
+        eval_c=lambda x: np.array([(1.0 + x[1] ** 2) * x[0] + x[2] ** 4]),
+        eval_J=lambda x: np.array([[1.0 + x[1] ** 2, 2.0 * x[0] * x[1],
+                                    4.0 * x[2] ** 3]]),
+        A=np.zeros((0, 3)), bounds_x=(np.full(3, -INF), np.full(3, INF)),
+        bounds_c=(np.full(1, 3.0), np.full(1, 3.0)),
+        bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([-2.6, 2.0, 2.0]),
+        name="hs26")
+
+
+class TestStartingPenalty:
+    """The stabilized mode starts at RHO_FLOOR; bcl and canonical at
+    10^2.5 / m_c.  On linearized rows a large first penalty brakes every
+    step like a proximal term."""
+
+    @pytest.mark.parametrize("mode, name, rho_0", [
+        (STABILIZED, "circle-proj", RHO_FLOOR),
+        (BCL, "circle-proj", 10.0 ** 2.5),
+        (CANONICAL, "circle-proj", 10.0 ** 2.5),
+        (BCL, "two-circles", 10.0 ** 2.5 / 2),
+        (CANONICAL, "two-circles", 10.0 ** 2.5 / 2)])
+    def test_first_penalty_by_mode(self, mode, name, rho_0):
+        opts = OuterOptions(mode=mode, max_major=1)
+        assert solve(catalog_get(name).problem, opts).trace[0].rho == rho_0
+
+    def test_rosenbrock_ball_in_few_majors(self):
+        """35 majors, 4 of them rejected, when the first penalty was 316."""
+        rep = solve(catalog_get("rosenbrock-ball").problem)
+        assert rep.status == "Optimal"
+        assert rep.majors <= 10, rep.majors
+
+    def test_hs26_from_its_standard_start(self):
+        """IterationLimit after 500 majors when the first penalty was 316."""
+        rep = solve(_hs26())
+        assert rep.status == "Optimal"
+        assert rep.final_objective <= 1e-6
+        assert rep.majors <= 20, rep.majors
+
+    def test_tight_targets_solve_the_whole_catalog(self):
+        """At 1e-9 targets rosenbrock-ball ended CannotImprove with rho at
+        3.2e13 when the first penalty was 316."""
+        opts = OuterOptions(omega_star=1e-9, eta_star=1e-9)
+        for name in catalog_names():
+            entry = catalog_get(name)
+            if entry.classification == SOLVABLE:
+                assert solve(entry.problem, opts).status == "Optimal", name
 
 
 class TestModeAgreement:
