@@ -19,7 +19,9 @@ canonical and bcl start the penalty at 10^2.5 / m_c for m_c nonlinear rows.
 
 Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
-first-order stationary point of the squared-residual minimization.
+first-order stationary point of the squared-residual minimization.  A
+subproblem still Unbounded past RHO_BAR from a point that violates the
+nonlinear rows ends the run CannotImprove.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class TraceRecord:
     inner_iterations: int
     delta_y_norm: float
     elastic_inf: float
-    objective: float
     rho_next: float
     sigma_next: float
     eta_next: float
@@ -189,15 +190,15 @@ def _initial_rho(opts: OuterOptions, m_c: int) -> float:
 
 
 def _make_report(status: str, sf: SlackForm, x_ext: Vector, y: Vector, z: Vector,
-                 majors: int, minors: int, fev0: int, trace: list[TraceRecord],
+                 res: KktResidual, minors: int, fev0: int, trace: list[TraceRecord],
                  f_norm_path: list[float]) -> SolveReport:
-    res = kkt_residual(sf, x_ext, y, z)
+    """res is the KKT residual at (x_ext, y, z); majors is len(trace)."""
     f_val = sf.objective(x_ext)
     # counted last so the report's own evaluations are included
     fevals = sf.nlp.eval_total() - fev0
     return SolveReport(status=status, x=np.array(x_ext[:sf.n]), x_ext=np.array(x_ext),
                        y=np.array(y), z=np.array(z), residual=res,
-                       final_objective=f_val, majors=majors, minors=minors,
+                       final_objective=f_val, majors=len(trace), minors=minors,
                        fevals=fevals, trace=trace, f_norm_path=f_norm_path)
 
 
@@ -210,11 +211,10 @@ def _solve_linear_only(sf: SlackForm, x0: Vector, y0: Vector, opts: OuterOptions
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    if status == OPTIMAL:
-        res = kkt_residual(sf, sol.x_star, y, z)
-        if not is_optimal(res, opts.omega_star, opts.eta_star):
-            status = CANNOT_IMPROVE
-    return _make_report(status, sf, sol.x_star, y, z, majors=0,
+    res = kkt_residual(sf, sol.x_star, y, z)
+    if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
+        status = CANNOT_IMPROVE
+    return _make_report(status, sf, sol.x_star, y, z, res,
                         minors=sol.inner_iterations, fev0=fev0, trace=[],
                         f_norm_path=[])
 
@@ -241,8 +241,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         x0 = solve_proximal(sf, x_tilde)
     except PpInfeasible:
         x_ext = sf.embed(np.clip(x_tilde, lx, ux))
-        return _make_report(INFEASIBLE, sf, x_ext, np.zeros(sf.m),
-                            np.zeros(sf.n_ext), majors=0, minors=0,
+        y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
+        return _make_report(INFEASIBLE, sf, x_ext, y, z,
+                            kkt_residual(sf, x_ext, y, z), minors=0,
                             fev0=fev0, trace=[], f_norm_path=[])
 
     y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
@@ -279,9 +280,13 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         exit_status: str | None = None
         if sol.status == UNBOUNDED:
             accepted = False
-            # unboundedness is certified only from a nonlinearly feasible point
+            # unboundedness is certified only from a nonlinearly feasible
+            # point; from any other, each rejection only raises rho, so the
+            # run stops once the penalty is exhausted, as for Infeasible
             if sf.nonlinear_bound_violation(state.x) <= opts.eta_star:
                 exit_status = UNBOUNDED
+            elif rho_k > RHO_BAR:
+                exit_status = CANNOT_IMPROVE
         elif sol.status == ITERATION_LIMIT:
             accepted = False
             if opts.mode == CANONICAL:
@@ -297,7 +302,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
 
         if accepted:
             update_on_success(state, sol, c_star, opts, sf.m_c)
-            res = kkt_residual(sf, state.x, state.y, state.z)
+            res = kkt_residual(sf, state.x, state.y, state.z, c_star)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL
             if opts.mode == CANONICAL and elastic_inf > 1e-5:
@@ -321,10 +326,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             k=k, accepted=accepted, rho=rho_k, sigma=sigma_k, eta=eta_k,
             eta_target=eta_target, omega=omega_k, c_norm=c_norm, f_norm=res.f_norm,
             inner_status=sol.status, inner_iterations=sol.inner_iterations,
-            delta_y_norm=dy_norm, elastic_inf=elastic_inf,
-            objective=sf.objective(sol.x_star),
-            rho_next=state.rho, sigma_next=state.sigma, eta_next=state.eta,
-            omega_next=state.omega))
+            delta_y_norm=dy_norm, elastic_inf=elastic_inf, rho_next=state.rho,
+            sigma_next=state.sigma, eta_next=state.eta, omega_next=state.omega))
         warm = sol
 
         if exit_status is not None:
@@ -337,7 +340,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         state.x = np.array(final_from_candidate.x_star)
         state.y = state.y + final_from_candidate.delta_y
         state.z = np.array(final_from_candidate.z_star)
+        res = kkt_residual(sf, state.x, state.y, state.z, c_star)
 
-    return _make_report(status, sf, state.x, state.y, state.z,
-                        majors=len(state.trace), minors=minors,
-                        fev0=fev0, trace=state.trace, f_norm_path=f_norm_path)
+    return _make_report(status, sf, state.x, state.y, state.z, res,
+                        minors=minors, fev0=fev0, trace=state.trace,
+                        f_norm_path=f_norm_path)

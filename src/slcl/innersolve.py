@@ -10,6 +10,10 @@ the free variables are stationary, a bound whose multiplier has the wrong
 sign leaves it.  The elastic subproblem is one kernel call, started on its
 linearized rows where one step reaches them and from the BFGS matrix the
 previous subproblem ended with; the proximal start is at most two calls.
+Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
+point's value together with what computing it left behind (for the elastic
+subproblem, the slack-form residual), and the gradient at an accepted point
+takes that instead of computing it again.
 On success the subproblem triple satisfies its relaxed optimality
 conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
 at delta_y, complementarity is within omega, and the elastic-row
@@ -116,8 +120,8 @@ def _ratio_test(x: Vector, d: Vector, lo: Vector,
     return i, float(ratios[i]), float(lo[i] if d[i] < 0.0 else hi[i])
 
 
-def bound_solve(value: Callable[[Vector], float],
-                value_grad: Callable[[Vector], tuple[float, Vector]],
+def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
+                gradient: Callable[[Vector, object], Vector],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
                 rows: Matrix | None = None, offset: Vector | None = None,
                 iter_cap: int = _MAX_INNER_ITERS,
@@ -132,8 +136,8 @@ def bound_solve(value: Callable[[Vector], float],
     search along the step cut at the first bound it meets; a step accepted
     at that bound adds the bound to the working set, and a bound already
     within rounding of the iterate joins without a search.  A trial whose
-    predicted decrease is below the precision of value, eps^0.8 (1 + |f|),
-    passes when value rises by no more than that.  Once the free
+    predicted decrease is below the precision of the value, eps^0.8 (1 + |f|),
+    passes when the value rises by no more than that.  Once the free
     coordinates are stationary, the working bound whose multiplier g - R^T y
     has the worst wrong sign is released.  B starts as hess, or as the
     identity without one, takes Powell-damped updates and resets to the
@@ -147,18 +151,20 @@ def bound_solve(value: Callable[[Vector], float],
     accepted point has an objective below -1e15 or a coordinate beyond
     1e10.  IterationLimit means the cap or a failed search ended the solve.
 
-    value is called at every line-search trial point and value_grad at the
-    start point and at each accepted trial point, right after value was
-    called there, so a caller can keep what value computed.  A trial with a
-    non-finite value fails and is backtracked; a non-finite value or gradient
-    at the start or an accepted point raises ValueError.  n_evals counts the
-    points evaluated (the start and every trial), iterations the accepted
-    points.
+    evaluate(u) returns the value at u with whatever the caller wants to
+    keep from computing it (aux); it is called at the start point and at
+    every line-search trial point.  gradient(u, aux) is called at the start
+    point and at each accepted trial point, with the aux evaluate returned
+    there.  A trial with a non-finite value fails and is backtracked; a
+    non-finite value or gradient at the start or an accepted point raises
+    ValueError.  n_evals counts the points evaluated (the start and every
+    trial), iterations the accepted points.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
     R = np.zeros((0, x.size)) if rows is None else rows
     offset = np.zeros(R.shape[0]) if offset is None else offset
-    f, g = value_grad(x)
+    f, aux = evaluate(x)
+    g = gradient(x, aux)
     _check_finite("start", x, f, g)
     n_evals = 1
     accepted = 0
@@ -192,8 +198,8 @@ def bound_solve(value: Callable[[Vector], float],
 
         step = None
         gtd = float(g @ d)
-        # a decrease below the precision of value cannot be seen, so a step
-        # predicted to make one passes when value holds level
+        # a decrease below the precision of the value cannot be seen, so a
+        # step predicted to make one passes when the value holds level
         noise = _F_PRECISION * (1.0 + abs(f))
         alpha = min(1.0, alpha_max)
         while gtd < 0.0:
@@ -202,12 +208,12 @@ def bound_solve(value: Callable[[Vector], float],
                 x_new[i] = bound_i
             if (np.abs(x_new - x) <= _ROUNDOFF * np.abs(x)).all():
                 break  # the step is lost in rounding
-            f_new = value(x_new)
+            f_new, aux = evaluate(x_new)
             n_evals += 1
             if np.isfinite(f_new) and (
                     f_new <= f + _SUFF_DECREASE * alpha * gtd
                     or (-alpha * gtd <= noise and f_new <= f + noise)):
-                step = x_new, f_new, alpha == alpha_max
+                step = x_new, f_new, aux, alpha == alpha_max
                 break
             alpha *= _BACKTRACK
             if alpha < _LAM_MIN:
@@ -218,8 +224,8 @@ def bound_solve(value: Callable[[Vector], float],
             B = identity
             continue
 
-        x_new, f_new, hit = step
-        _, g_new = value_grad(x_new)
+        x_new, f_new, aux, hit = step
+        g_new = gradient(x_new, aux)
         _check_finite("accepted", x_new, g_new)
         accepted += 1
         if hit:
@@ -248,29 +254,6 @@ def bound_solve(value: Callable[[Vector], float],
         B = B + (U.T * np.array([1.0 / sdg, -1.0 / sBs])) @ U
 
     return BoundSolveResult(x, f, status, accepted, n_evals, g, y, B)
-
-
-def _cached_value_grad(prob):
-    """value and value_grad closures over prob.evaluate and prob.gradient.
-
-    value keeps the point it saw last with what prob.evaluate returned there
-    (for the elastic subproblem, the slack-form residual), and value_grad at
-    that point reuses both, so one kernel trial plus the gradient at the
-    accepted point calls each of f, c, g and J once.
-    """
-    trial = [None, 0.0, None]
-
-    def value(u: Vector) -> float:
-        f, aux = prob.evaluate(u)
-        trial[:] = u, f, aux
-        return f
-
-    def value_grad(u: Vector) -> tuple[float, Vector]:
-        if u is not trial[0]:
-            value(u)
-        return trial[1], prob.gradient(u, trial[2])
-
-    return value, value_grad
 
 
 def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
@@ -357,8 +340,7 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     r[np.abs(r) <= _row_rounding(lin, x0)] = 0.0
     v0, w0 = optimal_elastics(r)
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
-    value, value_grad = _cached_value_grad(sub)
-    res = bound_solve(value, value_grad, sub.lo, sub.hi, u, omega,
+    res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,
                       rows=sub.rows, offset=lin.offset, hess=hess)
     return _finalize(sub, res, omega)
 
@@ -388,8 +370,8 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
     if r.any():
         v, w = optimal_elastics(r)
         cost = np.concatenate([np.zeros(n + m), np.ones(2 * m)])
-        res = bound_solve(lambda q: float(cost @ q),
-                          lambda q: (float(cost @ q), cost),
+        res = bound_solve(lambda q: (float(cost @ q), None),
+                          lambda q, _: cost,
                           np.concatenate([lo, np.zeros(2 * m)]),
                           np.concatenate([hi, np.full(2 * m, np.inf)]),
                           np.concatenate([u, v, w]), _PP_OMEGA,
@@ -400,10 +382,10 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
                 f"no point satisfies the bounds and linear rows "
                 f"(least elastic sum {res.f:.3e})")
 
-    def value_grad(q: Vector) -> tuple[float, Vector]:
+    def evaluate(q: Vector) -> tuple[float, Vector]:
         d = q[:n] - x_tilde
-        return 0.5 * float(d @ d), np.concatenate([d, np.zeros(m)])
+        return 0.5 * float(d @ d), d
 
-    res = bound_solve(lambda q: value_grad(q)[0], value_grad, lo, hi, u,
-                      _PP_OMEGA, rows=rows)
+    res = bound_solve(evaluate, lambda q, d: np.concatenate([d, np.zeros(m)]),
+                      lo, hi, u, _PP_OMEGA, rows=rows)
     return sf.embed(np.clip(res.x[:n], lx, ux))

@@ -59,14 +59,17 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     return np.maximum(lower, upper)
 
 
-def kkt_residual(sf: SlackForm, x_ext: Vector, y: Vector, z: Vector) -> KktResidual:
+def kkt_residual(sf: SlackForm, x_ext: Vector, y: Vector, z: Vector,
+                 r: Vector | None = None) -> KktResidual:
     """Primal, dual, and complementarity residuals at (x_ext, y, z).
 
     primal_inf covers the equality residual and any bound violation; dual_inf
     is ||g - J^T y - z||_inf with no penalty term; comp applies the two-sided
-    measure against the extended box.
+    measure against the extended box.  r is ctil(x_ext) when the caller
+    already holds it.
     """
-    r = sf.residual(x_ext)
+    if r is None:
+        r = sf.residual(x_ext)
     primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x_ext, sf.lo, sf.hi))
     dual_vec = sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, y) - z
     dual = float(np.abs(dual_vec).max(initial=0.0))

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from slcl import driver
+from slcl import driver, innersolve
 from slcl.catalog import SOLVABLE, catalog_get, catalog_names
 from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI,
                          SIGMA_LO, STABILIZED, TAU_RHO, OuterOptions, OuterState,
                          next_omega, solve, update_on_failure,
                          update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
-from slcl.model import INF, NlpProblem, SlackForm
+from slcl.merit import kkt_residual
+from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
@@ -221,6 +222,21 @@ class TestDetectors:
         assert rep.status == "Unbounded"
         assert rep.majors == 1
 
+    @pytest.mark.parametrize("x_start", [(2.0, 2.0), (1.784, 1.493),
+                                         (1.0, 0.5)])
+    def test_unbounded_off_the_row_stops_with_the_penalty(self, x_start):
+        """unbounded-ray from a start off its row: each subproblem is
+        Unbounded and rejected, and rho grows tenfold a major.  Once rho is
+        past RHO_BAR the run ends CannotImprove at the start, before the
+        kernel's numbers overflow."""
+        rep = solve(catalog_get("unbounded-ray").problem,
+                    x_start=np.array(x_start))
+        assert rep.status == "CannotImprove"
+        assert [t.inner_status for t in rep.trace] == [UNBOUNDED] * rep.majors
+        assert not any(t.accepted for t in rep.trace)
+        assert rep.trace[-1].rho > driver.RHO_BAR >= rep.trace[-2].rho
+        np.testing.assert_array_equal(rep.x, x_start)
+
 
 class TestOptionsValidation:
     def test_bad_mode(self):
@@ -401,8 +417,8 @@ class TestSolve:
 
     def test_rejection_reuses_the_residual(self, monkeypatch):
         """A rejected major leaves x, y and z alone, so the KKT residual is
-        evaluated once at the start, once per accepted major and once for
-        the report."""
+        evaluated once at the start and once per accepted major; the report
+        takes the last one."""
         original = driver.kkt_residual
         calls = []
 
@@ -414,7 +430,38 @@ class TestSolve:
         rep = solve(catalog_get("ridge-eq").problem)
         accepted = sum(rec.accepted for rec in rep.trace)
         assert accepted < rep.majors
-        assert len(calls) == 1 + accepted + 1
+        assert len(calls) == 1 + accepted
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        """f is called by the derivative check, once at every point the
+        kernel evaluates, and once for the report's objective; the report's
+        residual is the loop's, equal to a fresh one.  two-circles has no
+        linear rows, so every kernel call is a subproblem."""
+        problem = catalog_get("two-circles").problem
+        deriv_calls, kernel_points = [], []
+        check, kernel = driver.check_derivatives, innersolve.bound_solve
+
+        def counted_check(p, x):
+            before = p.n_feval
+            out = check(p, x)
+            deriv_calls.append(p.n_feval - before)
+            return out
+
+        def counted_kernel(*args, **kwargs):
+            res = kernel(*args, **kwargs)
+            kernel_points.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(driver, "check_derivatives", counted_check)
+        monkeypatch.setattr(innersolve, "bound_solve", counted_kernel)
+        before = problem.n_feval
+        rep = solve(problem)
+        assert rep.status == "Optimal" and rep.majors > 1
+        assert (problem.n_feval - before
+                == sum(deriv_calls) + sum(kernel_points) + 1)
+
+        fresh = kkt_residual(build_slack_form(problem), rep.x_ext, rep.y, rep.z)
+        assert rep.residual == fresh
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

@@ -7,9 +7,8 @@ from slcl import driver, innersolve
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
-                             PpInfeasible, SubproblemSolution,
-                             _cached_value_grad, bound_solve, solve_lc,
-                             solve_proximal)
+                             PpInfeasible, SubproblemSolution, bound_solve,
+                             solve_lc, solve_proximal)
 from slcl.linearize import (ElasticSubproblem, assemble_elastic,
                             linearize_constraints)
 from slcl.merit import comp_measure
@@ -42,42 +41,41 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
 
 
 def _quadratic(Q, a):
-    """Value/gradient closures for 0.5 (x-a)' Q (x-a)."""
+    """Kernel evaluate/gradient closures for 0.5 (x-a)' Q (x-a)."""
 
-    def value(x):
+    def evaluate(x):
         d = x - a
-        return 0.5 * float(d @ Q @ d)
+        return 0.5 * float(d @ Q @ d), None
 
-    def value_grad(x):
-        d = x - a
-        return 0.5 * float(d @ Q @ d), Q @ d
+    def gradient(x, _):
+        return Q @ (x - a)
 
-    return value, value_grad
+    return evaluate, gradient
 
 
 class TestBoundSolve:
     def test_scalar_clipped_minimizer(self):
         """min (x - 3)^2 over [0, 2] stops at the upper bound."""
-        value = lambda x: (x[0] - 3.0) ** 2
-        value_grad = lambda x: ((x[0] - 3.0) ** 2, np.array([2.0 * (x[0] - 3.0)]))
-        res = bound_solve(value, value_grad, np.array([0.0]), np.array([2.0]),
+        evaluate = lambda x: ((x[0] - 3.0) ** 2, None)
+        gradient = lambda x, _: np.array([2.0 * (x[0] - 3.0)])
+        res = bound_solve(evaluate, gradient, np.array([0.0]), np.array([2.0]),
                           np.array([0.0]), tol=1e-8)
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, [2.0], atol=1e-10)
 
     def test_componentwise_projection(self):
         a = np.array([-1.0, 5.0])
-        value = lambda x: float(((x - a) ** 2).sum())
-        value_grad = lambda x: (float(((x - a) ** 2).sum()), 2.0 * (x - a))
-        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, INF),
+        evaluate = lambda x: (float(((x - a) ** 2).sum()), None)
+        gradient = lambda x, _: 2.0 * (x - a)
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
                           np.ones(2), tol=1e-8)
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, [0.0, 5.0], atol=1e-8)
 
     def test_interior_minimizer(self):
-        value = lambda x: float((x ** 2).sum())
-        value_grad = lambda x: (float((x ** 2).sum()), 2.0 * x)
-        res = bound_solve(value, value_grad, np.full(2, -1.0), np.full(2, 1.0),
+        evaluate = lambda x: (float((x ** 2).sum()), None)
+        gradient = lambda x, _: 2.0 * x
+        res = bound_solve(evaluate, gradient, np.full(2, -1.0), np.full(2, 1.0),
                           np.ones(2), tol=1e-10)
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, 0.0, atol=1e-10)
@@ -91,8 +89,8 @@ class TestBoundSolve:
             a = rng.uniform(-1.5, 1.5, size=2)
             lo = rng.uniform(-1.0, -0.2, size=2)
             hi = rng.uniform(0.2, 1.0, size=2)
-            value, value_grad = _quadratic(Q, a)
-            res = bound_solve(value, value_grad, lo, hi,
+            evaluate, gradient = _quadratic(Q, a)
+            res = bound_solve(evaluate, gradient, lo, hi,
                               0.5 * (lo + hi), tol=1e-9)
             assert res.status == CONVERGED
             g0 = np.append(np.arange(lo[0], hi[0], 1e-3), hi[0])
@@ -104,41 +102,41 @@ class TestBoundSolve:
             j = np.unravel_index(int(np.argmin(F)), F.shape)
             grid_x = np.array([X[j], Y[j]])
             np.testing.assert_allclose(res.x, grid_x, atol=2e-3)
-            assert value(res.x) <= F[j] + 1e-9
+            assert evaluate(res.x)[0] <= F[j] + 1e-9
 
     def test_iteration_cap_reported(self):
         # 1 iteration cannot reach the flat tolerance from this start
-        value = lambda x: float((x ** 2).sum())
-        value_grad = lambda x: (float((x ** 2).sum()), 2.0 * x)
-        res = bound_solve(value, value_grad, np.full(2, -INF), np.full(2, INF),
+        evaluate = lambda x: (float((x ** 2).sum()), None)
+        gradient = lambda x, _: 2.0 * x
+        res = bound_solve(evaluate, gradient, np.full(2, -INF), np.full(2, INF),
                           np.full(2, 3.0), tol=1e-14, iter_cap=1)
         assert res.status == ITERATION_LIMIT
 
     def test_descending_ray_flags_unbounded(self):
-        value = lambda x: float(-x[0])
-        value_grad = lambda x: (float(-x[0]), np.array([-1.0]))
-        res = bound_solve(value, value_grad, np.array([0.0]), np.array([INF]),
+        evaluate = lambda x: (float(-x[0]), None)
+        gradient = lambda x, _: np.array([-1.0])
+        res = bound_solve(evaluate, gradient, np.array([0.0]), np.array([INF]),
                           np.array([1.0]), tol=1e-8)
         assert res.status == UNBOUNDED
 
     def test_non_finite_trial_is_backtracked(self):
         """sqrt(x) is nan left of 0; a first step landing there is cut back."""
         value = lambda x: float(100.0 * (0.5 * x[0] - np.sqrt(x[0])))
-        value_grad = lambda x: (value(x),
-                                np.array([100.0 * (0.5 - 0.5 / np.sqrt(x[0]))]))
+        gradient = lambda x, _: np.array([100.0 * (0.5 - 0.5 / np.sqrt(x[0]))])
         with np.errstate(invalid="ignore"):
             # the first step goes from 4 to -21, then -8.5 and -2.25
-            res = bound_solve(value, value_grad, np.array([-INF]),
-                              np.array([INF]), np.array([4.0]), tol=1e-10)
+            res = bound_solve(lambda x: (value(x), None), gradient,
+                              np.array([-INF]), np.array([INF]),
+                              np.array([4.0]), tol=1e-10)
         assert res.status == CONVERGED
         np.testing.assert_allclose(res.x, [1.0], atol=1e-8)
         assert res.f == value(res.x)
 
     def test_non_finite_start_raises(self):
-        value = lambda x: float("nan")
-        value_grad = lambda x: (float("nan"), np.zeros(1))
+        evaluate = lambda x: (float("nan"), None)
+        gradient = lambda x, _: np.zeros(1)
         with pytest.raises(ValueError, match="start"):
-            bound_solve(value, value_grad, np.array([-INF]), np.array([INF]),
+            bound_solve(evaluate, gradient, np.array([-INF]), np.array([INF]),
                         np.array([1.0]), tol=1e-8)
 
     def test_stiff_quadratic_reaches_its_active_set_solution(self):
@@ -152,8 +150,8 @@ class TestBoundSolve:
         V, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         Q = V @ np.diag(np.geomspace(1.0, 1e4, 10)) @ V.T
         a = rng.uniform(-2.0, 2.0, 10)
-        value, value_grad = _quadratic(Q, a)
-        res = bound_solve(value, value_grad, np.full(10, -1.0),
+        evaluate, gradient = _quadratic(Q, a)
+        res = bound_solve(evaluate, gradient, np.full(10, -1.0),
                           np.full(10, 1.0), np.zeros(10), tol=1e-9)
         assert res.status == CONVERGED
         assert res.iterations <= 150
@@ -179,9 +177,9 @@ class TestLinearRows:
         The KKT matrix is singular; only the sum of the two multipliers is
         determined, and it is -0.5.
         """
-        value, value_grad = _quadratic(np.eye(2), np.array([2.0, 0.0]))
+        evaluate, gradient = _quadratic(np.eye(2), np.array([2.0, 0.0]))
         R = np.ones((2, 2))
-        res = bound_solve(value, value_grad, np.full(2, -10.0),
+        res = bound_solve(evaluate, gradient, np.full(2, -10.0),
                           np.full(2, 10.0), np.array([0.5, 0.5]), tol=1e-10,
                           rows=R, offset=np.full(2, -1.0))
         assert res.status == CONVERGED
@@ -195,8 +193,8 @@ class TestLinearRows:
         x1 joins the working set without a line search, and one step along
         x2 alone reaches the solution.
         """
-        value, value_grad = _quadratic(2.0 * np.eye(2), np.array([-1.0, 1.0]))
-        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, INF),
+        evaluate, gradient = _quadratic(2.0 * np.eye(2), np.array([-1.0, 1.0]))
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
                           np.array([1e-16, 1.5]), tol=1e-10)
         assert res.status == CONVERGED
         assert res.iterations == 1
@@ -209,8 +207,8 @@ class TestLinearRows:
         The start (0, 2) holds both bounds with wrong-signed multipliers;
         the solution (0.5, 1.5) is interior with a zero row multiplier.
         """
-        value, value_grad = _quadratic(2.0 * np.eye(2), np.array([0.5, 1.5]))
-        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, 2.0),
+        evaluate, gradient = _quadratic(2.0 * np.eye(2), np.array([0.5, 1.5]))
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, 2.0),
                           np.array([0.0, 2.0]), tol=1e-10,
                           rows=np.ones((1, 2)), offset=np.array([-2.0]))
         assert res.status == CONVERGED
@@ -226,8 +224,8 @@ class TestLinearRows:
         definite, so the next step runs on to the corner.
         """
         Q = -2.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        value, value_grad = _quadratic(Q, np.zeros(2))
-        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, 10.0),
+        evaluate, gradient = _quadratic(Q, np.zeros(2))
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, 10.0),
                           np.array([5.5, 4.5]), tol=1e-10,
                           rows=np.ones((1, 2)), offset=np.array([-10.0]))
         assert res.status == CONVERGED
@@ -237,9 +235,9 @@ class TestLinearRows:
 
     def test_descent_ray_along_a_row_is_unbounded(self):
         """-x1 - x2 on x1 = x2 over x >= 0 decreases without bound."""
-        value = lambda x: float(-x.sum())
-        value_grad = lambda x: (value(x), -np.ones(2))
-        res = bound_solve(value, value_grad, np.zeros(2), np.full(2, INF),
+        evaluate = lambda x: (float(-x.sum()), None)
+        gradient = lambda x, _: -np.ones(2)
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
                           np.ones(2), tol=1e-8,
                           rows=np.array([[1.0, -1.0]]), offset=np.zeros(1))
         assert res.status == UNBOUNDED
@@ -360,36 +358,34 @@ def _counted(problem):
 class TestEvaluationBudget:
     def _cycle(self):
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-        return sf, sub, _counted(sf.nlp), _cached_value_grad(sub)
+        return sub, _counted(sf.nlp)
 
     def test_trial_and_accepted_gradient_call_each_callback_once(self):
-        sf, sub, calls, (value, value_grad) = self._cycle()
+        sub, calls = self._cycle()
         u = np.clip(np.concatenate([sub.lin.x_k + 0.05, np.zeros(2 * sub.m)]),
                     sub.lo, sub.hi)
-        f_trial = value(u)
-        f_again, grad = value_grad(u)
+        _, aux = sub.evaluate(u)
+        grad = sub.gradient(u, aux)
         assert calls == {"f": 1, "g": 1, "c": 1, "J": 1}
-        assert f_again == f_trial
         assert grad.shape == (sub.n_lifted,)
 
     def test_gradient_matches_a_fresh_evaluation(self):
-        """The reused residual gives the same gradient as evaluating anew."""
-        sf, sub, calls, (value, value_grad) = self._cycle()
-        fresh = _cached_value_grad(sub)[1]
+        """The residual evaluate returned gives the same gradient as
+        computing it anew."""
+        sub, _ = self._cycle()
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
                     sub.lo, sub.hi)
-        value(u)
-        val, grad = value_grad(u)
-        val_fresh, grad_fresh = fresh(u.copy())
-        assert val == val_fresh
-        np.testing.assert_array_equal(grad, grad_fresh)
+        _, aux = sub.evaluate(u)
+        np.testing.assert_array_equal(sub.gradient(u, aux),
+                                      sub.gradient(u.copy()))
 
     def test_kernel_counts_points_and_accepted_points(self):
         """f and c once per evaluated point, g and J once per accepted point."""
-        sf, sub, calls, (value, value_grad) = self._cycle()
+        sub, calls = self._cycle()
         u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m)]),
                      sub.lo, sub.hi)
-        res = bound_solve(value, value_grad, sub.lo, sub.hi, u0, tol=1e-8)
+        res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u0,
+                          tol=1e-8)
         assert res.status == CONVERGED and res.iterations > 5
         assert calls["f"] == calls["c"] == res.n_evals
         assert calls["g"] == calls["J"] == res.iterations + 1
@@ -438,9 +434,9 @@ def _recorded_starts(monkeypatch):
     seen = []
     original = innersolve.bound_solve
 
-    def recorded(value, value_grad, lo, hi, start, tol, **kwargs):
+    def recorded(evaluate, gradient, lo, hi, start, tol, **kwargs):
         seen.append((np.array(start), kwargs.get("hess")))
-        return original(value, value_grad, lo, hi, start, tol, **kwargs)
+        return original(evaluate, gradient, lo, hi, start, tol, **kwargs)
 
     monkeypatch.setattr(innersolve, "bound_solve", recorded)
     return seen
