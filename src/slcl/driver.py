@@ -1,12 +1,14 @@
 """Outer solver loop.
 
-Each major iteration linearizes the rows at the current point, solves the
-elastic subproblem, and branches on the true constraint residual at the
+Each major iteration solves the elastic subproblem on the rows linearized
+at the current point, and branches on the true constraint residual at the
 candidate: a residual within the current feasibility target accepts the
 candidate and refreshes the multiplier estimates, anything else keeps the
-current estimates, raises the penalty, and tightens the elastic price.  The
-elastic weight sigma makes the method degrade gracefully between the two
-classical extremes, which are also available directly as modes:
+current estimates, raises the penalty, and tightens the elastic price.  c
+and J are evaluated once per visited point, into the record (Linearization)
+that every test and residual there reads.  The elastic weight sigma makes
+the method degrade gracefully between the two classical extremes, which are
+also available directly as modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -32,7 +34,7 @@ import numpy as np
 
 from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
                          SubproblemSolution, solve_lc, solve_proximal)
-from .linearize import assemble_elastic, linearize_constraints
+from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
 from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
                     check_derivatives, push_interior)
@@ -202,16 +204,15 @@ def _make_report(status: str, sf: SlackForm, x_ext: Vector, y: Vector, z: Vector
                        fevals=fevals, trace=trace, f_norm_path=f_norm_path)
 
 
-def _solve_linear_only(sf: SlackForm, x0: Vector, y0: Vector, opts: OuterOptions,
-                       fev0: int) -> SolveReport:
+def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector,
+                       opts: OuterOptions, fev0: int) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
-    lin = linearize_constraints(sf, x0)
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
     sol = solve_lc(sub, opts.omega_star)
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    res = kkt_residual(sf, sol.x_star, y, z)
+    res = kkt_residual(linearize_constraints(sf, sol.x_star), y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
     return _make_report(status, sf, sol.x_star, y, z, res,
@@ -243,36 +244,35 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         x_ext = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
         return _make_report(INFEASIBLE, sf, x_ext, y, z,
-                            kkt_residual(sf, x_ext, y, z), minors=0,
-                            fev0=fev0, trace=[], f_norm_path=[])
+                            kkt_residual(linearize_constraints(sf, x_ext), y, z),
+                            minors=0, fev0=fev0, trace=[], f_norm_path=[])
 
+    lin = linearize_constraints(sf, x0)
     y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
-    z = sf.objective_grad(x0) - sf.jacobian_t(x0, y)
+    z = sf.objective_grad(x0) - lin.jacobian_t(y)
 
     if sf.m_c == 0:
-        return _solve_linear_only(sf, x0, y, opts, fev0)
+        return _solve_linear_only(sf, lin, y, opts, fev0)
 
     state = OuterState(x=x0, y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
                        eta=ETA_0, omega=opts.omega_0)
-    res = kkt_residual(sf, state.x, state.y, state.z)
+    res = kkt_residual(lin, state.y, state.z)
     f_norm_path = [res.f_norm]
     minors = 0
-    warm: SubproblemSolution | None = None
+    sol: SubproblemSolution | None = None
     stalls_at_floor = 0
-    status = ITERATION_LIMIT
-    final_from_candidate: SubproblemSolution | None = None
 
     for k in range(opts.max_major):
         rho_k, sigma_k, eta_k, omega_k = state.rho, state.sigma, state.eta, state.omega
         eta_target = max(opts.eta_star, eta_k)
-        lin = linearize_constraints(sf, state.x)
         sub = assemble_elastic(lin, state.y, rho_k, sigma_k)
-        sol = solve_lc(sub, omega_k, warm_start=warm)
+        sol = solve_lc(sub, omega_k, warm_start=sol)
         minors += sol.inner_iterations
 
-        c_star = sf.residual(sol.x_star)
-        c_norm = float(np.abs(c_star).max(initial=0.0))
+        # evaluated afresh: the kernel may move x onto a bound after evaluating it
+        cand = linearize_constraints(sf, sol.x_star)
+        c_norm = float(np.abs(cand.c_k).max(initial=0.0))
         dy_norm = float(np.abs(sol.delta_y[:sf.m_c]).max(initial=0.0))
         elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))
                        + float(np.abs(sol.w_star).max(initial=0.0)))
@@ -283,7 +283,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             # unboundedness is certified only from a nonlinearly feasible
             # point; from any other, each rejection only raises rho, so the
             # run stops once the penalty is exhausted, as for Infeasible
-            if sf.nonlinear_bound_violation(state.x) <= opts.eta_star:
+            if sf.nonlinear_bound_violation(lin.x_k, lin.c_k) <= opts.eta_star:
                 exit_status = UNBOUNDED
             elif rho_k > RHO_BAR:
                 exit_status = CANNOT_IMPROVE
@@ -301,8 +301,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             accepted = opts.mode == CANONICAL or c_norm <= eta_target
 
         if accepted:
-            update_on_success(state, sol, c_star, opts, sf.m_c)
-            res = kkt_residual(sf, state.x, state.y, state.z, c_star)
+            update_on_success(state, sol, cand.c_k, opts, sf.m_c)
+            lin = cand
+            res = kkt_residual(lin, state.y, state.z)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL
             if opts.mode == CANONICAL and elastic_inf > 1e-5:
@@ -310,13 +311,11 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
                 # it cannot satisfy without elastic help
                 exit_status = CANNOT_IMPROVE
         else:
-            # rows still violated once the penalty is exhausted; c is
-            # evaluated again only when rho has passed RHO_BAR
+            # rows still violated once the penalty is exhausted
             if (exit_status is None and sol.status == CONVERGED and rho_k > RHO_BAR
-                    and sf.nonlinear_bound_violation(sol.x_star) > opts.eta_star):
+                    and sf.nonlinear_bound_violation(cand.x_k, cand.c_k) > opts.eta_star):
                 exit_status = INFEASIBLE
-                final_from_candidate = sol
-            # a rejection moves only rho, sigma and eta, so res still holds
+            # a rejection moves only rho, sigma and eta, so lin and res still hold
             if exit_status is None:
                 update_on_failure(state, opts)
 
@@ -328,19 +327,16 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             inner_status=sol.status, inner_iterations=sol.inner_iterations,
             delta_y_norm=dy_norm, elastic_inf=elastic_inf, rho_next=state.rho,
             sigma_next=state.sigma, eta_next=state.eta, omega_next=state.omega))
-        warm = sol
 
         if exit_status is not None:
-            status = exit_status
             break
 
-    if status == INFEASIBLE and final_from_candidate is not None:
-        # report the candidate itself: it is the stationary point of the
+    status = exit_status or ITERATION_LIMIT
+    if status == INFEASIBLE:
+        # report the last candidate itself: it is the stationary point of the
         # squared-residual problem that certifies the infeasibility
-        state.x = np.array(final_from_candidate.x_star)
-        state.y = state.y + final_from_candidate.delta_y
-        state.z = np.array(final_from_candidate.z_star)
-        res = kkt_residual(sf, state.x, state.y, state.z, c_star)
+        state.x, state.y, state.z = cand.x_k, state.y + sol.delta_y, sol.z_star
+        res = kkt_residual(cand, state.y, state.z)
 
     return _make_report(status, sf, state.x, state.y, state.z, res,
                         minors=minors, fev0=fev0, trace=state.trace,

@@ -26,23 +26,31 @@ from .model import Matrix, SlackForm, Vector
 
 @dataclass
 class Linearization:
-    """First-order model of the equality rows about a base point."""
+    """A point's record, its residual c_k and Jacobian J_k evaluated once,
+    and the first-order model of the equality rows about x_k."""
 
     sf: SlackForm
     x_k: Vector
+    c_k: Vector
     J_k: Matrix
     offset: Vector
 
     def cbar(self, x_ext: Vector) -> Vector:
-        """Linearized residual J_k x + offset; equals the residual at x_k."""
+        """Linearized residual J_k x + offset; equals c_k at x_k."""
         return self.J_k @ x_ext + self.offset
+
+    def jacobian_t(self, y: Vector) -> Vector:
+        """J_k^T y by blocks from a contiguous copy of J(x_k): NumPy may sum
+        a strided block's products in another order."""
+        J_x = np.ascontiguousarray(self.J_k[:self.sf.m_c, :self.sf.n])
+        return self.sf.jacobian_t(J_x, y)
 
 
 def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
     x_ext = np.array(x_ext, dtype=float)
     c_k = sf.residual(x_ext)
     J_k = sf.jacobian(x_ext)
-    return Linearization(sf=sf, x_k=x_ext, J_k=J_k, offset=c_k - J_k @ x_ext)
+    return Linearization(sf, x_ext, c_k, J_k, offset=c_k - J_k @ x_ext)
 
 
 @dataclass
@@ -57,12 +65,17 @@ class ElasticSubproblem:
     y_k: Vector
     rho_k: float
     sigma_k: float
+    m: int = field(init=False)
+    n_ext: int = field(init=False)
+    n_lifted: int = field(init=False)
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
     rows: Matrix = field(init=False)
 
     def __post_init__(self) -> None:
-        sf, m = self.lin.sf, self.m
+        sf = self.lin.sf
+        m = self.m = sf.m
+        self.n_ext, self.n_lifted = sf.n_ext, sf.n_ext + 2 * m
         self.y_k = np.asarray(self.y_k, dtype=float).reshape(m)
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")
@@ -73,18 +86,6 @@ class ElasticSubproblem:
         # column-major: R's memory order sets how the kernel's products sum,
         # and with it the iterates in their last bits
         self.rows = np.vstack([self.lin.J_k.T, identity, -identity]).T
-
-    @property
-    def m(self) -> int:
-        return self.lin.sf.m
-
-    @property
-    def n_ext(self) -> int:
-        return self.lin.sf.n_ext
-
-    @property
-    def n_lifted(self) -> int:
-        return self.n_ext + 2 * self.m
 
     def split(self, u: Vector) -> tuple[Vector, Vector, Vector]:
         n_ext, m = self.n_ext, self.m

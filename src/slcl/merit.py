@@ -8,10 +8,14 @@ the box bounds on the extended variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import SlackForm, Vector, bound_violation
+
+if TYPE_CHECKING:
+    from .linearize import Linearization
 
 
 @dataclass
@@ -44,7 +48,8 @@ def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
     shifted multiplier estimate; r is ctil(x_ext) when the caller holds it."""
     if r is None:
         r = sf.residual(x_ext)
-    return sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, y - rho * r)
+    J_x = sf.nlp.J(x_ext[:sf.n])
+    return sf.objective_grad(x_ext) - sf.jacobian_t(J_x, y - rho * r)
 
 
 def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -59,21 +64,18 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     return np.maximum(lower, upper)
 
 
-def kkt_residual(sf: SlackForm, x_ext: Vector, y: Vector, z: Vector,
-                 r: Vector | None = None) -> KktResidual:
-    """Primal, dual, and complementarity residuals at (x_ext, y, z).
+def kkt_residual(lin: Linearization, y: Vector, z: Vector) -> KktResidual:
+    """Primal, dual, and complementarity residuals at (lin.x_k, y, z).
 
-    primal_inf covers the equality residual and any bound violation; dual_inf
-    is ||g - J^T y - z||_inf with no penalty term; comp applies the two-sided
-    measure against the extended box.  r is ctil(x_ext) when the caller
-    already holds it.
+    ctil and J come from the point's record lin.  primal_inf covers the
+    equality residual and any bound violation; dual_inf is ||g - J^T y - z||_inf
+    with no penalty term; comp applies the two-sided measure against the box.
     """
-    if r is None:
-        r = sf.residual(x_ext)
-    primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x_ext, sf.lo, sf.hi))
-    dual_vec = sf.objective_grad(x_ext) - sf.jacobian_t(x_ext, y) - z
+    sf, x = lin.sf, lin.x_k
+    primal = max(float(np.abs(lin.c_k).max(initial=0.0)), bound_violation(x, sf.lo, sf.hi))
+    dual_vec = sf.objective_grad(x) - lin.jacobian_t(y) - z
     dual = float(np.abs(dual_vec).max(initial=0.0))
-    comp = float(np.abs(comp_measure(x_ext, z, sf.lo, sf.hi)).max(initial=0.0))
+    comp = float(np.abs(comp_measure(x, z, sf.lo, sf.hi)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)
 
 
@@ -90,6 +92,6 @@ def min_norm_stationarity(sf: SlackForm, x_ext: Vector) -> float:
     gradient of the squared residual is J^T ctil and the measure is its
     two-sided complementarity against the bounds.
     """
-    grad = sf.jacobian_t(x_ext, sf.residual(x_ext))
+    grad = sf.jacobian_t(sf.nlp.J(x_ext[:sf.n]), sf.residual(x_ext))
     comp = comp_measure(x_ext, grad, sf.lo, sf.hi)
     return float(np.abs(comp).max(initial=0.0))

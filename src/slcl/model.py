@@ -156,14 +156,14 @@ class SlackForm:
         Jt[m_c:, n + m_c:] = -np.eye(m_A)
         return Jt
 
-    def jacobian_t(self, x_ext: Vector, y: Vector) -> Vector:
-        """J^T y for the residual Jacobian, applied by blocks.
+    def jacobian_t(self, J_x: Matrix, y: Vector) -> Vector:
+        """J^T y for the residual Jacobian, by blocks from J_x = J(x).
 
         The Jacobian is [J(x), -I, 0; A, 0, -I], so the product is
         (J(x)^T y_c + A^T y_A; -y_c; -y_A) without forming the slack blocks.
         """
         y_c, y_A = y[:self.m_c], y[self.m_c:]
-        jty = self.nlp.J(x_ext[:self.n]).T @ y_c + self.nlp.A.T @ y_A
+        jty = J_x.T @ y_c + self.nlp.A.T @ y_A
         return np.concatenate([jty, -y_c, -y_A])
 
     def objective(self, x_ext: Vector) -> float:
@@ -187,9 +187,10 @@ class SlackForm:
         s_A = np.clip(self.nlp.A @ x, lA, uA)
         return np.concatenate([x, s_c, s_A])
 
-    def nonlinear_bound_violation(self, x_ext: Vector) -> float:
-        """Infinity-norm violation of the nonlinear row bounds at x."""
-        return bound_violation(self.nlp.c(x_ext[:self.n]), *self.nlp.bounds_c)
+    def nonlinear_bound_violation(self, x_ext: Vector, r: Vector) -> float:
+        """Infinity-norm violation of the nonlinear row bounds at x_ext."""
+        c = r[:self.m_c] + self.split(x_ext)[1]  # r is c(x) - s_c there
+        return bound_violation(c, *self.nlp.bounds_c)
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:

@@ -182,14 +182,16 @@ class TestDetectors:
         assert self._converged_rejections(rep)
 
     def test_infeasible_test_waits_for_the_penalty(self, monkeypatch):
-        """The violation test calls c once more, so it runs only once rho is
-        past RHO_BAR: ridge-eq's rejections at small rho call it never."""
+        """The violation tests read the c of the point's record and call c
+        never.  ridge-eq's rejections at small rho do not run the Infeasible
+        test; unbounded-ray from its own start runs the Unbounded test, which
+        fires at once, and with RHO_BAR at zero ridge-eq's fires."""
         original = SlackForm.nonlinear_bound_violation
         c_calls = []
 
-        def counted(sf, x):
+        def counted(sf, x, r):
             before = sf.nlp.n_ceval
-            out = original(sf, x)
+            out = original(sf, x, r)
             c_calls.append(sf.nlp.n_ceval - before)
             return out
 
@@ -198,6 +200,14 @@ class TestDetectors:
         assert rep.status == "Optimal"
         assert self._converged_rejections(rep)
         assert sum(c_calls) == 0
+
+        rep = solve(catalog_get("unbounded-ray").problem)
+        assert rep.status == "Unbounded"
+        assert len(c_calls) == 1
+        monkeypatch.setattr(driver, "RHO_BAR", 0.0)
+        rep = solve(catalog_get("ridge-eq").problem)
+        assert rep.status == "Infeasible"
+        assert len(c_calls) == 2 and sum(c_calls) == 0
 
     def test_unbounded_needs_feasible_point(self):
         """min -x1 subject to x2^2 = 1 is unbounded along x1, so every
@@ -433,35 +443,62 @@ class TestSolve:
         assert len(calls) == 1 + accepted
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        """f is called by the derivative check, once at every point the
-        kernel evaluates, and once for the report's objective; the report's
-        residual is the loop's, equal to a fresh one.  two-circles has no
-        linear rows, so every kernel call is a subproblem."""
-        problem = catalog_get("two-circles").problem
-        deriv_calls, kernel_points = [], []
+        """Beyond the derivative check, f and c are called once at every
+        point the kernel evaluates, and g and J once at every point it
+        accepts and at each kernel start.  c and J are otherwise called once
+        per visited point, through the record linearize_constraints makes
+        at the start and at each candidate (ridge-eq rejects majors, which
+        make no new one); c once more by the start's embedding, and f once
+        more for the report's objective.  The report's residual is the
+        loop's, equal to a fresh one.  Neither problem has linear rows, so
+        every kernel call is a subproblem."""
+        counters = ("n_feval", "n_ceval", "n_jeval")
+        deriv_calls, kernel_calls, records = [], [], []
         check, kernel = driver.check_derivatives, innersolve.bound_solve
+        linearize = driver.linearize_constraints
 
         def counted_check(p, x):
-            before = p.n_feval
+            before = [getattr(p, a) for a in counters]
             out = check(p, x)
-            deriv_calls.append(p.n_feval - before)
+            deriv_calls.append([getattr(p, a) - b
+                                for a, b in zip(counters, before)])
             return out
 
         def counted_kernel(*args, **kwargs):
             res = kernel(*args, **kwargs)
-            kernel_points.append(res.n_evals)
+            kernel_calls.append((res.n_evals, 1 + res.iterations))
             return res
+
+        def spied_linearize(sf, x_ext):
+            records.append(np.array(x_ext))
+            return linearize(sf, x_ext)
 
         monkeypatch.setattr(driver, "check_derivatives", counted_check)
         monkeypatch.setattr(innersolve, "bound_solve", counted_kernel)
-        before = problem.n_feval
-        rep = solve(problem)
-        assert rep.status == "Optimal" and rep.majors > 1
-        assert (problem.n_feval - before
-                == sum(deriv_calls) + sum(kernel_points) + 1)
+        monkeypatch.setattr(driver, "linearize_constraints", spied_linearize)
+        for name in ("two-circles", "ridge-eq"):
+            problem = catalog_get(name).problem
+            for spied in (deriv_calls, kernel_calls, records):
+                spied.clear()
+            before = [getattr(problem, a) for a in counters]
+            rep = solve(problem)
+            assert rep.status == "Optimal" and rep.majors > 1
+            assert name == "two-circles" or not all(t.accepted for t in rep.trace)
+            f_calls, c_calls, j_calls = (getattr(problem, a) - b
+                                         for a, b in zip(counters, before))
+            (deriv_f, deriv_c, deriv_j), = deriv_calls
+            points = sum(n for n, _ in kernel_calls)
+            gradients = sum(n for _, n in kernel_calls)
+            assert f_calls == deriv_f + points + 1
+            assert c_calls == deriv_c + 1 + points + rep.majors + 1
+            assert j_calls == deriv_j + gradients + rep.majors + 1
+            assert len(records) == rep.majors + 1
+            for i, x in enumerate(records):
+                assert not any(np.array_equal(x, y) for y in records[i + 1:])
 
-        fresh = kkt_residual(build_slack_form(problem), rep.x_ext, rep.y, rep.z)
-        assert rep.residual == fresh
+            fresh = kkt_residual(linearize(build_slack_form(problem), rep.x_ext),
+                                 rep.y, rep.z)
+            assert rep.residual == fresh
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

@@ -75,6 +75,32 @@ class TestLinearization:
         np.testing.assert_allclose(gap, lin.J_k @ (a - b), atol=1e-12)
 
 
+    def test_record_holds_the_point_values(self):
+        """The record's c_k is the residual at x_k, and its J^T y equals the
+        block product from a fresh J(x) bit for bit.  With 20 rows in two
+        variables NumPy sums the strided block of J_k in another order."""
+        m = 20
+        a = np.linspace(0.5, 2.0, m)
+        p = NlpProblem(
+            n=2, m_c=m, m_A=0, eval_f=lambda x: float(x @ x),
+            eval_g=lambda x: 2.0 * x,
+            eval_c=lambda x: a * x[0] ** 2 + np.sin(a * x[1]),
+            eval_J=lambda x: np.column_stack([2.0 * a * x[0],
+                                              a * np.cos(a * x[1])]),
+            A=np.zeros((0, 2)), bounds_x=(np.full(2, -INF), np.full(2, INF)),
+            bounds_c=(np.zeros(m), np.zeros(m)),
+            bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([0.3, 0.7]))
+        sf = build_slack_form(p)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x_ext = rng.standard_normal(sf.n_ext)
+            y = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5, m)
+            lin = linearize_constraints(sf, x_ext)
+            assert np.array_equal(lin.c_k, sf.residual(x_ext))
+            assert np.array_equal(lin.jacobian_t(y),
+                                  sf.jacobian_t(p.J(x_ext[:2]), y))
+
+
 class TestElasticSubproblem:
     def test_lifted_dimensions(self):
         sf = build_slack_form(catalog_get("two-circles").problem)

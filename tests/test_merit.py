@@ -3,6 +3,7 @@
 import numpy as np
 
 from slcl.catalog import catalog_get, catalog_names
+from slcl.linearize import linearize_constraints
 from slcl.merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
                         bound_violation, comp_measure, is_optimal,
                         kkt_residual, min_norm_stationarity)
@@ -175,7 +176,8 @@ class TestKktResidual:
         """(1, 1) with y = 2 and slack cost 2 is a clean KKT triple."""
         sf = _linear_as_nl_form()
         x_ext = np.array([1.0, 1.0, 2.0])
-        res = kkt_residual(sf, x_ext, np.array([2.0]), np.array([0.0, 0.0, 2.0]))
+        res = kkt_residual(linearize_constraints(sf, x_ext), np.array([2.0]),
+                           np.array([0.0, 0.0, 2.0]))
         assert res.primal_inf == 0.0
         assert res.dual_inf <= 1e-15
         assert res.comp <= 1e-15
@@ -184,7 +186,8 @@ class TestKktResidual:
     def test_missing_multiplier_shows_in_dual(self):
         sf = _linear_as_nl_form()
         x_ext = np.array([1.0, 1.0, 2.0])
-        res = kkt_residual(sf, x_ext, np.zeros(1), np.zeros(3))
+        res = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
+                           np.zeros(3))
         assert res.primal_inf == 0.0
         assert res.dual_inf == 2.0
 
@@ -195,7 +198,8 @@ class TestKktResidual:
     def test_bound_violation_enters_primal(self):
         sf = _linear_as_nl_form()
         x_ext = np.array([-0.5, 1.0, 2.0])
-        res = kkt_residual(sf, x_ext, np.zeros(1), np.zeros(3))
+        res = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
+                           np.zeros(3))
         assert res.primal_inf >= 0.5
 
 

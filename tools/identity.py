@@ -1,0 +1,81 @@
+"""Identity check: counts and a digest of every benchmark solve at a seed.
+
+Usage (from the root of a checkout):
+
+    python3 tools/identity.py --seed 1
+    python3 tools/identity.py --seed 1 --workload catalog --per-case
+
+Solves every case of the perfbench workloads once at the default options,
+with BLAS pinned to one thread, and prints for each workload the totals of
+f, g, c and J calls, majors and minors, and a SHA-256 over each report's
+status, majors, minors, final objective, x_ext, y, z, KKT residual and
+trace.  Two checkouts whose digests match return the same iterates,
+multipliers, residuals and traces bit for bit.  The cases come from
+perfbench/cases.py, which is read and not changed; slcl is imported from
+src/ of the same checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("catalog", "warm-start", "circles")
+KINDS = (("f", "n_feval"), ("g", "n_geval"), ("c", "n_ceval"), ("J", "n_jeval"))
+
+
+def report_record(rep) -> tuple:
+    """Everything the digest covers, with arrays as lists of floats."""
+    res = rep.residual
+    return (rep.status, rep.majors, rep.minors, rep.final_objective,
+            rep.x_ext.tolist(), rep.y.tolist(), rep.z.tolist(),
+            (res.primal_inf, res.dual_inf, res.comp),
+            [dataclasses.astuple(rec) for rec in rep.trace])
+
+
+def run(workload: str, seed: int, per_case: bool) -> None:
+    from cases import WORKLOADS as CASES
+    from slcl.driver import OuterOptions, solve
+
+    digest = hashlib.sha256()
+    totals = dict.fromkeys(["f", "g", "c", "J", "majors", "minors"], 0)
+    for case in CASES[workload](seed):
+        p = case.problem
+        before = {k: getattr(p, a) for k, a in KINDS}
+        rep = solve(p, OuterOptions(), case.x_start, case.y_start)
+        counts = {k: getattr(p, a) - before[k] for k, a in KINDS}
+        counts.update(majors=rep.majors, minors=rep.minors)
+        for k, v in counts.items():
+            totals[k] += v
+        # repr of a float round-trips, so equal text means equal bits
+        digest.update(repr((case.label, report_record(rep))).encode())
+        if per_case:
+            print(case.label, rep.status,
+                  " ".join(f"{k}={v}" for k, v in counts.items()))
+    print(f"{workload}: " + " ".join(f"{k}={v}" for k, v in totals.items())
+          + f" sha256={digest.hexdigest()}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
+    parser.add_argument("--per-case", action="store_true",
+                        help="also print each case's status and counts")
+    args = parser.parse_args()
+    # one BLAS thread, set before NumPy is first imported, as perfbench does
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
+        run(workload, args.seed, args.per_case)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
