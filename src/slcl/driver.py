@@ -4,9 +4,10 @@ Each major iteration solves the elastic subproblem on the rows linearized
 at the current point, and branches on the true constraint residual at the
 candidate: a residual within the current feasibility target accepts the
 candidate and refreshes the multiplier estimates, anything else keeps the
-current estimates, raises the penalty, and tightens the elastic price.  c
+current estimates, raises the penalty, and tightens the elastic price.  c, g
 and J are evaluated once per visited point, into the record (Linearization)
-that every test and residual there reads.  The elastic weight sigma makes
+that every test and residual there reads, a candidate's from the kernel's
+last point.  The elastic weight sigma makes
 the method degrade gracefully between the two classical extremes, which are
 also available directly as modes:
 
@@ -212,7 +213,7 @@ def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector,
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    res = kkt_residual(linearize_constraints(sf, sol.x_star), y, z)
+    res = kkt_residual(linearize_constraints(sf, sol.x_star, sol.values), y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
     return _make_report(status, sf, sol.x_star, y, z, res,
@@ -239,17 +240,17 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
 
     try:
-        x0 = solve_proximal(sf, x_tilde)
+        x0, r0 = solve_proximal(sf, x_tilde)
     except PpInfeasible:
-        x_ext = sf.embed(np.clip(x_tilde, lx, ux))
+        x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
         return _make_report(INFEASIBLE, sf, x_ext, y, z,
-                            kkt_residual(linearize_constraints(sf, x_ext), y, z),
+                            kkt_residual(linearize_constraints(sf, x_ext, [r]), y, z),
                             minors=0, fev0=fev0, trace=[], f_norm_path=[])
 
-    lin = linearize_constraints(sf, x0)
+    lin = linearize_constraints(sf, x0, [r0])
     y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
-    z = sf.objective_grad(x0) - lin.jacobian_t(y)
+    z = lin.g - lin.jacobian_t(y)
 
     if sf.m_c == 0:
         return _solve_linear_only(sf, lin, y, opts, fev0)
@@ -270,8 +271,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         sol = solve_lc(sub, omega_k, warm_start=sol)
         minors += sol.inner_iterations
 
-        # evaluated afresh: the kernel may move x onto a bound after evaluating it
-        cand = linearize_constraints(sf, sol.x_star)
+        # evaluated afresh only if the kernel moved x_star after evaluating it
+        cand = linearize_constraints(sf, sol.x_star, sol.values)
         c_norm = float(np.abs(cand.c_k).max(initial=0.0))
         dy_norm = float(np.abs(sol.delta_y[:sf.m_c]).max(initial=0.0))
         elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))

@@ -64,12 +64,14 @@ class SubproblemSolution:
     # the kernel's last BFGS matrix and the penalty it was built for
     hess: Matrix | None = None
     rho: float = 0.0
+    values: list | None = None  # [ctil, g, J(x)] at x_star, None when not evaluated there
 
 
 @dataclass
 class BoundSolveResult:
-    """The last point with its value, gradient g, row multipliers y and
-    BFGS matrix."""
+    """The last point with its value, gradient g, row multipliers y, BFGS
+    matrix and aux (what evaluate returned there; None when a move onto a
+    bound within rounding followed, and f and g are then from before it)."""
 
     x: Vector
     f: float
@@ -79,6 +81,7 @@ class BoundSolveResult:
     g: Vector
     y: Vector
     hess: Matrix
+    aux: object
 
 
 def _check_finite(where: str, x: Vector, *values) -> None:
@@ -193,6 +196,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         if alpha_max < 1.0 and abs(bound_i - x[i]) <= _ROUNDOFF * (1.0 + abs(x[i])):
             x = x.copy()
             x[i] = bound_i
+            aux = None
             at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
             continue
 
@@ -208,12 +212,12 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
                 x_new[i] = bound_i
             if (np.abs(x_new - x) <= _ROUNDOFF * np.abs(x)).all():
                 break  # the step is lost in rounding
-            f_new, aux = evaluate(x_new)
+            f_new, aux_new = evaluate(x_new)
             n_evals += 1
             if np.isfinite(f_new) and (
                     f_new <= f + _SUFF_DECREASE * alpha * gtd
                     or (-alpha * gtd <= noise and f_new <= f + noise)):
-                step = x_new, f_new, aux, alpha == alpha_max
+                step = x_new, f_new, aux_new, alpha == alpha_max
                 break
             alpha *= _BACKTRACK
             if alpha < _LAM_MIN:
@@ -224,15 +228,15 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
             B = identity
             continue
 
-        x_new, f_new, aux, hit = step
-        g_new = gradient(x_new, aux)
+        x_new, f_new, aux_new, hit = step
+        g_new = gradient(x_new, aux_new)
         _check_finite("accepted", x_new, g_new)
         accepted += 1
         if hit:
             at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
         s = x_new - x
         dg = g_new - g
-        x, f, g = x_new, f_new, g_new
+        x, f, g, aux = x_new, f_new, g_new, aux_new
         if f < _UNBOUNDED_OBJECTIVE or np.abs(x).max() > _UNBOUNDED_NORM:
             status = UNBOUNDED
             break
@@ -253,7 +257,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         U = np.array([dg, Bs])
         B = B + (U.T * np.array([1.0 / sdg, -1.0 / sBs])) @ U
 
-    return BoundSolveResult(x, f, status, accepted, n_evals, g, y, B)
+    return BoundSolveResult(x, f, status, accepted, n_evals, g, y, B, aux)
 
 
 def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
@@ -275,7 +279,7 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, values=res.aux)
 
 
 def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
@@ -312,28 +316,25 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
              warm_start: SubproblemSolution | None = None) -> SubproblemSolution:
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
-    The kernel starts from the warm start's point when its shape fits, else
-    from the base point.  At the base point (the first major, or the one
-    after an acceptance) it first takes one least-squares step toward the
-    linearized rows (see _step_to_rows); a warm start elsewhere, the
-    candidate of a rejected major, already meets this linearization.  The
-    elastics start at their cheapest values for the linearized residual
-    left there, taking residuals at rounding level as zero, so the rows hold
-    from the start on.  The kernel also starts from the warm start's BFGS
-    matrix when its shape fits, plus (rho_k - rho) J_k^T J_k on the x_ext
+    The kernel starts from the warm start's point, the previous major's
+    candidate, else from the base point.  At the base point (the first
+    major, or the one after an acceptance) it first takes one least-squares
+    step toward the linearized rows (see _step_to_rows); a warm start
+    elsewhere, the candidate of a rejected major, already meets this
+    linearization.  The elastics start at their cheapest values for the
+    linearized residual left there, taking residuals at rounding level as
+    zero, so the rows hold from the start on.  The kernel also starts from
+    the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
     block when the penalty has risen from the rho that matrix was built for.
     """
     lin, n_ext = sub.lin, sub.n_ext
     x0, hess = lin.x_k, None
-    if warm_start is not None and warm_start.x_star.shape == (n_ext,):
-        x0 = warm_start.x_star
-        carried = warm_start.hess
-        if carried is not None and carried.shape == (sub.n_lifted,) * 2:
-            hess = carried
-            if sub.rho_k > warm_start.rho:
-                hess = carried.copy()
-                hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
-                                         * (lin.J_k.T @ lin.J_k))
+    if warm_start is not None:
+        x0, hess = warm_start.x_star, warm_start.hess
+        if sub.rho_k > warm_start.rho:
+            hess = hess.copy()
+            hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
+                                     * (lin.J_k.T @ lin.J_k))
     if np.array_equal(x0, lin.x_k):
         x0 = _step_to_rows(lin, x0)
     r = lin.cbar(x0)
@@ -345,8 +346,9 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     return _finalize(sub, res, omega)
 
 
-def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
-    """Project x_tilde onto the bounds and linear rows; return it embedded.
+def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, Vector]:
+    """Project x_tilde onto the bounds and linear rows; return it embedded,
+    with the residual there (see SlackForm.embed).
 
     Minimizes (1/2)||x - x_tilde||^2 over u = (x, s_A) in the box subject to
     the rows A x - s_A = 0.  When the clipped start violates a row, a first

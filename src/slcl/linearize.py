@@ -26,12 +26,13 @@ from .model import Matrix, SlackForm, Vector
 
 @dataclass
 class Linearization:
-    """A point's record, its residual c_k and Jacobian J_k evaluated once,
-    and the first-order model of the equality rows about x_k."""
+    """A point's record, its residual c_k, objective gradient g and Jacobian
+    J_k evaluated once, and the first-order model of the rows about x_k."""
 
     sf: SlackForm
     x_k: Vector
     c_k: Vector
+    g: Vector
     J_k: Matrix
     offset: Vector
 
@@ -46,11 +47,16 @@ class Linearization:
         return self.sf.jacobian_t(J_x, y)
 
 
-def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
+def linearize_constraints(sf: SlackForm, x_ext: Vector,
+                          values: list | None = None) -> Linearization:
+    """The record of x_ext; values is the leading part of [ctil, g, J(x)] held."""
     x_ext = np.array(x_ext, dtype=float)
-    c_k = sf.residual(x_ext)
-    J_k = sf.jacobian(x_ext)
-    return Linearization(sf, x_ext, c_k, J_k, offset=c_k - J_k @ x_ext)
+    values = values or [sf.residual(x_ext)]
+    if len(values) == 1:
+        values += [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
+    c_k, g, J_x = values
+    J_k = sf.jacobian(J_x)
+    return Linearization(sf, x_ext, c_k, g, J_k, offset=c_k - J_k @ x_ext)
 
 
 @dataclass
@@ -91,21 +97,22 @@ class ElasticSubproblem:
         n_ext, m = self.n_ext, self.m
         return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
 
-    def evaluate(self, u: Vector) -> tuple[float, Vector]:
-        """Objective at u, with the slack-form residual it was computed from.
+    def evaluate(self, u: Vector) -> tuple[float, list]:
+        """Objective at u, with [ctil], the residual it was computed from.
 
-        Passing that residual to gradient at the same point saves a second
-        call to c.
+        gradient at u fills that list in to [ctil, g, J(x)]; the kernel's
+        last one becomes the candidate's record.
         """
         x_ext, v, w = self.split(u)
         r = self.lin.sf.residual(x_ext)
         val = aug_lagrangian(self.lin.sf, x_ext, self.y_k, self.rho_k, r)
-        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), r
+        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), [r]
 
-    def gradient(self, u: Vector, r: Vector | None = None) -> Vector:
-        """Objective gradient at u; r is the residual evaluate(u) returned."""
-        gl = aug_lagrangian_grad(self.lin.sf, u[:self.n_ext], self.y_k,
-                                 self.rho_k, r)
+    def gradient(self, u: Vector, values: list) -> Vector:
+        """Objective gradient at u; values is the list evaluate(u) returned."""
+        sf, x_ext = self.lin.sf, u[:self.n_ext]
+        values[1:] = [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
+        gl = aug_lagrangian_grad(sf, x_ext, self.y_k, self.rho_k, values)
         return np.concatenate([gl, np.full(2 * self.m, self.sigma_k)])
 
     def row_residual(self, u: Vector) -> Vector:

@@ -43,13 +43,13 @@ def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
 
 
 def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
-                        r: Vector | None = None) -> Vector:
+                        values: list | None = None) -> Vector:
     """Gradient g - J^T (y - rho * ctil), the plain Lagrangian gradient at the
-    shifted multiplier estimate; r is ctil(x_ext) when the caller holds it."""
-    if r is None:
-        r = sf.residual(x_ext)
-    J_x = sf.nlp.J(x_ext[:sf.n])
-    return sf.objective_grad(x_ext) - sf.jacobian_t(J_x, y - rho * r)
+    shifted multiplier estimate, from values = [ctil, g, J(x)] if given."""
+    if values is None:
+        values = [sf.residual(x_ext), sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
+    r, g, J_x = values
+    return g - sf.jacobian_t(J_x, y - rho * r)
 
 
 def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -67,13 +67,13 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
 def kkt_residual(lin: Linearization, y: Vector, z: Vector) -> KktResidual:
     """Primal, dual, and complementarity residuals at (lin.x_k, y, z).
 
-    ctil and J come from the point's record lin.  primal_inf covers the
+    ctil, g and J come from the point's record lin.  primal_inf covers the
     equality residual and any bound violation; dual_inf is ||g - J^T y - z||_inf
     with no penalty term; comp applies the two-sided measure against the box.
     """
     sf, x = lin.sf, lin.x_k
     primal = max(float(np.abs(lin.c_k).max(initial=0.0)), bound_violation(x, sf.lo, sf.hi))
-    dual_vec = sf.objective_grad(x) - lin.jacobian_t(y) - z
+    dual_vec = lin.g - lin.jacobian_t(y) - z
     dual = float(np.abs(dual_vec).max(initial=0.0))
     comp = float(np.abs(comp_measure(x, z, sf.lo, sf.hi)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)

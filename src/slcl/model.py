@@ -145,12 +145,11 @@ class SlackForm:
         x, s_c, s_A = self.split(x_ext)
         return np.concatenate([self.nlp.c(x) - s_c, self.nlp.A @ x - s_A])
 
-    def jacobian(self, x_ext: Vector) -> Matrix:
-        """Dense Jacobian of the residual, built once per linearization."""
-        x, _, _ = self.split(x_ext)
+    def jacobian(self, J_x: Matrix) -> Matrix:
+        """Dense Jacobian of the residual from J_x = J(x), built once per record."""
         m_c, m_A, n = self.m_c, self.m_A, self.n
         Jt = np.zeros((m_c + m_A, self.n_ext))
-        Jt[:m_c, :n] = self.nlp.J(x)
+        Jt[:m_c, :n] = J_x
         Jt[m_c:, :n] = self.nlp.A
         Jt[:m_c, n:n + m_c] = -np.eye(m_c)
         Jt[m_c:, n + m_c:] = -np.eye(m_A)
@@ -174,18 +173,18 @@ class SlackForm:
         out[:self.n] = self.nlp.g(x_ext[:self.n])
         return out
 
-    def embed(self, x: Vector) -> Vector:
-        """Extend x with slacks clipped into their bounds.
+    def embed(self, x: Vector) -> tuple[Vector, Vector]:
+        """x extended by slacks clipped into their bounds, and its residual.
 
-        The residual of the result is zero exactly when x satisfies the row
-        constraints, so this is the canonical feasible embedding.
+        The residual is zero exactly when x satisfies the row constraints,
+        so this is the canonical feasible embedding.
         """
         x = np.asarray(x, dtype=float)
         lc, uc = self.nlp.bounds_c
         lA, uA = self.nlp.bounds_A
-        s_c = np.clip(self.nlp.c(x), lc, uc)
-        s_A = np.clip(self.nlp.A @ x, lA, uA)
-        return np.concatenate([x, s_c, s_A])
+        c, Ax = self.nlp.c(x), self.nlp.A @ x
+        s_c, s_A = np.clip(c, lc, uc), np.clip(Ax, lA, uA)
+        return np.concatenate([x, s_c, s_A]), np.concatenate([c - s_c, Ax - s_A])
 
     def nonlinear_bound_violation(self, x_ext: Vector, r: Vector) -> float:
         """Infinity-norm violation of the nonlinear row bounds at x_ext."""

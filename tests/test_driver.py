@@ -445,14 +445,16 @@ class TestSolve:
     def test_each_point_is_evaluated_once(self, monkeypatch):
         """Beyond the derivative check, f and c are called once at every
         point the kernel evaluates, and g and J once at every point it
-        accepts and at each kernel start.  c and J are otherwise called once
-        per visited point, through the record linearize_constraints makes
-        at the start and at each candidate (ridge-eq rejects majors, which
-        make no new one); c once more by the start's embedding, and f once
-        more for the report's objective.  The report's residual is the
-        loop's, equal to a fresh one.  Neither problem has linear rows, so
-        every kernel call is a subproblem."""
-        counters = ("n_feval", "n_ceval", "n_jeval")
+        accepts and at each kernel start.  The only other calls are c once
+        by the start's embedding, g and J once for the start's record, and
+        f once for the report's objective: the start's record reuses the
+        embedding's c, and each candidate's record the kernel's values at
+        its last point.  linearize_constraints makes one record at the
+        start and one per major (ridge-eq rejects majors, whose candidates
+        become no base point).  The report's residual is the loop's, equal
+        to a fresh one.  Neither problem has linear rows, so every kernel
+        call is a subproblem."""
+        counters = ("n_feval", "n_ceval", "n_geval", "n_jeval")
         deriv_calls, kernel_calls, records = [], [], []
         check, kernel = driver.check_derivatives, innersolve.bound_solve
         linearize = driver.linearize_constraints
@@ -469,9 +471,9 @@ class TestSolve:
             kernel_calls.append((res.n_evals, 1 + res.iterations))
             return res
 
-        def spied_linearize(sf, x_ext):
+        def spied_linearize(sf, x_ext, *values):
             records.append(np.array(x_ext))
-            return linearize(sf, x_ext)
+            return linearize(sf, x_ext, *values)
 
         monkeypatch.setattr(driver, "check_derivatives", counted_check)
         monkeypatch.setattr(innersolve, "bound_solve", counted_kernel)
@@ -484,14 +486,15 @@ class TestSolve:
             rep = solve(problem)
             assert rep.status == "Optimal" and rep.majors > 1
             assert name == "two-circles" or not all(t.accepted for t in rep.trace)
-            f_calls, c_calls, j_calls = (getattr(problem, a) - b
-                                         for a, b in zip(counters, before))
-            (deriv_f, deriv_c, deriv_j), = deriv_calls
+            f_calls, c_calls, g_calls, j_calls = (getattr(problem, a) - b
+                                                  for a, b in zip(counters, before))
+            (deriv_f, deriv_c, deriv_g, deriv_j), = deriv_calls
             points = sum(n for n, _ in kernel_calls)
             gradients = sum(n for _, n in kernel_calls)
             assert f_calls == deriv_f + points + 1
-            assert c_calls == deriv_c + 1 + points + rep.majors + 1
-            assert j_calls == deriv_j + gradients + rep.majors + 1
+            assert c_calls == deriv_c + points + 1
+            assert g_calls == deriv_g + gradients + 1
+            assert j_calls == deriv_j + gradients + 1
             assert len(records) == rep.majors + 1
             for i, x in enumerate(records):
                 assert not any(np.array_equal(x, y) for y in records[i + 1:])
@@ -499,6 +502,29 @@ class TestSolve:
             fresh = kkt_residual(linearize(build_slack_form(problem), rep.x_ext),
                                  rep.y, rep.z)
             assert rep.residual == fresh
+
+    def test_every_record_equals_a_fresh_one(self, monkeypatch):
+        """Each record the driver builds, from the embedding's residual at
+        the start and from the kernel's values at a candidate, holds what
+        a fresh evaluation at its point gives, bit for bit; a candidate the
+        kernel moved onto a bound after evaluating it is evaluated afresh."""
+        linearize = driver.linearize_constraints
+        records = []
+
+        def kept(sf, x_ext, *values):
+            records.append(linearize(sf, x_ext, *values))
+            return records[-1]
+
+        monkeypatch.setattr(driver, "linearize_constraints", kept)
+        for name in catalog_names():
+            records.clear()
+            solve(catalog_get(name).problem)
+            assert records, name
+            for rec in records:
+                fresh = linearize(rec.sf, rec.x_k)
+                for field in ("c_k", "J_k", "g", "offset"):
+                    assert np.array_equal(getattr(rec, field),
+                                          getattr(fresh, field)), (name, field)
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

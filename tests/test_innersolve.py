@@ -11,7 +11,7 @@ from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
                              solve_lc, solve_proximal)
 from slcl.linearize import (ElasticSubproblem, assemble_elastic,
                             linearize_constraints)
-from slcl.merit import comp_measure
+from slcl.merit import aug_lagrangian_grad, comp_measure
 from slcl.model import INF, NlpProblem, build_slack_form
 
 
@@ -25,7 +25,7 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     r = sub.row_residual(u)
     if np.abs(r).max(initial=0.0) > delta_lin + 1e-12:
         return False
-    grad_l = sub.gradient(u)[:sub.n_ext]
+    grad_l = sub.gradient(u, sub.evaluate(u)[1])[:sub.n_ext]
     z_def = grad_l - sub.lin.J_k.T @ sol.delta_y
     if np.abs(z_def - sol.z_star).max(initial=0.0) > 1e-8 * (1.0 + np.abs(z_def).max(initial=0.0)):
         return False
@@ -201,6 +201,37 @@ class TestLinearRows:
         assert res.x[0] == 0.0
         np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-10)
 
+    def test_aux_is_the_last_point_s_unless_snapped(self):
+        """On the problem above, one iteration ends on the move of x1 onto
+        its bound, made after the start was evaluated: aux is None and f is
+        the start's value.  Run on, the kernel ends at an accepted point,
+        and aux is what gradient received there."""
+        Q, a = 2.0 * np.eye(2), np.array([-1.0, 1.0])
+        received = []
+
+        def evaluate(x):
+            d = x - a
+            return 0.5 * float(d @ Q @ d), d
+
+        def gradient(x, d):
+            received.append((np.array(x), d))
+            return Q @ d
+
+        start = np.array([1e-16, 1.5])
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
+                          start, tol=1e-10, iter_cap=1)
+        assert res.x[0] == 0.0 and res.iterations == 0
+        assert res.aux is None
+        assert res.f == evaluate(start)[0]
+
+        received.clear()
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
+                          start, tol=1e-10)
+        assert res.status == CONVERGED
+        x_last, aux_last = received[-1]
+        assert np.array_equal(x_last, res.x)
+        assert res.aux is aux_last
+
     def test_bounds_released_to_reach_the_solution(self):
         """min (x1 - 0.5)^2 + (x2 - 1.5)^2 on x1 + x2 = 2 in [0, 2]^2.
 
@@ -246,7 +277,7 @@ class TestLinearRows:
 
 def _subproblem(name, x, y, rho, sigma):
     sf = build_slack_form(catalog_get(name).problem)
-    x0 = sf.embed(np.asarray(x, dtype=float))
+    x0 = sf.embed(np.asarray(x, dtype=float))[0]
     lin = linearize_constraints(sf, x0)
     m = sf.m
     return sf, assemble_elastic(lin, np.full(m, float(y)), rho, sigma)
@@ -321,7 +352,7 @@ class TestSolveLc:
         rng = np.random.default_rng(67)
         for name in ("circle-proj", "two-circles", "ball-proj", "sphere-min-sum"):
             sf = build_slack_form(catalog_get(name).problem)
-            x0 = sf.embed(sf.nlp.x_tilde + 0.1 * rng.standard_normal(sf.n))
+            x0 = sf.embed(sf.nlp.x_tilde + 0.1 * rng.standard_normal(sf.n))[0]
             lin = linearize_constraints(sf, x0)
             sub = assemble_elastic(lin, rng.standard_normal(sf.m), 10.0, 50.0)
             sol = solve_lc(sub, 1e-6)
@@ -371,13 +402,22 @@ class TestEvaluationBudget:
 
     def test_gradient_matches_a_fresh_evaluation(self):
         """The residual evaluate returned gives the same gradient as
-        computing it anew."""
+        computing it anew, and gradient fills the list in to the values a
+        fresh record at the point holds."""
         sub, _ = self._cycle()
+        sf, n_ext = sub.lin.sf, sub.n_ext
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
                     sub.lo, sub.hi)
         _, aux = sub.evaluate(u)
-        np.testing.assert_array_equal(sub.gradient(u, aux),
-                                      sub.gradient(u.copy()))
+        grad = sub.gradient(u, aux)
+        np.testing.assert_array_equal(
+            grad[:n_ext], aug_lagrangian_grad(sf, u[:n_ext], sub.y_k, sub.rho_k))
+        np.testing.assert_array_equal(grad[n_ext:], sub.sigma_k)
+        c, g, J_x = aux
+        fresh = linearize_constraints(sf, u[:n_ext])
+        np.testing.assert_array_equal(c, fresh.c_k)
+        np.testing.assert_array_equal(g, fresh.g)
+        np.testing.assert_array_equal(sf.jacobian(J_x), fresh.J_k)
 
     def test_kernel_counts_points_and_accepted_points(self):
         """f and c once per evaluated point, g and J once per accepted point."""
@@ -497,7 +537,7 @@ class TestSubproblemStart:
             bounds_c=(np.ones(1), np.ones(1)),
             bounds_A=(np.ones(1), np.ones(1)), x_tilde=np.full(2, 0.5))
         sf = build_slack_form(p)
-        sub = assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)),
+        sub = assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)[0]),
                                np.zeros(2), 10.0, 100.0)
         starts = _recorded_starts(monkeypatch)
         sol = solve_lc(sub, 1e-6)
@@ -543,19 +583,19 @@ class TestVerifyRelaxedKkt:
 class TestSolveProximal:
     def test_projects_onto_box(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([-1.0, 5.0]))
+        x0, _ = solve_proximal(sf, np.array([-1.0, 5.0]))
         np.testing.assert_allclose(x0[:2], [0.0, 2.0], atol=1e-8)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_feasible_guess_is_kept(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([1.0, 1.0]))
+        x0, _ = solve_proximal(sf, np.array([1.0, 1.0]))
         np.testing.assert_allclose(x0[:2], [1.0, 1.0], atol=1e-4)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_equality_rows_are_met(self):
         sf = build_slack_form(catalog_get("lin-eq-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        x0, _ = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
         x = x0[:3]
         assert abs(x[0] + x[1] + x[2] - 4.0) <= 1e-6
@@ -576,7 +616,7 @@ class TestSolveProximal:
             bounds_A=(np.array([-INF]), np.array([1.0])),
             x_tilde=np.array([0.3, 2.0]))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, _ = solve_proximal(sf, p.x_tilde)
         np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
@@ -591,7 +631,7 @@ class TestSolveProximal:
             bounds_A=(np.array([3.0]), np.array([3.0])),
             x_tilde=np.zeros(2))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, _ = solve_proximal(sf, p.x_tilde)
         assert abs(x0[0] + 2.0 * x0[1] - 3.0) <= 1e-12
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
         np.testing.assert_allclose(x0[:2], [0.6, 1.2], atol=1e-5)
@@ -611,7 +651,7 @@ class TestSolveProximal:
             bounds_A=(np.array([1.0]), np.array([1.0])),
             x_tilde=np.zeros(1))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, _ = solve_proximal(sf, p.x_tilde)
         np.testing.assert_allclose(x0[0], 1e7, rtol=1e-12)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
 
@@ -631,5 +671,5 @@ class TestSolveProximal:
 
     def test_no_linear_rows_is_plain_embedding(self):
         sf = build_slack_form(catalog_get("circle-proj").problem)
-        x0 = solve_proximal(sf, np.array([-2.0, 0.5]))
+        x0, _ = solve_proximal(sf, np.array([-2.0, 0.5]))
         np.testing.assert_allclose(x0[:2], [0.0, 0.5])

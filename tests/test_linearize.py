@@ -39,7 +39,7 @@ class TestLinearization:
 
     def test_affine_rows_linearize_to_themselves(self):
         sf = build_slack_form(catalog_get("linear-as-nl").problem)
-        lin = linearize_constraints(sf, sf.embed(np.array([0.3, 1.7])))
+        lin = linearize_constraints(sf, sf.embed(np.array([0.3, 1.7]))[0])
         rng = np.random.default_rng(17)
         for _ in range(10):
             x_ext = rng.uniform(-3.0, 3.0, size=sf.n_ext)
@@ -104,7 +104,7 @@ class TestLinearization:
 class TestElasticSubproblem:
     def test_lifted_dimensions(self):
         sf = build_slack_form(catalog_get("two-circles").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         assert sf.n_ext == 4 and sub.m == 2
         assert sub.n_lifted == 8
@@ -113,7 +113,7 @@ class TestElasticSubproblem:
         """The dense rows and the blockwise row residual agree with
         [J_k, I, -I]; the rows are column-major."""
         sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
         m = sf.m
         sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
         R = np.hstack([lin.J_k, np.eye(m), -np.eye(m)])
@@ -133,8 +133,9 @@ class TestElasticSubproblem:
         y = np.array([0.7])
         sub = assemble_elastic(lin, y, 3.0, 0.0)
         u = np.concatenate([x_k, [2.0], [1.5]])
-        assert sub.evaluate(u)[0] == aug_lagrangian(sf, x_k, y, 3.0)
-        np.testing.assert_allclose(sub.gradient(u)[sf.n_ext:], 0.0)
+        value, values = sub.evaluate(u)
+        assert value == aug_lagrangian(sf, x_k, y, 3.0)
+        np.testing.assert_allclose(sub.gradient(u, values)[sf.n_ext:], 0.0)
 
     def test_base_point_with_signed_split_is_row_feasible(self):
         sf = _ring_form()
@@ -157,7 +158,7 @@ class TestElasticSubproblem:
         """Minimal elastics turn the lifted objective into L + sigma ||cbar||_1."""
         rng = np.random.default_rng(29)
         sf = build_slack_form(catalog_get("two-circles").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
         for _ in range(15):
             y = rng.standard_normal(2)
             rho = float(rng.uniform(0.0, 20.0))
@@ -173,7 +174,7 @@ class TestElasticSubproblem:
     def test_linear_rows_get_no_elastic_range(self):
         """Elastic pairs on linear rows are pinned to zero by their bounds."""
         sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         m, m_c, n_ext = sub.m, sf.m_c, sf.n_ext
         assert (m, m_c) == (2, 1)

@@ -70,8 +70,9 @@ class TestSlackForm:
     def test_embed_zeroes_residual_at_feasible_point(self):
         entry = catalog_get("circle-proj")
         sf = build_slack_form(entry.problem)
-        x_ext = sf.embed(entry.known_x)
-        np.testing.assert_allclose(sf.residual(x_ext), 0.0, atol=1e-12)
+        x_ext, r = sf.embed(entry.known_x)
+        np.testing.assert_array_equal(r, sf.residual(x_ext))
+        np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
     def test_round_trip_feasibility(self):
         """Zero slack-form residual at in-bounds slacks == row feasibility."""
@@ -81,7 +82,7 @@ class TestSlackForm:
         rng = np.random.default_rng(42)
         for _ in range(20):
             x = rng.uniform(0.0, 2.0, size=3)
-            x_ext = sf.embed(x)
+            x_ext = sf.embed(x)[0]
             cval = p.c(x)
             aval = p.A @ x
             in_rows = (np.all(cval >= p.bounds_c[0] - 1e-12)
@@ -95,7 +96,7 @@ class TestSlackForm:
         sf = build_slack_form(_circle_problem())
         rng = np.random.default_rng(7)
         x_ext = rng.standard_normal(3)
-        J = sf.jacobian(x_ext)
+        J = sf.jacobian(sf.nlp.J(x_ext[:sf.n]))
         h = 1e-6
         for j in range(3):
             d = np.zeros(3)
@@ -113,7 +114,7 @@ class TestSlackForm:
                 y = rng.standard_normal(sf.m)
                 J_x = sf.nlp.J(x_ext[:sf.n])
                 np.testing.assert_allclose(sf.jacobian_t(J_x, y),
-                                           sf.jacobian(x_ext).T @ y,
+                                           sf.jacobian(J_x).T @ y,
                                            rtol=1e-14, atol=1e-15)
 
     def test_dimension_probe_rejects_bad_callbacks(self):
