@@ -13,8 +13,9 @@ from .catalog import catalog_get, catalog_names
 from .driver import INFEASIBLE, OPTIMAL, OuterOptions, SolveReport, solve
 from .innersolve import UNBOUNDED
 
-CSV_COLUMNS = ["name", "status", "majors", "minors", "fevals", "final_objective",
-               "primal_inf", "dual_inf", "comp", "wall_time_s"]
+EVAL_KINDS = ["f_evals", "g_evals", "c_evals", "J_evals"]
+CSV_COLUMNS = ["name", "status", "majors", "minors", *EVAL_KINDS,
+               "final_objective", "primal_inf", "dual_inf", "comp", "wall_time_s"]
 
 _EXPECTED_STATUS = {"solvable": OPTIMAL, "infeasible": INFEASIBLE,
                     "unbounded": UNBOUNDED}
@@ -26,7 +27,10 @@ class SuiteEntry:
     status: str
     majors: int
     minors: int
-    fevals: int
+    f_evals: int
+    g_evals: int
+    c_evals: int
+    J_evals: int
     final_objective: float
     primal_inf: float
     dual_inf: float
@@ -43,12 +47,8 @@ class SuiteReport:
 
     @property
     def totals(self) -> dict:
-        return {
-            "majors": sum(e.majors for e in self.entries),
-            "minors": sum(e.minors for e in self.entries),
-            "fevals": sum(e.fevals for e in self.entries),
-            "wall_time_s": sum(e.wall_time_s for e in self.entries),
-        }
+        return {key: sum(getattr(e, key) for e in self.entries)
+                for key in ["majors", "minors", *EVAL_KINDS, "wall_time_s"]}
 
     @property
     def all_matched(self) -> bool:
@@ -64,7 +64,8 @@ def _solve_entry(name: str, opts: OuterOptions) -> tuple[SuiteEntry, SolveReport
     res = result.residual
     row = SuiteEntry(
         name=name, status=result.status, majors=result.majors,
-        minors=result.minors, fevals=result.fevals,
+        minors=result.minors, f_evals=result.f_evals, g_evals=result.g_evals,
+        c_evals=result.c_evals, J_evals=result.J_evals,
         final_objective=result.final_objective, primal_inf=res.primal_inf,
         dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
         classification=entry.classification,
@@ -93,7 +94,8 @@ def emit_report(report: SuiteReport, fmt: str, path) -> None:
             writer.writerow(CSV_COLUMNS)
             for e in report.entries:
                 writer.writerow([
-                    e.name, e.status, e.majors, e.minors, e.fevals,
+                    e.name, e.status, e.majors, e.minors,
+                    *(getattr(e, key) for key in EVAL_KINDS),
                     repr(e.final_objective), repr(e.primal_inf),
                     repr(e.dual_inf), repr(e.comp), repr(e.wall_time_s)])
     elif fmt == "json":
@@ -132,6 +134,11 @@ def _options_from_args(args) -> OuterOptions:
                         eta_star=args.eta_star, max_major=args.max_major)
 
 
+def _eval_line(counts: dict) -> str:
+    """Callback calls by kind, from an entry's fields or the totals."""
+    return "  ".join(f"{key[0]} {counts[key]}" for key in EVAL_KINDS)
+
+
 def _print_trace(report: SolveReport) -> None:
     head = (f"{'k':>3} {'acc':>3} {'rho':>10} {'sigma':>10} {'eta':>10} "
             f"{'eta_target':>10} {'omega':>10} {'||c||':>10} {'f_norm':>10} "
@@ -165,7 +172,7 @@ def _cmd_solve(args) -> int:
         _print_trace(result)
     print(f"{args.name}: {row.status}  f = {row.final_objective:.10g}  "
           f"majors = {row.majors}  minors = {row.minors}  "
-          f"fevals = {row.fevals}")
+          f"calls: {_eval_line(asdict(row))}")
     print(f"residuals: primal {row.primal_inf:.3e}  dual {row.dual_inf:.3e}  "
           f"comp {row.comp:.3e}  wall {row.wall_time_s:.3f}s")
     _emit_from_args(SuiteReport(entries=[row], options=asdict(args.opts)), args)
@@ -183,7 +190,7 @@ def _cmd_suite(args) -> int:
     report = run_suite(names, args.opts, log=print)
     totals = report.totals
     print(f"total: majors = {totals['majors']}  minors = {totals['minors']}  "
-          f"fevals = {totals['fevals']}  wall = {totals['wall_time_s']:.3f}s")
+          f"calls: {_eval_line(totals)}  wall = {totals['wall_time_s']:.3f}s")
     _emit_from_args(report, args)
     return 0 if report.all_matched else 1
 

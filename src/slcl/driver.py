@@ -125,7 +125,11 @@ class SolveReport:
     final_objective: float
     majors: int
     minors: int
-    fevals: int
+    # callback calls of the solve by kind, the derivative check's included
+    f_evals: int
+    g_evals: int
+    c_evals: int
+    J_evals: int
     trace: list[TraceRecord]
     f_norm_path: list[float]
 
@@ -192,33 +196,42 @@ def _initial_rho(opts: OuterOptions, m_c: int) -> float:
     return max(10.0 ** 2.5 / max(m_c, 1), RHO_FLOOR)
 
 
-def _make_report(status: str, sf: SlackForm, x_ext: Vector, y: Vector, z: Vector,
-                 res: KktResidual, minors: int, fev0: int, trace: list[TraceRecord],
-                 f_norm_path: list[float]) -> SolveReport:
-    """res is the KKT residual at (x_ext, y, z); majors is len(trace)."""
-    f_val = sf.objective(x_ext)
+def _eval_counts(nlp: NlpProblem) -> list[int]:
+    return [nlp.n_feval, nlp.n_geval, nlp.n_ceval, nlp.n_jeval]
+
+
+def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
+                 res: KktResidual, minors: int, counts0: list[int],
+                 trace: list[TraceRecord], f_norm_path: list[float]) -> SolveReport:
+    """lin is the reported point's record and res the KKT residual at
+    (lin.x_k, y, z); majors is len(trace).  The objective is the record's,
+    called afresh only where the kernel did not evaluate it."""
+    sf, x_ext = lin.sf, lin.x_k
+    f_val = sf.objective(x_ext) if lin.f is None else lin.f
     # counted last so the report's own evaluations are included
-    fevals = sf.nlp.eval_total() - fev0
+    f_evals, g_evals, c_evals, J_evals = (
+        now - then for now, then in zip(_eval_counts(sf.nlp), counts0))
     return SolveReport(status=status, x=np.array(x_ext[:sf.n]), x_ext=np.array(x_ext),
                        y=np.array(y), z=np.array(z), residual=res,
                        final_objective=f_val, majors=len(trace), minors=minors,
-                       fevals=fevals, trace=trace, f_norm_path=f_norm_path)
+                       f_evals=f_evals, g_evals=g_evals, c_evals=c_evals,
+                       J_evals=J_evals, trace=trace, f_norm_path=f_norm_path)
 
 
 def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector,
-                       opts: OuterOptions, fev0: int) -> SolveReport:
+                       opts: OuterOptions, counts0: list[int]) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
     sol = solve_lc(sub, opts.omega_star)
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    res = kkt_residual(linearize_constraints(sf, sol.x_star, sol.values), y, z)
+    cand = linearize_constraints(sf, sol.x_star, sol.values)
+    res = kkt_residual(cand, y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
-    return _make_report(status, sf, sol.x_star, y, z, res,
-                        minors=sol.inner_iterations, fev0=fev0, trace=[],
-                        f_norm_path=[])
+    return _make_report(status, cand, y, z, res, minors=sol.inner_iterations,
+                        counts0=counts0, trace=[], f_norm_path=[])
 
 
 def solve(problem: NlpProblem, opts: OuterOptions | None = None,
@@ -227,7 +240,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     """Run the outer loop on a problem and return the full report."""
     opts = opts if opts is not None else OuterOptions()
     sf = build_slack_form(problem)
-    fev0 = problem.eval_total()
+    counts0 = _eval_counts(problem)
 
     x_tilde = problem.x_tilde if x_start is None else np.asarray(x_start, dtype=float)
     lx, ux = problem.bounds_x
@@ -244,16 +257,16 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     except PpInfeasible:
         x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        return _make_report(INFEASIBLE, sf, x_ext, y, z,
-                            kkt_residual(linearize_constraints(sf, x_ext, [r]), y, z),
-                            minors=0, fev0=fev0, trace=[], f_norm_path=[])
+        lin = linearize_constraints(sf, x_ext, [r, None])
+        return _make_report(INFEASIBLE, lin, y, z, kkt_residual(lin, y, z),
+                            minors=0, counts0=counts0, trace=[], f_norm_path=[])
 
-    lin = linearize_constraints(sf, x0, [r0])
+    lin = linearize_constraints(sf, x0, [r0, None])
     y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
     z = lin.g - lin.jacobian_t(y)
 
     if sf.m_c == 0:
-        return _solve_linear_only(sf, lin, y, opts, fev0)
+        return _solve_linear_only(sf, lin, y, opts, counts0)
 
     state = OuterState(x=x0, y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
@@ -336,9 +349,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     if status == INFEASIBLE:
         # report the last candidate itself: it is the stationary point of the
         # squared-residual problem that certifies the infeasibility
-        state.x, state.y, state.z = cand.x_k, state.y + sol.delta_y, sol.z_star
-        res = kkt_residual(cand, state.y, state.z)
+        lin, state.y, state.z = cand, state.y + sol.delta_y, sol.z_star
+        res = kkt_residual(lin, state.y, state.z)
 
-    return _make_report(status, sf, state.x, state.y, state.z, res,
-                        minors=minors, fev0=fev0, trace=state.trace,
-                        f_norm_path=f_norm_path)
+    # lin is the record of state.x, the base point
+    return _make_report(status, lin, state.y, state.z, res, minors=minors,
+                        counts0=counts0, trace=state.trace, f_norm_path=f_norm_path)

@@ -26,12 +26,14 @@ from .model import Matrix, SlackForm, Vector
 
 @dataclass
 class Linearization:
-    """A point's record, its residual c_k, objective gradient g and Jacobian
-    J_k evaluated once, and the first-order model of the rows about x_k."""
+    """A point's record, its residual c_k, objective f (None unless the
+    kernel evaluated it there), objective gradient g and Jacobian J_k
+    evaluated once, and the first-order model of the rows about x_k."""
 
     sf: SlackForm
     x_k: Vector
     c_k: Vector
+    f: float | None
     g: Vector
     J_k: Matrix
     offset: Vector
@@ -49,14 +51,15 @@ class Linearization:
 
 def linearize_constraints(sf: SlackForm, x_ext: Vector,
                           values: list | None = None) -> Linearization:
-    """The record of x_ext; values is the leading part of [ctil, g, J(x)] held."""
+    """The record of x_ext; values is the leading part of [ctil, f, g, J(x)]
+    held, with f None where it was not evaluated: f is never called here."""
     x_ext = np.array(x_ext, dtype=float)
-    values = values or [sf.residual(x_ext)]
-    if len(values) == 1:
+    values = values or [sf.residual(x_ext), None]
+    if len(values) == 2:
         values += [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
-    c_k, g, J_x = values
+    c_k, f, g, J_x = values
     J_k = sf.jacobian(J_x)
-    return Linearization(sf, x_ext, c_k, g, J_k, offset=c_k - J_k @ x_ext)
+    return Linearization(sf, x_ext, c_k, f, g, J_k, offset=c_k - J_k @ x_ext)
 
 
 @dataclass
@@ -98,20 +101,21 @@ class ElasticSubproblem:
         return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
 
     def evaluate(self, u: Vector) -> tuple[float, list]:
-        """Objective at u, with [ctil], the residual it was computed from.
+        """Objective at u, with [ctil, f], the residual and the value of f
+        it was computed from.
 
-        gradient at u fills that list in to [ctil, g, J(x)]; the kernel's
+        gradient at u fills that list in to [ctil, f, g, J(x)]; the kernel's
         last one becomes the candidate's record.
         """
-        x_ext, v, w = self.split(u)
-        r = self.lin.sf.residual(x_ext)
-        val = aug_lagrangian(self.lin.sf, x_ext, self.y_k, self.rho_k, r)
-        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), [r]
+        sf, (x_ext, v, w) = self.lin.sf, self.split(u)
+        values = [sf.residual(x_ext), sf.objective(x_ext)]
+        val = aug_lagrangian(sf, x_ext, self.y_k, self.rho_k, values)
+        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), values
 
     def gradient(self, u: Vector, values: list) -> Vector:
         """Objective gradient at u; values is the list evaluate(u) returned."""
         sf, x_ext = self.lin.sf, u[:self.n_ext]
-        values[1:] = [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
+        values[2:] = [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
         gl = aug_lagrangian_grad(sf, x_ext, self.y_k, self.rho_k, values)
         return np.concatenate([gl, np.full(2 * self.m, self.sigma_k)])
 

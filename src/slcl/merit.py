@@ -32,23 +32,23 @@ class KktResidual:
 
 
 def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
-                   r: Vector | None = None) -> float:
-    """f(x) - y . ctil + (rho/2) ||ctil||_2^2 at an in-bounds extended point.
-
-    r is ctil(x_ext) when the caller already holds it.
-    """
-    if r is None:
-        r = sf.residual(x_ext)
-    return sf.objective(x_ext) - float(y @ r) + 0.5 * rho * float(r @ r)
+                   values: list | None = None) -> float:
+    """f(x) - y . ctil + (rho/2) ||ctil||_2^2 at an in-bounds extended point,
+    from values = [ctil, f] if given."""
+    if values is None:
+        values = [sf.residual(x_ext), sf.objective(x_ext)]
+    r, f = values
+    return f - float(y @ r) + 0.5 * rho * float(r @ r)
 
 
 def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
                         values: list | None = None) -> Vector:
     """Gradient g - J^T (y - rho * ctil), the plain Lagrangian gradient at the
-    shifted multiplier estimate, from values = [ctil, g, J(x)] if given."""
+    shifted multiplier estimate, from values = [ctil, f, g, J(x)] if given."""
     if values is None:
-        values = [sf.residual(x_ext), sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
-    r, g, J_x = values
+        values = [sf.residual(x_ext), None, sf.objective_grad(x_ext),
+                  sf.nlp.J(x_ext[:sf.n])]
+    r, _, g, J_x = values
     return g - sf.jacobian_t(J_x, y - rho * r)
 
 

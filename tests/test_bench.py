@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from slcl.bench import CSV_COLUMNS, SuiteReport, emit_report, main, run_suite
+from slcl.bench import (CSV_COLUMNS, EVAL_KINDS, SuiteReport, emit_report, main,
+                        run_suite)
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 
@@ -21,14 +22,16 @@ class TestRunSuite:
     def test_empty_request(self):
         report = run_suite([])
         assert report.entries == []
-        assert report.totals == {"majors": 0, "minors": 0, "fevals": 0,
+        assert report.totals == {"majors": 0, "minors": 0, "f_evals": 0,
+                                 "g_evals": 0, "c_evals": 0, "J_evals": 0,
                                  "wall_time_s": 0.0}
 
     def test_totals_are_sums(self):
         report = run_suite(["circle-proj", "linear-as-nl"])
         assert report.totals["majors"] == sum(e.majors for e in report.entries)
         assert report.totals["minors"] == sum(e.minors for e in report.entries)
-        assert report.totals["fevals"] == sum(e.fevals for e in report.entries)
+        for key in EVAL_KINDS:
+            assert report.totals[key] == sum(getattr(e, key) for e in report.entries)
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -41,13 +44,16 @@ class TestRunSuite:
             assert ea.status == eb.status
             assert ea.majors == eb.majors
             assert ea.minors == eb.minors
-            assert ea.fevals == eb.fevals
+            for key in EVAL_KINDS:
+                assert getattr(ea, key) == getattr(eb, key)
             assert ea.final_objective == eb.final_objective
 
     def test_feval_accounting_matches_model_counters(self):
         entry = catalog_get("circle-proj")
-        rep = solve(entry.problem)
-        assert rep.fevals == entry.problem.eval_total()
+        p = entry.problem
+        rep = solve(p)
+        assert (rep.f_evals, rep.g_evals, rep.c_evals, rep.J_evals) == (
+            p.n_feval, p.n_geval, p.n_ceval, p.n_jeval)
 
 
 class TestEmitReport:

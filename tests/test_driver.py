@@ -287,7 +287,10 @@ class TestSolve:
         assert rep.status == "Optimal"
         assert abs(rep.final_objective - (np.sqrt(5.0) - 1.0) ** 2) <= 1e-6
         assert rep.majors <= 40
-        assert rep.minors > 0 and rep.fevals > 0
+        assert rep.minors > 0
+        assert (rep.f_evals, rep.g_evals, rep.c_evals, rep.J_evals) == (
+            entry.problem.n_feval, entry.problem.n_geval,
+            entry.problem.n_ceval, entry.problem.n_jeval)
         assert len(rep.f_norm_path) == rep.majors + 1
 
     def test_fixed_variable(self):
@@ -446,12 +449,12 @@ class TestSolve:
         """Beyond the derivative check, f and c are called once at every
         point the kernel evaluates, and g and J once at every point it
         accepts and at each kernel start.  The only other calls are c once
-        by the start's embedding, g and J once for the start's record, and
-        f once for the report's objective: the start's record reuses the
-        embedding's c, and each candidate's record the kernel's values at
-        its last point.  linearize_constraints makes one record at the
-        start and one per major (ridge-eq rejects majors, whose candidates
-        become no base point).  The report's residual is the loop's, equal
+        by the start's embedding and g and J once for the start's record:
+        the start's record reuses the embedding's c, and each candidate's
+        record the kernel's values at its last point, f among them, which
+        the report's objective reads.  linearize_constraints makes one
+        record at the start and one per major (ridge-eq rejects majors,
+        whose candidates become no base point).  The report's residual is the loop's, equal
         to a fresh one.  Neither problem has linear rows, so every kernel
         call is a subproblem."""
         counters = ("n_feval", "n_ceval", "n_geval", "n_jeval")
@@ -491,7 +494,8 @@ class TestSolve:
             (deriv_f, deriv_c, deriv_g, deriv_j), = deriv_calls
             points = sum(n for n, _ in kernel_calls)
             gradients = sum(n for _, n in kernel_calls)
-            assert f_calls == deriv_f + points + 1
+            assert f_calls == deriv_f + points
+            assert rep.final_objective == float(problem.eval_f(rep.x))
             assert c_calls == deriv_c + points + 1
             assert g_calls == deriv_g + gradients + 1
             assert j_calls == deriv_j + gradients + 1
@@ -506,8 +510,9 @@ class TestSolve:
     def test_every_record_equals_a_fresh_one(self, monkeypatch):
         """Each record the driver builds, from the embedding's residual at
         the start and from the kernel's values at a candidate, holds what
-        a fresh evaluation at its point gives, bit for bit; a candidate the
-        kernel moved onto a bound after evaluating it is evaluated afresh."""
+        a fresh evaluation at its point gives, bit for bit, and f where it
+        holds one; a candidate the kernel moved onto a bound after
+        evaluating it is evaluated afresh."""
         linearize = driver.linearize_constraints
         records = []
 
@@ -525,6 +530,7 @@ class TestSolve:
                 for field in ("c_k", "J_k", "g", "offset"):
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
+                assert rec.f is None or rec.f == rec.sf.objective(rec.x_k), name
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

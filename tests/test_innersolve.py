@@ -403,7 +403,7 @@ class TestEvaluationBudget:
     def test_gradient_matches_a_fresh_evaluation(self):
         """The residual evaluate returned gives the same gradient as
         computing it anew, and gradient fills the list in to the values a
-        fresh record at the point holds."""
+        fresh record at the point holds, with f there."""
         sub, _ = self._cycle()
         sf, n_ext = sub.lin.sf, sub.n_ext
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
@@ -413,8 +413,9 @@ class TestEvaluationBudget:
         np.testing.assert_array_equal(
             grad[:n_ext], aug_lagrangian_grad(sf, u[:n_ext], sub.y_k, sub.rho_k))
         np.testing.assert_array_equal(grad[n_ext:], sub.sigma_k)
-        c, g, J_x = aux
+        c, f, g, J_x = aux
         fresh = linearize_constraints(sf, u[:n_ext])
+        assert f == sf.objective(u[:n_ext])
         np.testing.assert_array_equal(c, fresh.c_k)
         np.testing.assert_array_equal(g, fresh.g)
         np.testing.assert_array_equal(sf.jacobian(J_x), fresh.J_k)

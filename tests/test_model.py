@@ -39,6 +39,36 @@ def _circle_problem():
         x_tilde=np.array([1.0, 1.0]))
 
 
+def _circles_problem(k=100, bad_g=None, bad_J=None):
+    """k unit-circle projections in 2k variables, like the benchmark's
+    circles instances, with g[bad_g] or J[bad_J] off by a relative 1e-3."""
+    rng = np.random.default_rng(16)
+    a = 0.5 + 2.5 * rng.uniform(size=2 * k)
+    n, rows = 2 * k, np.arange(k)
+
+    def g(x):
+        out = 2.0 * (x - a)
+        if bad_g is not None:
+            out[bad_g] *= 1.0 + 1e-3
+        return out
+
+    def J(x):
+        out = np.zeros((k, n))
+        out[rows, 2 * rows] = 2.0 * x[0::2]
+        out[rows, 2 * rows + 1] = 2.0 * x[1::2]
+        if bad_J is not None:
+            out[bad_J] *= 1.0 + 1e-3
+        return out
+
+    return NlpProblem(
+        n=n, m_c=k, m_A=1, eval_f=lambda x: float((x - a) @ (x - a)),
+        eval_g=g, eval_c=lambda x: x[0::2] ** 2 + x[1::2] ** 2, eval_J=J,
+        A=np.ones((1, n)), bounds_x=(np.zeros(n), np.full(n, INF)),
+        bounds_c=(np.ones(k), np.ones(k)),
+        bounds_A=(np.array([-INF]), np.array([10.0 * n])),
+        x_tilde=np.full(n, 0.5))
+
+
 class TestSlackForm:
     def test_nonlinear_row_layout(self):
         """One nonlinear row in [0, inf) adds one slack with those bounds."""
@@ -175,7 +205,34 @@ class TestDerivativeCheck:
         rep = check_derivatives(p, np.array([1.0 + 5e-6, 1.0]))
         assert rep.passed
         assert rep.max_rel_err_J <= 1e-8
-        assert p.n_feval == 4 and p.n_ceval == 4
+        assert p.n_feval == 2 and p.n_ceval == 2
+
+    def test_all_fixed_coordinates_call_neither_f_nor_c(self):
+        p = _circle_problem()
+        p.bounds_x = (np.array([1.0, 0.5]), np.array([1.0, 0.5]))
+        rep = check_derivatives(p, np.array([1.0, 0.5]))
+        assert rep.passed
+        assert p.n_feval == 0 and p.n_ceval == 0
+
+    def test_passing_check_costs_two_f_and_two_c_calls(self):
+        """One central difference along one direction, whatever n is."""
+        p = _circles_problem()
+        rep = check_derivatives(p, p.x_tilde)
+        assert rep.passed
+        assert rep.max_rel_err_g <= 1e-8 and rep.max_rel_err_J <= 1e-8
+        assert (p.n_feval, p.n_geval, p.n_ceval, p.n_jeval) == (2, 1, 2, 1)
+
+    @pytest.mark.parametrize("planted, worst", [
+        ({"bad_g": 37}, "g[37]"), ({"bad_J": (5, 11)}, "J[5,11]")])
+    def test_planted_error_fails_and_is_located(self, planted, worst):
+        """A relative error of 1e-3 in one of 200 gradient entries, or in
+        one Jacobian entry, fails the directional test; the per-coordinate
+        differences that follow name it, at 2 + 2n calls of f and of c."""
+        p = _circles_problem(**planted)
+        rep = check_derivatives(p, p.x_tilde)
+        assert not rep.passed
+        assert rep.worst_index == worst
+        assert p.n_feval == p.n_ceval == 2 + 2 * p.n
 
     def test_catalog_entries_pass_everywhere(self):
         """Every entry checks clean at its start point and 5 interior samples."""
@@ -284,15 +341,16 @@ class TestCatalog:
     def test_evaluation_counters(self):
         entry = catalog_get("circle-proj")
         p = entry.problem
-        assert p.eval_total() == 0
+        counters = ("n_feval", "n_geval", "n_ceval", "n_jeval")
+        assert [getattr(p, a) for a in counters] == [0, 0, 0, 0]
         p.f(p.x_tilde)
         p.c(p.x_tilde)
         p.c(p.x_tilde)
-        assert p.n_feval == 1 and p.n_ceval == 2
-        assert p.eval_total() == 3
+        p.J(p.x_tilde)
+        assert [getattr(p, a) for a in counters] == [1, 0, 2, 1]
 
     def test_fresh_entries_per_lookup(self):
         a = catalog_get("circle-proj").problem
         a.f(a.x_tilde)
         b = catalog_get("circle-proj").problem
-        assert b.eval_total() == 0
+        assert b.n_feval == b.n_geval == b.n_ceval == b.n_jeval == 0
