@@ -38,7 +38,7 @@ from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
 from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
 from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
-                    check_derivatives, push_interior)
+                    check_derivatives, finite_array, push_interior)
 
 STABILIZED = "stabilized"
 CANONICAL = "canonical"
@@ -77,8 +77,8 @@ class OuterOptions:
             raise ValueError("target tolerances must be positive and finite")
         if not 0.0 < self.omega_0 < np.inf:
             raise ValueError("omega_0 must be positive and finite")
-        if self.max_major < 1:
-            raise ValueError("max_major must be at least 1")
+        if not isinstance(self.max_major, (int, np.integer)) or self.max_major < 1:
+            raise ValueError("max_major must be an integer of at least 1")
 
 
 @dataclass
@@ -104,7 +104,6 @@ class TraceRecord:
 
 @dataclass
 class OuterState:
-    x: Vector
     y: Vector
     z: Vector
     rho: float
@@ -131,7 +130,7 @@ class SolveReport:
     c_evals: int
     J_evals: int
     trace: list[TraceRecord]
-    f_norm_path: list[float]
+    f_norm_0: float  # the KKT measure F = max(primal, dual, comp) at (x0, y0, z0)
 
 
 def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
@@ -146,15 +145,15 @@ def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
 
 def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
                       opts: OuterOptions, m_c: int) -> OuterState:
-    """Accept the candidate: move the point, refresh multipliers, relax sigma.
+    """Accept the candidate: refresh multipliers and reduced costs, relax sigma.
 
-    The penalty stays put.  The feasibility target tightens by the current
+    The caller moves the base point to the candidate's record.  The penalty
+    stays put.  The feasibility target tightens by the current
     penalty raised to BETA; sigma restarts at the size of the latest
     multiplier step of the m_c nonlinear rows, the rows it prices, clamped
     into [SIGMA_LO, SIGMA_HI].
     """
     y_star = state.y + sol.delta_y
-    state.x = np.array(sol.x_star)
     # the canonical mode takes the subproblem multipliers directly
     state.y = y_star if opts.mode == CANONICAL else y_star - state.rho * c_val
     state.z = np.array(sol.z_star)
@@ -202,7 +201,7 @@ def _eval_counts(nlp: NlpProblem) -> list[int]:
 
 def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                  res: KktResidual, minors: int, counts0: list[int],
-                 trace: list[TraceRecord], f_norm_path: list[float]) -> SolveReport:
+                 trace: list[TraceRecord], f_norm_0: float) -> SolveReport:
     """lin is the reported point's record and res the KKT residual at
     (lin.x_k, y, z); majors is len(trace).  The objective is the record's,
     called afresh only where the kernel did not evaluate it."""
@@ -215,11 +214,11 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                        y=np.array(y), z=np.array(z), residual=res,
                        final_objective=f_val, majors=len(trace), minors=minors,
                        f_evals=f_evals, g_evals=g_evals, c_evals=c_evals,
-                       J_evals=J_evals, trace=trace, f_norm_path=f_norm_path)
+                       J_evals=J_evals, trace=trace, f_norm_0=f_norm_0)
 
 
-def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector,
-                       opts: OuterOptions, counts0: list[int]) -> SolveReport:
+def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: OuterOptions,
+                       counts0: list[int], f_norm_0: float) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
     sol = solve_lc(sub, opts.omega_star)
@@ -231,7 +230,7 @@ def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector,
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
     return _make_report(status, cand, y, z, res, minors=sol.inner_iterations,
-                        counts0=counts0, trace=[], f_norm_path=[])
+                        counts0=counts0, trace=[], f_norm_0=f_norm_0)
 
 
 def solve(problem: NlpProblem, opts: OuterOptions | None = None,
@@ -239,10 +238,13 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
           y_start: Vector | None = None) -> SolveReport:
     """Run the outer loop on a problem and return the full report."""
     opts = opts if opts is not None else OuterOptions()
+    x_tilde = (problem.x_tilde if x_start is None
+               else finite_array(x_start, problem.n, "x_start"))
+    if y_start is not None:
+        y_start = finite_array(y_start, problem.m_c + problem.m_A, "y_start")
     sf = build_slack_form(problem)
     counts0 = _eval_counts(problem)
 
-    x_tilde = problem.x_tilde if x_start is None else np.asarray(x_start, dtype=float)
     lx, ux = problem.bounds_x
     # a box thinner than twice the margin is probed at its midpoint
     probe = push_interior(x_tilde, lx, ux, margin=np.minimum(2e-5, 0.5 * (ux - lx)))
@@ -258,21 +260,22 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
         lin = linearize_constraints(sf, x_ext, [r, None])
-        return _make_report(INFEASIBLE, lin, y, z, kkt_residual(lin, y, z),
-                            minors=0, counts0=counts0, trace=[], f_norm_path=[])
+        res = kkt_residual(lin, y, z)
+        return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
+                            trace=[], f_norm_0=res.f_norm)
 
     lin = linearize_constraints(sf, x0, [r0, None])
-    y = np.zeros(sf.m) if y_start is None else np.asarray(y_start, dtype=float).reshape(sf.m)
+    y = np.zeros(sf.m) if y_start is None else y_start
     z = lin.g - lin.jacobian_t(y)
+    res = kkt_residual(lin, y, z)
+    f_norm_0 = res.f_norm
 
     if sf.m_c == 0:
-        return _solve_linear_only(sf, lin, y, opts, counts0)
+        return _solve_linear_only(sf, lin, y, opts, counts0, f_norm_0)
 
-    state = OuterState(x=x0, y=y, z=z,
+    state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
                        eta=ETA_0, omega=opts.omega_0)
-    res = kkt_residual(lin, state.y, state.z)
-    f_norm_path = [res.f_norm]
     minors = 0
     sol: SubproblemSolution | None = None
     stalls_at_floor = 0
@@ -333,7 +336,6 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             if exit_status is None:
                 update_on_failure(state, opts)
 
-        f_norm_path.append(res.f_norm)
         state.omega = next_omega(omega_k, res.f_norm, opts.omega_star)
         state.trace.append(TraceRecord(
             k=k, accepted=accepted, rho=rho_k, sigma=sigma_k, eta=eta_k,
@@ -352,6 +354,6 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         lin, state.y, state.z = cand, state.y + sol.delta_y, sol.z_star
         res = kkt_residual(lin, state.y, state.z)
 
-    # lin is the record of state.x, the base point
+    # lin is the record of the base point
     return _make_report(status, lin, state.y, state.z, res, minors=minors,
-                        counts0=counts0, trace=state.trace, f_norm_path=f_norm_path)
+                        counts0=counts0, trace=state.trace, f_norm_0=f_norm_0)

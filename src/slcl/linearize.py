@@ -76,7 +76,6 @@ class ElasticSubproblem:
     sigma_k: float
     m: int = field(init=False)
     n_ext: int = field(init=False)
-    n_lifted: int = field(init=False)
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
     rows: Matrix = field(init=False)
@@ -84,7 +83,7 @@ class ElasticSubproblem:
     def __post_init__(self) -> None:
         sf = self.lin.sf
         m = self.m = sf.m
-        self.n_ext, self.n_lifted = sf.n_ext, sf.n_ext + 2 * m
+        self.n_ext = sf.n_ext
         self.y_k = np.asarray(self.y_k, dtype=float).reshape(m)
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")

@@ -35,11 +35,21 @@ def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
     return float(max(low.max(initial=0.0), high.max(initial=0.0)))
 
 
+def finite_array(value, shape, what: str) -> np.ndarray:
+    """value as a float array of the given shape, which must be finite."""
+    out = np.asarray(value, dtype=float).reshape(shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
     lo = np.asarray(pair[0], dtype=float).reshape(size)
     hi = np.asarray(pair[1], dtype=float).reshape(size)
-    if np.any(lo > hi):
-        raise ValueError(f"{what}: lower bound exceeds upper bound")
+    # one pass, as problems are built by the hundred: a NaN fails every test
+    if not ((lo <= hi) & (lo < INF) & (hi > -INF)).all():
+        raise ValueError(f"{what}: need lower <= upper, no NaN, no lower bound "
+                         "of +inf and no upper bound of -inf")
     return lo, hi
 
 
@@ -72,11 +82,11 @@ class NlpProblem:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m_c < 0 or self.m_A < 0:
             raise ValueError("dimensions must satisfy n > 0, m_c >= 0, m_A >= 0")
-        self.A = np.asarray(self.A, dtype=float).reshape(self.m_A, self.n)
+        self.A = finite_array(self.A, (self.m_A, self.n), "A")
         self.bounds_x = _bounds_pair(self.bounds_x, self.n, "bounds_x")
         self.bounds_c = _bounds_pair(self.bounds_c, self.m_c, "bounds_c")
         self.bounds_A = _bounds_pair(self.bounds_A, self.m_A, "bounds_A")
-        self.x_tilde = np.asarray(self.x_tilde, dtype=float).reshape(self.n)
+        self.x_tilde = finite_array(self.x_tilde, self.n, "x_tilde")
         if self.m_c > 0 and (self.eval_c is None or self.eval_J is None):
             raise ValueError("m_c > 0 requires eval_c and eval_J")
 

@@ -166,9 +166,9 @@ RATE_LADDER = np.geomspace(5e-2, 2e-3, 5)
 def _one_step_order(entry, d: np.ndarray, mode: str) -> tuple[float, list[float]]:
     """Least-squares slope of log F1 against log F0 over the ladder starts.
 
-    F0 and F1 are the dual infeasibility before and after one major
-    iteration from x* + r*d, y* + r.  Each step must be a resolved one: its
-    subproblem Converged and the outer test accepted it.
+    F0 and F1 are the KKT measure f_norm = max(primal, dual, comp) before
+    and after one major iteration from x* + r*d, y* + r.  Each step must be
+    a resolved one: its subproblem Converged and the outer test accepted it.
     """
     opts = OuterOptions(mode=mode, max_major=1, omega_0=1e-8)
     f0, f1 = [], []
@@ -179,8 +179,8 @@ def _one_step_order(entry, d: np.ndarray, mode: str) -> tuple[float, list[float]
         step = rep.trace[0]
         assert step.inner_status == CONVERGED, (mode, r, step.inner_status)
         assert step.accepted, (mode, r)
-        f0.append(rep.f_norm_path[0])
-        f1.append(rep.f_norm_path[1])
+        f0.append(rep.f_norm_0)
+        f1.append(rep.trace[0].f_norm)
     slope = float(np.polyfit(np.log(f0), np.log(f1), 1)[0])
     return slope, f1
 
@@ -192,10 +192,10 @@ def test_criterion_7_local_rate():
     must finish Optimal within five majors.
 
     Rate: the local theory bounds one major step by F1 <= C * F0**p, with
-    F the dual infeasibility and p = 2 for the LCL step once the elastics
-    vanish.  The captured run cannot show this: it has three points, and
-    its last one (4.83e-7) is set by the stopping tolerance omega_star =
-    1e-6, not by the step.  So the rate half measures p directly, on steps
+    F the KKT measure f_norm = max(primal, dual, comp) and p = 2 for the
+    LCL step once the elastics vanish.  The captured run cannot show this:
+    it has three points, and its last one (4.83e-7) is set by the stopping
+    tolerance omega_star = 1e-6, not by the step.  So the rate half measures p directly, on steps
     that are resolved, with these settings off the defaults:
 
     - starts on RATE_LADDER, five offsets r from 5e-2 to 2e-3 along the

@@ -15,9 +15,8 @@ from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
-    return OuterState(x=np.zeros(n_ext), y=np.zeros(m),
-                      z=np.zeros(n_ext), rho=rho, sigma=sigma, eta=eta,
-                      omega=omega)
+    return OuterState(y=np.zeros(m), z=np.zeros(n_ext), rho=rho, sigma=sigma,
+                      eta=eta, omega=omega)
 
 
 def _solution(delta_y, n_ext=3):
@@ -49,6 +48,22 @@ def _circles(x0, k=32, seed=0):
         bounds_c=(np.ones(k), np.ones(k)),
         bounds_A=(np.array([-INF]), np.array([20.0 * k])),
         x_tilde=np.full(n, x0))
+
+
+def _disc(**changes):
+    """The README's disc example, projecting (2, 1) onto the unit disc in
+    the nonnegative quadrant, with some of its fields replaced."""
+    fields = dict(
+        n=2, m_c=1, m_A=0,
+        eval_f=lambda x: (x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2,
+        eval_g=lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * (x[1] - 1.0)]),
+        eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2]),
+        eval_J=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+        A=np.zeros((0, 2)), bounds_x=(np.zeros(2), np.full(2, INF)),
+        bounds_c=(np.array([-INF]), np.array([1.0])),
+        bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([0.5, 0.5]))
+    fields.update(changes)
+    return NlpProblem(**fields)
 
 
 class TestUpdateOnSuccess:
@@ -128,11 +143,11 @@ class TestUpdateOnFailure:
 
     def test_point_and_multipliers_untouched(self):
         state = _state()
-        state.x = np.array([1.0, 2.0, 3.0])
         state.y = np.array([4.0])
+        state.z = np.array([1.0, 2.0, 3.0])
         update_on_failure(state, OuterOptions())
-        np.testing.assert_allclose(state.x, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(state.y, [4.0])
+        np.testing.assert_allclose(state.z, [1.0, 2.0, 3.0])
 
     def test_canonical_mode_keeps_penalty(self):
         state = _state(rho=10.0)
@@ -280,6 +295,34 @@ class TestOptionsValidation:
                 OuterOptions(max_major=max_major)
 
 
+class TestDegenerateInputs:
+    """A NaN or infinite input is rejected with a message naming it.  These
+    once surfaced as a failed derivative check, a non-finite value at the
+    start point, or a TypeError from the major loop."""
+
+    @pytest.mark.parametrize("what, problem, starts, options", [
+        pytest.param("bounds_x", {"bounds_x": ([np.nan, 0.0], [INF, INF])}, {}, {},
+                     id="bounds_x-nan"),
+        pytest.param("bounds_x", {"bounds_x": ([INF, 0.0], [INF, INF])}, {}, {},
+                     id="bounds_x-lower-inf"),
+        pytest.param("bounds_c", {"bounds_c": ([np.nan], [1.0])}, {}, {},
+                     id="bounds_c-nan"),
+        pytest.param("bounds_c", {"bounds_c": ([-INF], [-INF])}, {}, {},
+                     id="bounds_c-upper-minus-inf"),
+        pytest.param(r"\bA\b", {"m_A": 1, "A": [[np.nan, 1.0]],
+                                "bounds_A": ([-INF], [1.0])}, {}, {}, id="A-nan"),
+        pytest.param("x_tilde", {"x_tilde": [np.nan, 0.5]}, {}, {}, id="x_tilde-nan"),
+        pytest.param("x_tilde", {"x_tilde": [INF, 0.5]}, {}, {}, id="x_tilde-inf"),
+        pytest.param("x_start", {}, {"x_start": [np.nan, 0.5]}, {}, id="x_start-nan"),
+        pytest.param("y_start", {}, {"y_start": [np.nan]}, {}, id="y_start-nan"),
+        pytest.param("y_start", {}, {"y_start": [INF]}, {}, id="y_start-inf"),
+        pytest.param("max_major", {}, {}, {"max_major": 2.5}, id="max_major-float"),
+    ])
+    def test_rejected_naming_the_input(self, what, problem, starts, options):
+        with pytest.raises(ValueError, match=what):
+            solve(_disc(**problem), OuterOptions(**options), **starts)
+
+
 class TestSolve:
     def test_circle_proj_defaults(self):
         entry = catalog_get("circle-proj")
@@ -291,7 +334,6 @@ class TestSolve:
         assert (rep.f_evals, rep.g_evals, rep.c_evals, rep.J_evals) == (
             entry.problem.n_feval, entry.problem.n_geval,
             entry.problem.n_ceval, entry.problem.n_jeval)
-        assert len(rep.f_norm_path) == rep.majors + 1
 
     def test_fixed_variable(self):
         """x1 fixed at 0.4 leaves the circle point (0.4, sqrt(0.84))."""
@@ -400,6 +442,7 @@ class TestSolve:
         rep = solve(p)
         assert rep.status == "Infeasible"
         assert rep.majors == 0
+        assert rep.f_norm_0 == rep.residual.f_norm
 
     def test_linear_only_problem_skips_outer_loop(self):
         entry = catalog_get("scaled-quads")
@@ -407,6 +450,17 @@ class TestSolve:
         assert rep.status == "Optimal"
         assert rep.majors == 0
         assert abs(rep.final_objective - entry.known_objective) <= 1e-5
+
+    def test_start_measure_is_defined_on_every_exit(self):
+        """f_norm_0, F at the start, is a finite float on every exit of the
+        catalog's runs, the linear-only path and Infeasible included."""
+        statuses = set()
+        for name in catalog_names():
+            rep = solve(catalog_get(name).problem)
+            statuses.add(rep.status)
+            assert isinstance(rep.f_norm_0, float), name
+            assert 0.0 <= rep.f_norm_0 < INF, name
+        assert {"Optimal", "Infeasible", "Unbounded"} <= statuses
 
     def test_wrong_gradient_is_rejected_up_front(self):
         p = NlpProblem(

@@ -398,7 +398,7 @@ class TestEvaluationBudget:
         _, aux = sub.evaluate(u)
         grad = sub.gradient(u, aux)
         assert calls == {"f": 1, "g": 1, "c": 1, "J": 1}
-        assert grad.shape == (sub.n_lifted,)
+        assert grad.shape == (sub.lo.size,)
 
     def test_gradient_matches_a_fresh_evaluation(self):
         """The residual evaluate returned gives the same gradient as

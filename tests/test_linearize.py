@@ -107,7 +107,7 @@ class TestElasticSubproblem:
         lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         assert sf.n_ext == 4 and sub.m == 2
-        assert sub.n_lifted == 8
+        assert sub.lo.size == sub.hi.size == 8
 
     def test_blockwise_rows_match_dense_matrix(self):
         """The dense rows and the blockwise row residual agree with
@@ -121,7 +121,7 @@ class TestElasticSubproblem:
         assert sub.rows.flags.f_contiguous
         rng = np.random.default_rng(61)
         for _ in range(20):
-            u = rng.standard_normal(sub.n_lifted)
+            u = rng.standard_normal(sub.lo.size)
             np.testing.assert_allclose(sub.row_residual(u), R @ u + lin.offset,
                                        rtol=1e-14)
 
