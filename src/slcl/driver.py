@@ -4,12 +4,12 @@ Each major iteration solves the elastic subproblem on the rows linearized
 at the current point, and branches on the true constraint residual at the
 candidate: a residual within the current feasibility target accepts the
 candidate and refreshes the multiplier estimates, anything else keeps the
-current estimates, raises the penalty, and tightens the elastic price.  c, g
-and J are evaluated once per visited point, into the record (Linearization)
-that every test and residual there reads, a candidate's from the kernel's
-last point.  The elastic weight sigma makes
-the method degrade gracefully between the two classical extremes, which are
-also available directly as modes:
+current estimates, raises the penalty, and tightens the elastic price.  Every
+test and residual at a visited point reads its one record (Linearization),
+which calls f, c, g and J there at most once each; a candidate's record is
+the kernel's of its last point.  The elastic weight sigma makes the method
+degrade gracefully between the two classical extremes, which are also
+available directly as modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -77,7 +77,8 @@ class OuterOptions:
             raise ValueError("target tolerances must be positive and finite")
         if not 0.0 < self.omega_0 < np.inf:
             raise ValueError("omega_0 must be positive and finite")
-        if not isinstance(self.max_major, (int, np.integer)) or self.max_major < 1:
+        if (isinstance(self.max_major, bool)
+                or not isinstance(self.max_major, (int, np.integer)) or self.max_major < 1):
             raise ValueError("max_major must be an integer of at least 1")
 
 
@@ -203,10 +204,8 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                  res: KktResidual, minors: int, counts0: list[int],
                  trace: list[TraceRecord], f_norm_0: float) -> SolveReport:
     """lin is the reported point's record and res the KKT residual at
-    (lin.x_k, y, z); majors is len(trace).  The objective is the record's,
-    called afresh only where the kernel did not evaluate it."""
-    sf, x_ext = lin.sf, lin.x_k
-    f_val = sf.objective(x_ext) if lin.f is None else lin.f
+    (lin.x_k, y, z); majors is len(trace)."""
+    sf, x_ext, f_val = lin.sf, lin.x_k, lin.f
     # counted last so the report's own evaluations are included
     f_evals, g_evals, c_evals, J_evals = (
         now - then for now, then in zip(_eval_counts(sf.nlp), counts0))
@@ -225,7 +224,7 @@ def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: Oute
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    cand = linearize_constraints(sf, sol.x_star, sol.values)
+    cand = sol.point or linearize_constraints(sf, sol.x_star)
     res = kkt_residual(cand, y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
@@ -238,11 +237,11 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
           y_start: Vector | None = None) -> SolveReport:
     """Run the outer loop on a problem and return the full report."""
     opts = opts if opts is not None else OuterOptions()
+    sf = build_slack_form(problem)
     x_tilde = (problem.x_tilde if x_start is None
                else finite_array(x_start, problem.n, "x_start"))
     if y_start is not None:
-        y_start = finite_array(y_start, problem.m_c + problem.m_A, "y_start")
-    sf = build_slack_form(problem)
+        y_start = finite_array(y_start, sf.m, "y_start")
     counts0 = _eval_counts(problem)
 
     lx, ux = problem.bounds_x
@@ -259,12 +258,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     except PpInfeasible:
         x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        lin = linearize_constraints(sf, x_ext, [r, None])
+        lin = linearize_constraints(sf, x_ext, r)
         res = kkt_residual(lin, y, z)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=res.f_norm)
 
-    lin = linearize_constraints(sf, x0, [r0, None])
+    lin = linearize_constraints(sf, x0, r0)
     y = np.zeros(sf.m) if y_start is None else y_start
     z = lin.g - lin.jacobian_t(y)
     res = kkt_residual(lin, y, z)
@@ -287,8 +286,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         sol = solve_lc(sub, omega_k, warm_start=sol)
         minors += sol.inner_iterations
 
-        # evaluated afresh only if the kernel moved x_star after evaluating it
-        cand = linearize_constraints(sf, sol.x_star, sol.values)
+        # a new record only if the kernel moved x_star after evaluating it
+        cand = sol.point or linearize_constraints(sf, sol.x_star)
         c_norm = float(np.abs(cand.c_k).max(initial=0.0))
         dy_norm = float(np.abs(sol.delta_y[:sf.m_c]).max(initial=0.0))
         elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))

@@ -12,8 +12,8 @@ linearized rows where one step reaches them and from the BFGS matrix the
 previous subproblem ended with; the proximal start is at most two calls.
 Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
-subproblem, the slack-form residual and f), and the gradient at an accepted
-point takes that instead of computing it again.
+subproblem, the point's record, holding its residual and f), and the
+gradient at an accepted point takes that instead of computing it again.
 On success the subproblem triple satisfies its relaxed optimality
 conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
 at delta_y, complementarity is within omega, and the elastic-row
@@ -64,7 +64,7 @@ class SubproblemSolution:
     # the kernel's last BFGS matrix and the penalty it was built for
     hess: Matrix | None = None
     rho: float = 0.0
-    values: list | None = None  # [ctil, f, g, J(x)] at x_star, None when not evaluated there
+    point: Linearization | None = None  # x_star's record, None when not evaluated there
 
 
 @dataclass
@@ -279,7 +279,7 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     return SubproblemSolution(
         x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, values=res.aux)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, point=res.aux)
 
 
 def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:

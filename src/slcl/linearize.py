@@ -1,4 +1,4 @@
-"""Constraint linearization and the elastic lifted subproblem.
+"""Point records, constraint linearization and the elastic lifted subproblem.
 
 Each outer iteration linearizes the slack-form equality rows at the current
 point and relaxes them with a pair of nonnegative elastic variables per row,
@@ -17,6 +17,7 @@ them hard even when sigma is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,42 +25,56 @@ from .merit import aug_lagrangian, aug_lagrangian_grad
 from .model import Matrix, SlackForm, Vector
 
 
-@dataclass
 class Linearization:
-    """A point's record, its residual c_k, objective f (None unless the
-    kernel evaluated it there), objective gradient g and Jacobian J_k
-    evaluated once, and the first-order model of the rows about x_k."""
+    """The record of a visited point x_k: its residual c_k, objective f,
+    objective gradient g and Jacobian J_x = J(x), each evaluated on first
+    read and kept, and the first-order model J_k x + offset of the rows
+    about x_k."""
 
-    sf: SlackForm
-    x_k: Vector
-    c_k: Vector
-    f: float | None
-    g: Vector
-    J_k: Matrix
-    offset: Vector
+    def __init__(self, sf: SlackForm, x_k: Vector, c_k: Vector | None = None) -> None:
+        self.sf, self.x_k = sf, x_k
+        if c_k is not None:
+            self.c_k = c_k
+
+    @cached_property
+    def c_k(self) -> Vector:
+        return self.sf.residual(self.x_k)
+
+    @cached_property
+    def f(self) -> float:
+        return self.sf.nlp.f(self.x_k[:self.sf.n])
+
+    @cached_property
+    def g(self) -> Vector:
+        return np.concatenate([self.sf.nlp.g(self.x_k[:self.sf.n]), np.zeros(self.sf.m)])
+
+    @cached_property
+    def J_x(self) -> Matrix:
+        return self.sf.nlp.J(self.x_k[:self.sf.n])
+
+    @cached_property
+    def J_k(self) -> Matrix:
+        return self.sf.jacobian(self.J_x)
+
+    @cached_property
+    def offset(self) -> Vector:
+        return self.c_k - self.J_k @ self.x_k
 
     def cbar(self, x_ext: Vector) -> Vector:
         """Linearized residual J_k x + offset; equals c_k at x_k."""
         return self.J_k @ x_ext + self.offset
 
     def jacobian_t(self, y: Vector) -> Vector:
-        """J_k^T y by blocks from a contiguous copy of J(x_k): NumPy may sum
-        a strided block's products in another order."""
-        J_x = np.ascontiguousarray(self.J_k[:self.sf.m_c, :self.sf.n])
-        return self.sf.jacobian_t(J_x, y)
+        """J_k^T y by blocks: J_k is [J(x), -I, 0; A, 0, -I], so the product
+        is (J(x)^T y_c + A^T y_A; -y_c; -y_A) without forming the slack blocks."""
+        y_c, y_A = y[:self.sf.m_c], y[self.sf.m_c:]
+        return np.concatenate([self.J_x.T @ y_c + self.sf.nlp.A.T @ y_A, -y_c, -y_A])
 
 
 def linearize_constraints(sf: SlackForm, x_ext: Vector,
-                          values: list | None = None) -> Linearization:
-    """The record of x_ext; values is the leading part of [ctil, f, g, J(x)]
-    held, with f None where it was not evaluated: f is never called here."""
-    x_ext = np.array(x_ext, dtype=float)
-    values = values or [sf.residual(x_ext), None]
-    if len(values) == 2:
-        values += [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
-    c_k, f, g, J_x = values
-    J_k = sf.jacobian(J_x)
-    return Linearization(sf, x_ext, c_k, f, g, J_k, offset=c_k - J_k @ x_ext)
+                          c_k: Vector | None = None) -> Linearization:
+    """The record of x_ext, given its residual c_k where the caller holds it."""
+    return Linearization(sf, np.array(x_ext, dtype=float), c_k)
 
 
 @dataclass
@@ -99,23 +114,18 @@ class ElasticSubproblem:
         n_ext, m = self.n_ext, self.m
         return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
 
-    def evaluate(self, u: Vector) -> tuple[float, list]:
-        """Objective at u, with [ctil, f], the residual and the value of f
-        it was computed from.
+    def evaluate(self, u: Vector) -> tuple[float, Linearization]:
+        """Objective at u, with the record of its x_ext that it read c and f
+        from; gradient at u reads g and J from the same record, and the
+        kernel's last one is the candidate's record."""
+        x_ext, v, w = self.split(u)
+        point = Linearization(self.lin.sf, x_ext)
+        val = aug_lagrangian(point, self.y_k, self.rho_k)
+        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), point
 
-        gradient at u fills that list in to [ctil, f, g, J(x)]; the kernel's
-        last one becomes the candidate's record.
-        """
-        sf, (x_ext, v, w) = self.lin.sf, self.split(u)
-        values = [sf.residual(x_ext), sf.objective(x_ext)]
-        val = aug_lagrangian(sf, x_ext, self.y_k, self.rho_k, values)
-        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), values
-
-    def gradient(self, u: Vector, values: list) -> Vector:
-        """Objective gradient at u; values is the list evaluate(u) returned."""
-        sf, x_ext = self.lin.sf, u[:self.n_ext]
-        values[2:] = [sf.objective_grad(x_ext), sf.nlp.J(x_ext[:sf.n])]
-        gl = aug_lagrangian_grad(sf, x_ext, self.y_k, self.rho_k, values)
+    def gradient(self, u: Vector, point: Linearization) -> Vector:
+        """Objective gradient at u; point is the record evaluate(u) returned."""
+        gl = aug_lagrangian_grad(point, self.y_k, self.rho_k)
         return np.concatenate([gl, np.full(2 * self.m, self.sigma_k)])
 
     def row_residual(self, u: Vector) -> Vector:

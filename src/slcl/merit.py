@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import SlackForm, Vector, bound_violation
+from .model import Vector, bound_violation
 
 if TYPE_CHECKING:
     from .linearize import Linearization
@@ -31,25 +31,17 @@ class KktResidual:
         return max(self.primal_inf, self.dual_inf, self.comp)
 
 
-def aug_lagrangian(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
-                   values: list | None = None) -> float:
-    """f(x) - y . ctil + (rho/2) ||ctil||_2^2 at an in-bounds extended point,
-    from values = [ctil, f] if given."""
-    if values is None:
-        values = [sf.residual(x_ext), sf.objective(x_ext)]
-    r, f = values
-    return f - float(y @ r) + 0.5 * rho * float(r @ r)
+def aug_lagrangian(lin: Linearization, y: Vector, rho: float) -> float:
+    """f - y . ctil + (rho/2) ||ctil||_2^2 at the record's point, which must
+    be in bounds."""
+    r = lin.c_k
+    return lin.f - float(y @ r) + 0.5 * rho * float(r @ r)
 
 
-def aug_lagrangian_grad(sf: SlackForm, x_ext: Vector, y: Vector, rho: float,
-                        values: list | None = None) -> Vector:
-    """Gradient g - J^T (y - rho * ctil), the plain Lagrangian gradient at the
-    shifted multiplier estimate, from values = [ctil, f, g, J(x)] if given."""
-    if values is None:
-        values = [sf.residual(x_ext), None, sf.objective_grad(x_ext),
-                  sf.nlp.J(x_ext[:sf.n])]
-    r, _, g, J_x = values
-    return g - sf.jacobian_t(J_x, y - rho * r)
+def aug_lagrangian_grad(lin: Linearization, y: Vector, rho: float) -> Vector:
+    """Gradient g - J^T (y - rho * ctil) at the record's point, the plain
+    Lagrangian gradient at the shifted multiplier estimate."""
+    return lin.g - lin.jacobian_t(y - rho * lin.c_k)
 
 
 def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
@@ -85,13 +77,14 @@ def is_optimal(res: KktResidual, omega_star: float, eta_star: float) -> bool:
             and res.comp <= omega_star)
 
 
-def min_norm_stationarity(sf: SlackForm, x_ext: Vector) -> float:
-    """First-order stationarity of min (1/2)||ctil||^2 over the box.
+def min_norm_stationarity(lin: Linearization) -> float:
+    """First-order stationarity of min (1/2)||ctil||^2 over the box at the
+    record's point.
 
-    Used to certify the point returned for a problem declared infeasible: the
+    Measures the point returned for a problem declared infeasible: the
     gradient of the squared residual is J^T ctil and the measure is its
     two-sided complementarity against the bounds.
     """
-    grad = sf.jacobian_t(sf.nlp.J(x_ext[:sf.n]), sf.residual(x_ext))
-    comp = comp_measure(x_ext, grad, sf.lo, sf.hi)
+    sf = lin.sf
+    comp = comp_measure(lin.x_k, lin.jacobian_t(lin.c_k), sf.lo, sf.hi)
     return float(np.abs(comp).max(initial=0.0))

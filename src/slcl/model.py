@@ -35,17 +35,24 @@ def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
     return float(max(low.max(initial=0.0), high.max(initial=0.0)))
 
 
+def _shaped(value, shape, what: str) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    try:
+        return out.reshape(shape)
+    except ValueError:
+        raise ValueError(f"{what} has shape {out.shape}, not {np.zeros(shape).shape}") from None
+
+
 def finite_array(value, shape, what: str) -> np.ndarray:
     """value as a float array of the given shape, which must be finite."""
-    out = np.asarray(value, dtype=float).reshape(shape)
+    out = _shaped(value, shape, what)
     if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite")
     return out
 
 
 def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
-    lo = np.asarray(pair[0], dtype=float).reshape(size)
-    hi = np.asarray(pair[1], dtype=float).reshape(size)
+    lo, hi = _shaped(pair[0], size, what), _shaped(pair[1], size, what)
     # one pass, as problems are built by the hundred: a NaN fails every test
     if not ((lo <= hi) & (lo < INF) & (hi > -INF)).all():
         raise ValueError(f"{what}: need lower <= upper, no NaN, no lower bound "
@@ -82,13 +89,17 @@ class NlpProblem:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m_c < 0 or self.m_A < 0:
             raise ValueError("dimensions must satisfy n > 0, m_c >= 0, m_A >= 0")
+        if self.m_c > 0 and (self.eval_c is None or self.eval_J is None):
+            raise ValueError("m_c > 0 requires eval_c and eval_J")
+        self.check_inputs()
+
+    def check_inputs(self) -> None:
+        """Check A, the bounds and x_tilde, which may be reassigned, as arrays."""
         self.A = finite_array(self.A, (self.m_A, self.n), "A")
         self.bounds_x = _bounds_pair(self.bounds_x, self.n, "bounds_x")
         self.bounds_c = _bounds_pair(self.bounds_c, self.m_c, "bounds_c")
         self.bounds_A = _bounds_pair(self.bounds_A, self.m_A, "bounds_A")
         self.x_tilde = finite_array(self.x_tilde, self.n, "x_tilde")
-        if self.m_c > 0 and (self.eval_c is None or self.eval_J is None):
-            raise ValueError("m_c > 0 requires eval_c and eval_J")
 
     # Counted evaluation wrappers.  All solver code goes through these.  They
     # pass non-finite values through: the inner kernel checks each evaluated
@@ -161,24 +172,6 @@ class SlackForm:
         Jt[m_c:, n + m_c:] = -np.eye(m_A)
         return Jt
 
-    def jacobian_t(self, J_x: Matrix, y: Vector) -> Vector:
-        """J^T y for the residual Jacobian, by blocks from J_x = J(x).
-
-        The Jacobian is [J(x), -I, 0; A, 0, -I], so the product is
-        (J(x)^T y_c + A^T y_A; -y_c; -y_A) without forming the slack blocks.
-        """
-        y_c, y_A = y[:self.m_c], y[self.m_c:]
-        jty = J_x.T @ y_c + self.nlp.A.T @ y_A
-        return np.concatenate([jty, -y_c, -y_A])
-
-    def objective(self, x_ext: Vector) -> float:
-        return self.nlp.f(x_ext[:self.n])
-
-    def objective_grad(self, x_ext: Vector) -> Vector:
-        out = np.zeros(self.n_ext)
-        out[:self.n] = self.nlp.g(x_ext[:self.n])
-        return out
-
     def embed(self, x: Vector) -> tuple[Vector, Vector]:
         """x extended by slacks clipped into their bounds, and its residual.
 
@@ -199,7 +192,9 @@ class SlackForm:
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:
-    """Construct the slack form, probing callback dimensions at x_tilde."""
+    """Construct the slack form, checking the inputs and probing callback
+    dimensions at x_tilde."""
+    problem.check_inputs()
     x = problem.x_tilde
     g = problem.eval_g(x)
     if np.shape(np.asarray(g)) != (problem.n,):

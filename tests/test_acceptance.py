@@ -17,6 +17,7 @@ from slcl.catalog import SOLVABLE, catalog_get, catalog_names
 from slcl.driver import (ALPHA, BCL, ETA_0, STABILIZED, OuterOptions,
                          SolveReport, solve)
 from slcl.innersolve import CONVERGED
+from slcl.linearize import linearize_constraints
 from slcl.merit import aug_lagrangian, aug_lagrangian_grad, min_norm_stationarity
 from slcl.model import build_slack_form
 
@@ -97,13 +98,14 @@ def test_criterion_3_gradient_suite():
             x_ext = np.clip(base + 0.5 * rng.standard_normal(sf.n_ext), lo, hi)
             y = 2.0 * rng.standard_normal(sf.m)
             rho = float(rng.uniform(0.0, 1000.0))
-            g = aug_lagrangian_grad(sf, x_ext, y, rho)
+            g = aug_lagrangian_grad(linearize_constraints(sf, x_ext), y, rho)
             fd = np.empty_like(g)
             for i in range(sf.n_ext):
                 e = np.zeros(sf.n_ext)
                 e[i] = h
-                fd[i] = (aug_lagrangian(sf, x_ext + e, y, rho)
-                         - aug_lagrangian(sf, x_ext - e, y, rho)) / (2 * h)
+                fd[i] = (aug_lagrangian(linearize_constraints(sf, x_ext + e), y, rho)
+                         - aug_lagrangian(linearize_constraints(sf, x_ext - e), y, rho)
+                         ) / (2 * h)
             rel = float(np.abs(fd - g).max() / (1.0 + np.abs(g).max()))
             worst = max(worst, rel)
             assert rel <= 1e-6, f"{name}: rel err {rel:.2e} at rho={rho:.1f}"
@@ -145,7 +147,7 @@ def test_criterion_5_infeasibility(stab_reports):
     sf = build_slack_form(catalog_get("infeas-affine").problem)
     # the returned point must be first-order stationary for the squared
     # residual over the bounds, measured by the projected gradient
-    mns = min_norm_stationarity(sf, rep.x_ext)
+    mns = min_norm_stationarity(linearize_constraints(sf, rep.x_ext))
     assert mns <= 1e-4, mns
     print(f"criterion 5: PASS - Infeasible at rho={rho_final:.2e}, "
           f"residual stationarity {mns:.2e}")

@@ -10,6 +10,7 @@ from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI
                          next_omega, solve, update_on_failure,
                          update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
+from slcl.linearize import linearize_constraints
 from slcl.merit import kkt_residual
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
@@ -317,10 +318,33 @@ class TestDegenerateInputs:
         pytest.param("y_start", {}, {"y_start": [np.nan]}, {}, id="y_start-nan"),
         pytest.param("y_start", {}, {"y_start": [INF]}, {}, id="y_start-inf"),
         pytest.param("max_major", {}, {}, {"max_major": 2.5}, id="max_major-float"),
+        pytest.param("x_start", {}, {"x_start": [1.0, 2.0, 3.0]}, {}, id="x_start-shape"),
+        pytest.param("max_major", {}, {}, {"max_major": True}, id="max_major-bool"),
     ])
     def test_rejected_naming_the_input(self, what, problem, starts, options):
         with pytest.raises(ValueError, match=what):
             solve(_disc(**problem), OuterOptions(**options), **starts)
+
+    @pytest.mark.parametrize("what, value", [
+        pytest.param("bounds_x", ([np.nan, 0.0], [INF, INF]), id="bounds_x-nan"),
+        pytest.param("bounds_c", ([-INF], [np.nan]), id="bounds_c-nan"),
+        pytest.param("x_tilde", [np.nan, 0.5], id="x_tilde-nan"),
+        pytest.param("A", np.zeros((1, 2)), id="A-shape"),
+    ])
+    def test_inputs_reassigned_after_construction_are_checked(self, what, value):
+        """solve checks the fields again: these once raised a TypeError or
+        failed the derivative check."""
+        p = _disc()
+        setattr(p, what, value)
+        with pytest.raises(ValueError, match=rf"\b{what}\b"):
+            solve(p)
+
+    def test_bounds_reassigned_as_lists_are_used(self):
+        p = _disc()
+        p.bounds_x = ([0.4, 0.0], [0.4, INF])
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        np.testing.assert_allclose(rep.x, [0.4, np.sqrt(0.84)], atol=1e-6)
 
 
 class TestSolve:
@@ -499,22 +523,54 @@ class TestSolve:
         assert accepted < rep.majors
         assert len(calls) == 1 + accepted
 
+    @staticmethod
+    def _spy_records(monkeypatch):
+        """Lists filled by a solve: the records linearize_constraints builds
+        (the start's, and a candidate's the kernel moved after evaluating),
+        the kernel's records of its last points, and each subproblem's base
+        record."""
+        built, kernel, bases = [], [], []
+        linearize, solve_lc = driver.linearize_constraints, driver.solve_lc
+        assemble = driver.assemble_elastic
+
+        def spied_linearize(*args):
+            built.append(linearize(*args))
+            return built[-1]
+
+        def spied_solve_lc(*args, **kwargs):
+            sol = solve_lc(*args, **kwargs)
+            if sol.point is not None:
+                kernel.append(sol.point)
+            return sol
+
+        def spied_assemble(lin, *args):
+            bases.append(lin)
+            return assemble(lin, *args)
+
+        monkeypatch.setattr(driver, "linearize_constraints", spied_linearize)
+        monkeypatch.setattr(driver, "solve_lc", spied_solve_lc)
+        monkeypatch.setattr(driver, "assemble_elastic", spied_assemble)
+        return built, kernel, bases
+
     def test_each_point_is_evaluated_once(self, monkeypatch):
         """Beyond the derivative check, f and c are called once at every
         point the kernel evaluates, and g and J once at every point it
         accepts and at each kernel start.  The only other calls are c once
-        by the start's embedding and g and J once for the start's record:
-        the start's record reuses the embedding's c, and each candidate's
-        record the kernel's values at its last point, f among them, which
-        the report's objective reads.  linearize_constraints makes one
-        record at the start and one per major (ridge-eq rejects majors,
-        whose candidates become no base point).  The report's residual is the loop's, equal
-        to a fresh one.  Neither problem has linear rows, so every kernel
+        by the start's embedding and g and J once for the start's record,
+        which reuses the embedding's c; a candidate's record is the
+        kernel's record of its last point, f among its values, which the
+        report's objective reads.  The exception is a candidate the kernel
+        moved onto a bound after evaluating it (infeas-affine's first):
+        its new record calls c, and g and J once it is accepted.  There is
+        one record at the start and one per major (ridge-eq rejects majors,
+        whose candidates become no base point), each at its own point on the
+        two solvable problems, and every subproblem's base record is one of
+        them.  The report's residual is the loop's, equal
+        to a fresh one.  No problem here has linear rows, so every kernel
         call is a subproblem."""
         counters = ("n_feval", "n_ceval", "n_geval", "n_jeval")
-        deriv_calls, kernel_calls, records = [], [], []
+        deriv_calls, kernel_calls = [], []
         check, kernel = driver.check_derivatives, innersolve.bound_solve
-        linearize = driver.linearize_constraints
 
         def counted_check(p, x):
             before = [getattr(p, a) for a in counters]
@@ -528,63 +584,63 @@ class TestSolve:
             kernel_calls.append((res.n_evals, 1 + res.iterations))
             return res
 
-        def spied_linearize(sf, x_ext, *values):
-            records.append(np.array(x_ext))
-            return linearize(sf, x_ext, *values)
-
         monkeypatch.setattr(driver, "check_derivatives", counted_check)
         monkeypatch.setattr(innersolve, "bound_solve", counted_kernel)
-        monkeypatch.setattr(driver, "linearize_constraints", spied_linearize)
-        for name in ("two-circles", "ridge-eq"):
+        built, from_kernel, bases = self._spy_records(monkeypatch)
+        for name, status in (("two-circles", "Optimal"), ("ridge-eq", "Optimal"),
+                             ("infeas-affine", "Infeasible")):
             problem = catalog_get(name).problem
-            for spied in (deriv_calls, kernel_calls, records):
+            for spied in (deriv_calls, kernel_calls, built, from_kernel, bases):
                 spied.clear()
             before = [getattr(problem, a) for a in counters]
             rep = solve(problem)
-            assert rep.status == "Optimal" and rep.majors > 1
+            assert rep.status == status and rep.majors > 1
             assert name == "two-circles" or not all(t.accepted for t in rep.trace)
             f_calls, c_calls, g_calls, j_calls = (getattr(problem, a) - b
                                                   for a, b in zip(counters, before))
             (deriv_f, deriv_c, deriv_g, deriv_j), = deriv_calls
             points = sum(n for n, _ in kernel_calls)
             gradients = sum(n for _, n in kernel_calls)
+            snapped = len(built) - 1
+            assert snapped == (name == "infeas-affine")
             assert f_calls == deriv_f + points
             assert rep.final_objective == float(problem.eval_f(rep.x))
-            assert c_calls == deriv_c + points + 1
-            assert g_calls == deriv_g + gradients + 1
-            assert j_calls == deriv_j + gradients + 1
+            assert c_calls == deriv_c + points + 1 + snapped
+            assert g_calls == deriv_g + gradients + 1 + snapped
+            assert j_calls == deriv_j + gradients + 1 + snapped
+            records = built[:1] + from_kernel + built[1:]
             assert len(records) == rep.majors + 1
-            for i, x in enumerate(records):
-                assert not any(np.array_equal(x, y) for y in records[i + 1:])
+            for i, rec in enumerate(records):
+                # infeas-affine's kernel never leaves its first candidate
+                assert name == "infeas-affine" or not any(
+                    np.array_equal(rec.x_k, other.x_k) for other in records[i + 1:])
+            assert all(any(base is rec for rec in records) for base in bases)
 
-            fresh = kkt_residual(linearize(build_slack_form(problem), rep.x_ext),
+            fresh = kkt_residual(linearize_constraints(build_slack_form(problem), rep.x_ext),
                                  rep.y, rep.z)
             assert rep.residual == fresh
 
     def test_every_record_equals_a_fresh_one(self, monkeypatch):
-        """Each record the driver builds, from the embedding's residual at
-        the start and from the kernel's values at a candidate, holds what
-        a fresh evaluation at its point gives, bit for bit, and f where it
-        holds one; a candidate the kernel moved onto a bound after
-        evaluating it is evaluated afresh."""
-        linearize = driver.linearize_constraints
-        records = []
-
-        def kept(sf, x_ext, *values):
-            records.append(linearize(sf, x_ext, *values))
-            return records[-1]
-
-        monkeypatch.setattr(driver, "linearize_constraints", kept)
+        """Each record the driver reads, the start's, the kernel's at a
+        candidate, a new one at a candidate the kernel moved onto a bound
+        after evaluating it (infeas-affine and box-quadratic), and each
+        subproblem's base, holds what a fresh record at its point gives,
+        bit for bit."""
+        built, from_kernel, bases = self._spy_records(monkeypatch)
+        snapped = []
         for name in catalog_names():
-            records.clear()
+            for spied in (built, from_kernel, bases):
+                spied.clear()
             solve(catalog_get(name).problem)
-            assert records, name
-            for rec in records:
-                fresh = linearize(rec.sf, rec.x_k)
-                for field in ("c_k", "J_k", "g", "offset"):
+            assert built, name
+            snapped += [name] * (len(built) - 1)
+            for rec in built + from_kernel + bases:
+                fresh = linearize_constraints(rec.sf, rec.x_k)
+                for field in ("c_k", "J_x", "J_k", "g", "offset"):
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
-                assert rec.f is None or rec.f == rec.sf.objective(rec.x_k), name
+                assert rec.f == fresh.f, name
+        assert snapped == ["infeas-affine", "box-quadratic"]
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

@@ -401,24 +401,48 @@ class TestEvaluationBudget:
         assert grad.shape == (sub.lo.size,)
 
     def test_gradient_matches_a_fresh_evaluation(self):
-        """The residual evaluate returned gives the same gradient as
-        computing it anew, and gradient fills the list in to the values a
-        fresh record at the point holds, with f there."""
+        """The record evaluate returned gives the gradient a fresh record
+        at the point gives, and holds the same values bit for bit."""
         sub, _ = self._cycle()
         sf, n_ext = sub.lin.sf, sub.n_ext
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
                     sub.lo, sub.hi)
-        _, aux = sub.evaluate(u)
-        grad = sub.gradient(u, aux)
-        np.testing.assert_array_equal(
-            grad[:n_ext], aug_lagrangian_grad(sf, u[:n_ext], sub.y_k, sub.rho_k))
-        np.testing.assert_array_equal(grad[n_ext:], sub.sigma_k)
-        c, f, g, J_x = aux
+        _, point = sub.evaluate(u)
+        grad = sub.gradient(u, point)
         fresh = linearize_constraints(sf, u[:n_ext])
-        assert f == sf.objective(u[:n_ext])
-        np.testing.assert_array_equal(c, fresh.c_k)
-        np.testing.assert_array_equal(g, fresh.g)
-        np.testing.assert_array_equal(sf.jacobian(J_x), fresh.J_k)
+        np.testing.assert_array_equal(
+            grad[:n_ext], aug_lagrangian_grad(fresh, sub.y_k, sub.rho_k))
+        np.testing.assert_array_equal(grad[n_ext:], sub.sigma_k)
+        assert point.f == fresh.f
+        for field in ("c_k", "g", "J_x", "J_k", "offset"):
+            np.testing.assert_array_equal(getattr(point, field), getattr(fresh, field))
+
+    def test_rejected_trial_records_call_neither_g_nor_J(self, monkeypatch):
+        """A trial the line search rejects costs f and c alone: after a
+        whole solve, reading g and J from its record calls each of them for
+        the first time."""
+        evaluate, gradient = ElasticSubproblem.evaluate, ElasticSubproblem.gradient
+        evaluated, accepted = [], []
+
+        def spied_evaluate(sub, u):
+            evaluated.append(evaluate(sub, u))
+            return evaluated[-1]
+
+        def spied_gradient(sub, u, point):
+            accepted.append(point)
+            return gradient(sub, u, point)
+
+        monkeypatch.setattr(ElasticSubproblem, "evaluate", spied_evaluate)
+        monkeypatch.setattr(ElasticSubproblem, "gradient", spied_gradient)
+        problem = catalog_get("ridge-eq").problem
+        solve(problem)
+        rejected = [rec for _, rec in evaluated
+                    if not any(rec is point for point in accepted)]
+        assert len(rejected) >= 10
+        for rec in rejected:
+            before = problem.n_geval, problem.n_jeval
+            rec.g, rec.J_x
+            assert (problem.n_geval - before[0], problem.n_jeval - before[1]) == (1, 1)
 
     def test_kernel_counts_points_and_accepted_points(self):
         """f and c once per evaluated point, g and J once per accepted point."""

@@ -77,8 +77,9 @@ class TestLinearization:
 
     def test_record_holds_the_point_values(self):
         """The record's c_k is the residual at x_k, and its J^T y equals the
-        block product from a fresh J(x) bit for bit.  With 20 rows in two
-        variables NumPy sums the strided block of J_k in another order."""
+        block product from a fresh J(x) bit for bit: it reads J(x), not the
+        strided block of J_k, whose products NumPy sums in another order
+        with 20 rows in two variables."""
         m = 20
         a = np.linspace(0.5, 2.0, m)
         p = NlpProblem(
@@ -98,7 +99,28 @@ class TestLinearization:
             lin = linearize_constraints(sf, x_ext)
             assert np.array_equal(lin.c_k, sf.residual(x_ext))
             assert np.array_equal(lin.jacobian_t(y),
-                                  sf.jacobian_t(p.J(x_ext[:2]), y))
+                                  np.concatenate([p.J(x_ext[:2]).T @ y + p.A.T @ y[m:], -y]))
+
+    def test_fields_are_evaluated_on_first_read_only(self):
+        """Building a record calls no callback; reading every field twice
+        calls f, g and J once each, and c once unless the caller held it."""
+        sf = _ring_form()
+        p = sf.nlp
+        x_k = np.array([0.6, -0.8, 1.0])
+
+        def counts():
+            return np.array([p.n_feval, p.n_geval, p.n_ceval, p.n_jeval])
+
+        for c_k, c_calls in ((None, 1), (sf.residual(x_k), 0)):
+            before = counts()
+            lin = linearize_constraints(sf, x_k, c_k)
+            assert (counts() == before).all()
+            for _ in range(2):
+                for field in ("c_k", "f", "g", "J_x", "J_k", "offset"):
+                    getattr(lin, field)
+                lin.cbar(x_k)
+                lin.jacobian_t(np.ones(1))
+            assert (counts() - before).tolist() == [1, 1, c_calls, 1]
 
 
 class TestElasticSubproblem:
@@ -133,9 +155,9 @@ class TestElasticSubproblem:
         y = np.array([0.7])
         sub = assemble_elastic(lin, y, 3.0, 0.0)
         u = np.concatenate([x_k, [2.0], [1.5]])
-        value, values = sub.evaluate(u)
-        assert value == aug_lagrangian(sf, x_k, y, 3.0)
-        np.testing.assert_allclose(sub.gradient(u, values)[sf.n_ext:], 0.0)
+        value, point = sub.evaluate(u)
+        assert value == aug_lagrangian(linearize_constraints(sf, x_k), y, 3.0)
+        np.testing.assert_allclose(sub.gradient(u, point)[sf.n_ext:], 0.0)
 
     def test_base_point_with_signed_split_is_row_feasible(self):
         sf = _ring_form()
@@ -167,7 +189,7 @@ class TestElasticSubproblem:
             x_ext = rng.uniform(-2.0, 2.0, size=sf.n_ext)
             v, w = optimal_elastics(lin.cbar(x_ext))
             lifted = sub.evaluate(np.concatenate([x_ext, v, w]))[0]
-            direct = (aug_lagrangian(sf, x_ext, y, rho)
+            direct = (aug_lagrangian(linearize_constraints(sf, x_ext), y, rho)
                       + sigma * np.abs(lin.cbar(x_ext)).sum())
             np.testing.assert_allclose(lifted, direct, rtol=1e-12, atol=1e-12)
 

@@ -26,24 +26,24 @@ class TestAugLagrangian:
     def test_penalty_only_value(self):
         """x=(0,0), y=0, rho=2: residual is -2, L = 0 + 0.5 * 2 * 4 = 4."""
         sf = _linear_as_nl_form()
-        x_ext = np.array([0.0, 0.0, 2.0])
-        assert aug_lagrangian(sf, x_ext, np.zeros(1), 2.0) == 4.0
+        lin = linearize_constraints(sf, np.array([0.0, 0.0, 2.0]))
+        assert aug_lagrangian(lin, np.zeros(1), 2.0) == 4.0
 
     def test_zero_rho_zero_y_is_objective(self):
         sf = _linear_as_nl_form()
         rng = np.random.default_rng(11)
         for _ in range(5):
-            x_ext = _sample_point(sf, rng)
+            lin = linearize_constraints(sf, _sample_point(sf, rng))
             np.testing.assert_allclose(
-                aug_lagrangian(sf, x_ext, np.zeros(1), 0.0),
-                sf.objective(x_ext), rtol=1e-14)
+                aug_lagrangian(lin, np.zeros(1), 0.0),
+                sf.nlp.f(lin.x_k[:sf.n]), rtol=1e-14)
 
     def test_feasible_point_drops_row_terms(self):
         """At zero residual the multiplier and penalty terms vanish."""
         sf = _linear_as_nl_form()
-        x_ext = np.array([1.0, 1.0, 2.0])
-        assert aug_lagrangian(sf, x_ext, np.array([3.0]), 0.0) == 2.0
-        assert aug_lagrangian(sf, x_ext, np.array([3.0]), 50.0) == 2.0
+        lin = linearize_constraints(sf, np.array([1.0, 1.0, 2.0]))
+        assert aug_lagrangian(lin, np.array([3.0]), 0.0) == 2.0
+        assert aug_lagrangian(lin, np.array([3.0]), 50.0) == 2.0
 
     def test_rho_shift_identity(self):
         """L(x, y, rho) = L(x, y, 0) + (rho/2) ||residual||^2 exactly."""
@@ -55,8 +55,9 @@ class TestAugLagrangian:
                 y = rng.standard_normal(sf.m)
                 rho = float(rng.uniform(0.0, 100.0))
                 r = sf.residual(x_ext)
-                lhs = aug_lagrangian(sf, x_ext, y, rho)
-                rhs = aug_lagrangian(sf, x_ext, y, 0.0) + 0.5 * rho * (r @ r)
+                lin = linearize_constraints(sf, x_ext)
+                lhs = aug_lagrangian(lin, y, rho)
+                rhs = aug_lagrangian(lin, y, 0.0) + 0.5 * rho * (r @ r)
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -64,23 +65,23 @@ class TestAugLagrangianGrad:
     def test_penalty_gradient_example(self):
         """x=(0,0), y=0, rho=2 on the affine row: x block is (-4, -4)."""
         sf = _linear_as_nl_form()
-        x_ext = np.array([0.0, 0.0, 2.0])
-        grad = aug_lagrangian_grad(sf, x_ext, np.zeros(1), 2.0)
+        lin = linearize_constraints(sf, np.array([0.0, 0.0, 2.0]))
+        grad = aug_lagrangian_grad(lin, np.zeros(1), 2.0)
         np.testing.assert_allclose(grad, [-4.0, -4.0, 4.0], atol=1e-14)
 
     def test_zero_rho_zero_y_is_objective_gradient(self):
         sf = _linear_as_nl_form()
         x_ext = np.array([0.7, 0.3, 2.0])
         np.testing.assert_allclose(
-            aug_lagrangian_grad(sf, x_ext, np.zeros(1), 0.0),
-            sf.objective_grad(x_ext), rtol=1e-14)
+            aug_lagrangian_grad(linearize_constraints(sf, x_ext), np.zeros(1), 0.0),
+            np.concatenate([sf.nlp.g(x_ext[:sf.n]), np.zeros(1)]), rtol=1e-14)
 
     def test_gradient_rho_free_at_feasible_points(self):
         sf = _linear_as_nl_form()
-        x_ext = np.array([1.5, 0.5, 2.0])
+        lin = linearize_constraints(sf, np.array([1.5, 0.5, 2.0]))
         y = np.array([1.2])
-        g0 = aug_lagrangian_grad(sf, x_ext, y, 0.0)
-        g9 = aug_lagrangian_grad(sf, x_ext, y, 90.0)
+        g0 = aug_lagrangian_grad(lin, y, 0.0)
+        g9 = aug_lagrangian_grad(lin, y, 90.0)
         np.testing.assert_allclose(g0, g9, atol=1e-12)
 
     def test_two_evaluation_orders_agree(self):
@@ -92,10 +93,11 @@ class TestAugLagrangianGrad:
                 x_ext = _sample_point(sf, rng)
                 y = rng.standard_normal(sf.m)
                 rho = float(rng.uniform(0.0, 100.0))
-                lhs = aug_lagrangian_grad(sf, x_ext, y, rho)
+                lin = linearize_constraints(sf, x_ext)
+                lhs = aug_lagrangian_grad(lin, y, rho)
                 J = sf.jacobian(sf.nlp.J(x_ext[:sf.n]))
                 r = sf.residual(x_ext)
-                rhs = sf.objective_grad(x_ext) - J.T @ y + rho * (J.T @ r)
+                rhs = lin.g - J.T @ y + rho * (J.T @ r)
                 np.testing.assert_allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
     def test_matches_central_differences(self):
@@ -107,12 +109,13 @@ class TestAugLagrangianGrad:
                 x_ext = _sample_point(sf, rng)
                 y = rng.standard_normal(sf.m)
                 rho = float(rng.uniform(0.0, 50.0))
-                grad = aug_lagrangian_grad(sf, x_ext, y, rho)
+                grad = aug_lagrangian_grad(linearize_constraints(sf, x_ext), y, rho)
                 for j in range(sf.n_ext):
                     d = np.zeros(sf.n_ext)
                     d[j] = h
-                    fd = (aug_lagrangian(sf, x_ext + d, y, rho)
-                          - aug_lagrangian(sf, x_ext - d, y, rho)) / (2 * h)
+                    fd = (aug_lagrangian(linearize_constraints(sf, x_ext + d), y, rho)
+                          - aug_lagrangian(linearize_constraints(sf, x_ext - d), y, rho)
+                          ) / (2 * h)
                     assert abs(fd - grad[j]) / (1.0 + abs(grad[j])) <= 1e-6
 
 
@@ -133,7 +136,8 @@ class TestFirstOrderMultiplier:
             bounds_c=(np.full(2, -INF), np.full(2, INF)),
             bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.zeros(2))
         x_ext = np.concatenate([x, np.zeros(2)])
-        return aug_lagrangian_grad(build_slack_form(p), x_ext, y, rho)[2:]
+        lin = linearize_constraints(build_slack_form(p), x_ext)
+        return aug_lagrangian_grad(lin, y, rho)[2:]
 
     def test_direct_substitution(self):
         got = self._estimate(np.array([0.1, 0.2]), np.array([1.0, -1.0]), 10.0)
@@ -227,9 +231,9 @@ class TestInfeasibilityMeasures:
         """The origin minimizes the squared residual of x1 + x2 + 1 over x >= 0."""
         sf = build_slack_form(catalog_get("infeas-affine").problem)
         x_ext = sf.embed(np.zeros(2))[0]
-        assert min_norm_stationarity(sf, x_ext) <= 1e-12
+        assert min_norm_stationarity(linearize_constraints(sf, x_ext)) <= 1e-12
         x_ext = sf.embed(np.array([0.5, 0.5]))[0]
-        assert min_norm_stationarity(sf, x_ext) > 0.1
+        assert min_norm_stationarity(linearize_constraints(sf, x_ext)) > 0.1
 
 
 class TestGradientSweep:
@@ -243,9 +247,10 @@ class TestGradientSweep:
                 x_ext = _sample_point(sf, rng, spread=0.5)
                 y = 2.0 * rng.standard_normal(sf.m)
                 rho = float(rng.uniform(0.0, 30.0))
-                grad = aug_lagrangian_grad(sf, x_ext, y, rho)
+                grad = aug_lagrangian_grad(linearize_constraints(sf, x_ext), y, rho)
                 d = rng.standard_normal(sf.n_ext)
                 d /= np.abs(d).max()
-                fd = (aug_lagrangian(sf, x_ext + h * d, y, rho)
-                      - aug_lagrangian(sf, x_ext - h * d, y, rho)) / (2 * h)
+                fd = (aug_lagrangian(linearize_constraints(sf, x_ext + h * d), y, rho)
+                      - aug_lagrangian(linearize_constraints(sf, x_ext - h * d), y, rho)
+                      ) / (2 * h)
                 assert abs(fd - grad @ d) / (1.0 + abs(grad @ d)) <= 1e-6, name
