@@ -7,7 +7,10 @@ candidate and refreshes the multiplier estimates, anything else keeps the
 current estimates, raises the penalty, and tightens the elastic price.  Every
 test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
-the kernel's of its last point.  The elastic weight sigma makes the method
+the kernel's of its last point, the start's takes g and J from the
+derivative check when that probed the start, and a kernel started at a
+point the driver holds a record of starts from that record, so a solve
+calls each callback at most once at any point.  The elastic weight sigma makes the method
 degrade gracefully between the two classical extremes, which are also
 available directly as modes:
 
@@ -37,8 +40,8 @@ from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
                          SubproblemSolution, solve_lc, solve_proximal)
 from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
-from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
-                    check_derivatives, finite_array, push_interior)
+from .model import (DerivReport, NlpProblem, SlackForm, Vector, bitwise_equal,
+                    build_slack_form, check_derivatives, finite_array, push_interior)
 
 STABILIZED = "stabilized"
 CANONICAL = "canonical"
@@ -216,6 +219,15 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                        J_evals=J_evals, trace=trace, f_norm_0=f_norm_0)
 
 
+def _start_record(sf: SlackForm, x_ext: Vector, r: Vector, probe: Vector,
+                  deriv: DerivReport) -> Linearization:
+    """The record of the start x_ext with its residual r, taking g and J from
+    the derivative check when its probe was x_ext's x bit for bit."""
+    if bitwise_equal(x_ext[:sf.n], probe):
+        return linearize_constraints(sf, x_ext, r, deriv.g, deriv.J)
+    return linearize_constraints(sf, x_ext, r)
+
+
 def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: OuterOptions,
                        counts0: list[int], f_norm_0: float) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
@@ -224,7 +236,7 @@ def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: Oute
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
-    cand = sol.point or linearize_constraints(sf, sol.x_star)
+    cand = sol.point
     res = kkt_residual(cand, y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
@@ -258,12 +270,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     except PpInfeasible:
         x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        lin = linearize_constraints(sf, x_ext, r)
+        lin = _start_record(sf, x_ext, r, probe, deriv)
         res = kkt_residual(lin, y, z)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=res.f_norm)
 
-    lin = linearize_constraints(sf, x0, r0)
+    lin = _start_record(sf, x0, r0, probe, deriv)
     y = np.zeros(sf.m) if y_start is None else y_start
     z = lin.g - lin.jacobian_t(y)
     res = kkt_residual(lin, y, z)
@@ -286,8 +298,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         sol = solve_lc(sub, omega_k, warm_start=sol)
         minors += sol.inner_iterations
 
-        # a new record only if the kernel moved x_star after evaluating it
-        cand = sol.point or linearize_constraints(sf, sol.x_star)
+        cand = sol.point
         c_norm = float(np.abs(cand.c_k).max(initial=0.0))
         dy_norm = float(np.abs(sol.delta_y[:sf.m_c]).max(initial=0.0))
         elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))

@@ -14,6 +14,10 @@ Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
 subproblem, the point's record, holding its residual and f), and the
 gradient at an accepted point takes that instead of computing it again.
+A subproblem that starts at a point the driver holds the record of (the
+base point, or a rejected major's candidate) computes the start's value
+from that record and hands both to the kernel, so nothing is evaluated
+there again.
 On success the subproblem triple satisfies its relaxed optimality
 conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
 at delta_y, complementarity is within omega, and the elastic-row
@@ -29,7 +33,7 @@ import numpy as np
 
 from .linearize import ElasticSubproblem, Linearization, optimal_elastics
 from .merit import comp_measure
-from .model import Matrix, SlackForm, Vector
+from .model import Matrix, SlackForm, Vector, bitwise_equal
 
 CONVERGED = "Converged"
 UNBOUNDED = "Unbounded"
@@ -64,14 +68,15 @@ class SubproblemSolution:
     # the kernel's last BFGS matrix and the penalty it was built for
     hess: Matrix | None = None
     rho: float = 0.0
-    point: Linearization | None = None  # x_star's record, None when not evaluated there
+    point: Linearization | None = None  # x_star's record
 
 
 @dataclass
 class BoundSolveResult:
     """The last point with its value, gradient g, row multipliers y, BFGS
     matrix and aux (what evaluate returned there; None when a move onto a
-    bound within rounding followed, and f and g are then from before it)."""
+    bound within rounding changed x after it, and f and g are then from
+    before that move)."""
 
     x: Vector
     f: float
@@ -128,7 +133,8 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
                 rows: Matrix | None = None, offset: Vector | None = None,
                 iter_cap: int = _MAX_INNER_ITERS,
-                hess: Matrix | None = None) -> BoundSolveResult:
+                hess: Matrix | None = None,
+                start_value: tuple[float, object] | None = None) -> BoundSolveResult:
     """Minimize a smooth function over a box subject to rows R u + offset = 0.
 
     An active-set quasi-Newton method.  The working set holds the bounds the
@@ -156,17 +162,19 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
 
     evaluate(u) returns the value at u with whatever the caller wants to
     keep from computing it (aux); it is called at the start point and at
-    every line-search trial point.  gradient(u, aux) is called at the start
-    point and at each accepted trial point, with the aux evaluate returned
-    there.  A trial with a non-finite value fails and is backtracked; a
-    non-finite value or gradient at the start or an accepted point raises
-    ValueError.  n_evals counts the points evaluated (the start and every
-    trial), iterations the accepted points.
+    every line-search trial point, except at a start in the box whose
+    evaluate(start) the caller already has and passes as start_value.
+    gradient(u, aux) is called at the start point and at each accepted
+    trial point, with the aux evaluate returned there.  A trial with a
+    non-finite value fails and is backtracked; a non-finite value or
+    gradient at the start or an accepted point raises ValueError.  n_evals
+    counts the points evaluated (the start and every trial), iterations the
+    accepted points.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
     R = np.zeros((0, x.size)) if rows is None else rows
     offset = np.zeros(R.shape[0]) if offset is None else offset
-    f, aux = evaluate(x)
+    f, aux = evaluate(x) if start_value is None else start_value
     g = gradient(x, aux)
     _check_finite("start", x, f, g)
     n_evals = 1
@@ -194,9 +202,10 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
 
         i, alpha_max, bound_i = _ratio_test(x, d, lo, hi)
         if alpha_max < 1.0 and abs(bound_i - x[i]) <= _ROUNDOFF * (1.0 + abs(x[i])):
-            x = x.copy()
-            x[i] = bound_i
-            aux = None
+            if not bitwise_equal(x[i], bound_i):
+                x = x.copy()
+                x[i] = bound_i
+                aux = None
             at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
             continue
 
@@ -276,10 +285,13 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     cap = sub.sigma_k + omega
     delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
     z = res.g[:sub.n_ext] - sub.lin.J_k.T @ delta_y
+    x_star = np.array(x_ext)
+    # a new record only if the kernel moved x onto a bound after evaluating it
+    point = res.aux if res.aux is not None else Linearization(sub.lin.sf, x_star)
     return SubproblemSolution(
-        x_star=np.array(x_ext), delta_y=delta_y, z_star=z,
+        x_star=x_star, delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, point=res.aux)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, point=point)
 
 
 def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
@@ -326,23 +338,30 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     zero, so the rows hold from the start on.  The kernel also starts from
     the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
     block when the penalty has risen from the rho that matrix was built for.
+    When the start's x_ext is, bit for bit, the point of the record it came
+    from (the base point's, when the step left it in place, or the warm
+    start's candidate's), the kernel starts from that record, so its values
+    there are not evaluated again.
     """
     lin, n_ext = sub.lin, sub.n_ext
-    x0, hess = lin.x_k, None
+    x0, hess, held = lin.x_k, None, None
     if warm_start is not None:
-        x0, hess = warm_start.x_star, warm_start.hess
+        x0, hess, held = warm_start.x_star, warm_start.hess, warm_start.point
         if sub.rho_k > warm_start.rho:
             hess = hess.copy()
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
     if np.array_equal(x0, lin.x_k):
-        x0 = _step_to_rows(lin, x0)
+        x0, held = _step_to_rows(lin, x0), lin
     r = lin.cbar(x0)
     r[np.abs(r) <= _row_rounding(lin, x0)] = 0.0
     v0, w0 = optimal_elastics(r)
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
+    if held is not None and not bitwise_equal(u[:n_ext], held.x_k):
+        held = None
     res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,
-                      rows=sub.rows, offset=lin.offset, hess=hess)
+                      rows=sub.rows, offset=lin.offset, hess=hess,
+                      start_value=None if held is None else sub.evaluate(u, held))
     return _finalize(sub, res, omega)
 
 

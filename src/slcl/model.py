@@ -43,6 +43,21 @@ def _shaped(value, shape, what: str) -> np.ndarray:
         raise ValueError(f"{what} has shape {out.shape}, not {np.zeros(shape).shape}") from None
 
 
+def _callback_value(value, shape: tuple[int, ...], message: str) -> np.ndarray:
+    """A callback's value as a float array, which must have the given shape."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise ValueError(message)
+    return out
+
+
+def bitwise_equal(a, b) -> bool:
+    """Whether two float arrays or scalars hold the same bits (so 0.0 and
+    -0.0 differ): a callback pure in x then returns the same values at both."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def finite_array(value, shape, what: str) -> np.ndarray:
     """value as a float array of the given shape, which must be finite."""
     out = _shaped(value, shape, what)
@@ -102,8 +117,9 @@ class NlpProblem:
         self.x_tilde = finite_array(self.x_tilde, self.n, "x_tilde")
 
     # Counted evaluation wrappers.  All solver code goes through these.  They
-    # pass non-finite values through: the inner kernel checks each evaluated
-    # point once, rejecting a trial point and raising at an accepted one.
+    # check the shape of what each callback returns, and pass non-finite
+    # values through: the inner kernel checks each evaluated point once,
+    # rejecting a trial point and raising at an accepted one.
 
     def f(self, x: Vector) -> float:
         self.n_feval += 1
@@ -111,19 +127,22 @@ class NlpProblem:
 
     def g(self, x: Vector) -> Vector:
         self.n_geval += 1
-        return np.asarray(self.eval_g(x), dtype=float).reshape(self.n)
+        return _callback_value(self.eval_g(x), (self.n,),
+                               "eval_g shape does not match n")
 
     def c(self, x: Vector) -> Vector:
         if self.m_c == 0:
             return np.zeros(0)
         self.n_ceval += 1
-        return np.asarray(self.eval_c(x), dtype=float).reshape(self.m_c)
+        return _callback_value(self.eval_c(x), (self.m_c,),
+                               "eval_c shape does not match m_c")
 
     def J(self, x: Vector) -> Matrix:
         if self.m_c == 0:
             return np.zeros((0, self.n))
         self.n_jeval += 1
-        return np.asarray(self.eval_J(x), dtype=float).reshape(self.m_c, self.n)
+        return _callback_value(self.eval_J(x), (self.m_c, self.n),
+                               "eval_J shape does not match (m_c, n)")
 
 
 @dataclass
@@ -192,20 +211,9 @@ class SlackForm:
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:
-    """Construct the slack form, checking the inputs and probing callback
-    dimensions at x_tilde."""
+    """Construct the slack form, checking the inputs; the callbacks' shapes
+    are checked at their first calls, which the derivative check makes."""
     problem.check_inputs()
-    x = problem.x_tilde
-    g = problem.eval_g(x)
-    if np.shape(np.asarray(g)) != (problem.n,):
-        raise ValueError("eval_g shape does not match n")
-    if problem.m_c > 0:
-        cval = np.asarray(problem.eval_c(x))
-        if cval.shape != (problem.m_c,):
-            raise ValueError("eval_c shape does not match m_c")
-        Jval = np.asarray(problem.eval_J(x))
-        if Jval.shape != (problem.m_c, problem.n):
-            raise ValueError("eval_J shape does not match (m_c, n)")
     lo = np.concatenate([problem.bounds_x[0], problem.bounds_c[0], problem.bounds_A[0]])
     hi = np.concatenate([problem.bounds_x[1], problem.bounds_c[1], problem.bounds_A[1]])
     n_ext = problem.n + problem.m_c + problem.m_A
@@ -220,6 +228,10 @@ class DerivReport:
     max_rel_err_J: float
     worst_index: str
     passed: bool
+    # the analytic g(x) and J(x) at the checked point, for a caller that
+    # needs them there too
+    g: Vector
+    J: Matrix
 
 
 def push_interior(x: Vector, lo: Vector, hi: Vector,
@@ -265,7 +277,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     g = problem.g(x)
     Jmat = problem.J(x)
     if not free.any():
-        return DerivReport(0.0, 0.0, "g.d", passed=True)
+        return DerivReport(0.0, 0.0, "g.d", passed=True, g=g, J=Jmat)
     # signs and weights from the fractional parts of j times two irrationals:
     # no two weights are equal, so a swapped pair of entries cannot cancel,
     # and the direction is the same on every run
@@ -282,7 +294,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     max_g, max_J = float(dir_g), float(dir_J.max(initial=0.0))
     if max_g <= _DERIV_TOL and max_J <= _DERIV_TOL:
         worst = "g.d" if max_g >= max_J else f"J[{int(np.argmax(dir_J))}].d"
-        return DerivReport(max_g, max_J, worst, passed=True)
+        return DerivReport(max_g, max_J, worst, passed=True, g=g, J=Jmat)
 
     # the directional test failed: locate the worst entry
     err_g = np.zeros(problem.n)
@@ -306,4 +318,4 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
         worst = f"J[{i},{j}]"
     passed = bool(max_g <= _DERIV_TOL and max_J <= _DERIV_TOL)
     return DerivReport(max_rel_err_g=max_g, max_rel_err_J=max_J,
-                       worst_index=worst, passed=passed)
+                       worst_index=worst, passed=passed, g=g, J=Jmat)

@@ -1,5 +1,7 @@
 """Tests for the outer loop: schedules, branch logic, modes, and statuses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI
                          next_omega, solve, update_on_failure,
                          update_on_success)
 from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
-from slcl.linearize import linearize_constraints
+from slcl.linearize import ElasticSubproblem, linearize_constraints
 from slcl.merit import kkt_residual
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
@@ -499,6 +501,35 @@ class TestSolve:
         with pytest.raises(ValueError, match="derivative check"):
             solve(p)
 
+    @staticmethod
+    def _sqrt_problem(x_tilde, eval_g=None):
+        """min (sqrt(x) - 2)^2 with sqrt(x) <= 1.5 on 1 <= x <= 10, whose
+        callbacks fail outside x >= 0; the solution is x = 2.25."""
+        return NlpProblem(
+            n=1, m_c=1, m_A=0,
+            eval_f=lambda x: (math.sqrt(x[0]) - 2.0) ** 2,
+            eval_g=eval_g or (lambda x: np.array([1.0 - 2.0 / math.sqrt(x[0])])),
+            eval_c=lambda x: np.array([math.sqrt(x[0])]),
+            eval_J=lambda x: np.array([[0.5 / math.sqrt(x[0])]]),
+            A=np.zeros((0, 1)),
+            bounds_x=(np.array([1.0]), np.array([10.0])),
+            bounds_c=(np.array([-INF]), np.array([1.5])),
+            bounds_A=(np.zeros(0), np.zeros(0)),
+            x_tilde=np.array(x_tilde))
+
+    def test_start_outside_the_callbacks_domain(self):
+        """The callbacks are called only at points in the bounds, so a start
+        outside them and outside the callbacks' domain solves as one inside."""
+        for x_tilde in ([-1.0], [2.0]):
+            rep = solve(self._sqrt_problem(x_tilde))
+            assert rep.status == "Optimal", x_tilde
+            np.testing.assert_allclose(rep.x, [2.25], atol=1e-6)
+
+    def test_wrong_shaped_gradient_is_rejected(self):
+        p = self._sqrt_problem([2.0], eval_g=lambda x: np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="eval_g shape does not match n"):
+            solve(p)
+
     def test_start_overrides(self):
         entry = catalog_get("circle-proj")
         rep = solve(entry.problem, x_start=entry.known_x + 1e-2,
@@ -526,9 +557,9 @@ class TestSolve:
     @staticmethod
     def _spy_records(monkeypatch):
         """Lists filled by a solve: the records linearize_constraints builds
-        (the start's, and a candidate's the kernel moved after evaluating),
-        the kernel's records of its last points, and each subproblem's base
-        record."""
+        (the start's), the kernel's records of its candidates (a new one
+        where the kernel moved the point onto a bound after evaluating it),
+        and each subproblem's base record."""
         built, kernel, bases = [], [], []
         linearize, solve_lc = driver.linearize_constraints, driver.solve_lc
         assemble = driver.assemble_elastic
@@ -539,8 +570,7 @@ class TestSolve:
 
         def spied_solve_lc(*args, **kwargs):
             sol = solve_lc(*args, **kwargs)
-            if sol.point is not None:
-                kernel.append(sol.point)
+            kernel.append(sol.point)
             return sol
 
         def spied_assemble(lin, *args):
@@ -552,40 +582,68 @@ class TestSolve:
         monkeypatch.setattr(driver, "assemble_elastic", spied_assemble)
         return built, kernel, bases
 
+    @staticmethod
+    def _spy_kernel(monkeypatch):
+        """A list filled by a solve with one entry per kernel call on a
+        subproblem: its points evaluated, its points given a gradient,
+        whether it started from a record the caller held, whether that
+        record still lacked f, and whether the candidate's record is a new
+        one at a point moved onto a bound after the last evaluation."""
+        calls, unread_f = [], []
+        kernel, evaluate = innersolve.bound_solve, ElasticSubproblem.evaluate
+
+        def spied_evaluate(sub, u, point=None):
+            if point is not None:
+                # a held record has c, g and J already
+                assert {"c_k", "g_x", "J_x"} <= vars(point).keys()
+                unread_f.append("f" not in vars(point))
+            return evaluate(sub, u, point)
+
+        def spied(evaluate, *args, start_value=None, **kwargs):
+            res = kernel(evaluate, *args, start_value=start_value, **kwargs)
+            if isinstance(getattr(evaluate, "__self__", None), ElasticSubproblem):
+                held = start_value is not None
+                calls.append((res.n_evals, 1 + res.iterations, held,
+                              held and unread_f.pop(), res.aux is None))
+            return res
+
+        monkeypatch.setattr(ElasticSubproblem, "evaluate", spied_evaluate)
+        monkeypatch.setattr(innersolve, "bound_solve", spied)
+        return calls
+
     def test_each_point_is_evaluated_once(self, monkeypatch):
         """Beyond the derivative check, f and c are called once at every
-        point the kernel evaluates, and g and J once at every point it
-        accepts and at each kernel start.  The only other calls are c once
-        by the start's embedding and g and J once for the start's record,
-        which reuses the embedding's c; a candidate's record is the
-        kernel's record of its last point, f among its values, which the
-        report's objective reads.  The exception is a candidate the kernel
-        moved onto a bound after evaluating it (infeas-affine's first):
-        its new record calls c, and g and J once it is accepted.  There is
-        one record at the start and one per major (ridge-eq rejects majors,
-        whose candidates become no base point), each at its own point on the
-        two solvable problems, and every subproblem's base record is one of
-        them.  The report's residual is the loop's, equal
-        to a fresh one.  No problem here has linear rows, so every kernel
-        call is a subproblem."""
+        point the kernel evaluates, except at a start from a record the
+        driver holds: the base record where the step toward the rows left
+        it in place, or the candidate of a rejected major.  That record
+        has c, g and J already, and f too, except the start's record and a
+        moved candidate's (two-circles' first start, infeas-affine's
+        second), where f is called once.  g and J are called once at
+        every point the kernel accepts and at each start from a record it
+        does not hold.  The only other calls are c once by the start's
+        embedding, and c, g and J once for a candidate the kernel moved
+        onto a bound after evaluating it (infeas-affine's first), which a
+        KKT residual reads.  The derivative check probes x0 on these
+        problems, so the start's record takes its g and J.
+        There is one record at the start and one per major (ridge-eq
+        rejects majors, whose candidates become no base point); two
+        records are never at one point, as a kernel that does not leave a
+        held start returns that record (infeas-affine's later majors), and
+        every subproblem's base record is one of them.  The report's
+        residual is the loop's, equal to a fresh one.  No problem here has
+        linear rows, so every kernel call is a subproblem."""
         counters = ("n_feval", "n_ceval", "n_geval", "n_jeval")
-        deriv_calls, kernel_calls = [], []
-        check, kernel = driver.check_derivatives, innersolve.bound_solve
+        deriv_calls, check = [], driver.check_derivatives
 
         def counted_check(p, x):
             before = [getattr(p, a) for a in counters]
             out = check(p, x)
-            deriv_calls.append([getattr(p, a) - b
-                                for a, b in zip(counters, before)])
+            deriv_calls.append((out, [getattr(p, a) - b
+                                      for a, b in zip(counters, before)]))
             return out
 
-        def counted_kernel(*args, **kwargs):
-            res = kernel(*args, **kwargs)
-            kernel_calls.append((res.n_evals, 1 + res.iterations))
-            return res
-
         monkeypatch.setattr(driver, "check_derivatives", counted_check)
-        monkeypatch.setattr(innersolve, "bound_solve", counted_kernel)
+        kernel_calls = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
         for name, status in (("two-circles", "Optimal"), ("ridge-eq", "Optimal"),
                              ("infeas-affine", "Infeasible")):
@@ -598,22 +656,22 @@ class TestSolve:
             assert name == "two-circles" or not all(t.accepted for t in rep.trace)
             f_calls, c_calls, g_calls, j_calls = (getattr(problem, a) - b
                                                   for a, b in zip(counters, before))
-            (deriv_f, deriv_c, deriv_g, deriv_j), = deriv_calls
-            points = sum(n for n, _ in kernel_calls)
-            gradients = sum(n for _, n in kernel_calls)
-            snapped = len(built) - 1
+            (deriv, (deriv_f, deriv_c, deriv_g, deriv_j)), = deriv_calls
+            points, gradients, held, unread_f, snapped = (
+                sum(column) for column in zip(*kernel_calls))
+            assert held > 0
             assert snapped == (name == "infeas-affine")
-            assert f_calls == deriv_f + points
+            assert f_calls == deriv_f + points - held + unread_f
             assert rep.final_objective == float(problem.eval_f(rep.x))
-            assert c_calls == deriv_c + points + 1 + snapped
-            assert g_calls == deriv_g + gradients + 1 + snapped
-            assert j_calls == deriv_j + gradients + 1 + snapped
-            records = built[:1] + from_kernel + built[1:]
-            assert len(records) == rep.majors + 1
+            assert c_calls == deriv_c + points - held + 1 + snapped
+            assert g_calls == deriv_g + gradients - held + snapped
+            assert j_calls == deriv_j + gradients - held + snapped
+            records = built + from_kernel
+            assert len(built) == 1 and len(records) == rep.majors + 1
+            assert built[0].g_x is deriv.g and built[0].J_x is deriv.J
             for i, rec in enumerate(records):
-                # infeas-affine's kernel never leaves its first candidate
-                assert name == "infeas-affine" or not any(
-                    np.array_equal(rec.x_k, other.x_k) for other in records[i + 1:])
+                assert all(other is rec for other in records[i + 1:]
+                           if np.array_equal(rec.x_k, other.x_k)), name
             assert all(any(base is rec for rec in records) for base in bases)
 
             fresh = kkt_residual(linearize_constraints(build_slack_form(problem), rep.x_ext),
@@ -621,26 +679,55 @@ class TestSolve:
             assert rep.residual == fresh
 
     def test_every_record_equals_a_fresh_one(self, monkeypatch):
-        """Each record the driver reads, the start's, the kernel's at a
-        candidate, a new one at a candidate the kernel moved onto a bound
-        after evaluating it (infeas-affine and box-quadratic), and each
-        subproblem's base, holds what a fresh record at its point gives,
-        bit for bit."""
+        """Each record the driver reads, the start's, with g and J from the
+        derivative check where it probed x0, the kernel's at a candidate, a
+        new one at a candidate the kernel moved onto a bound after
+        evaluating it (infeas-affine alone: a move onto a bound the point
+        already sits on keeps the record), and each subproblem's base,
+        holds what a fresh record at its point gives, bit for bit."""
+        kernel_calls = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
         snapped = []
         for name in catalog_names():
-            for spied in (built, from_kernel, bases):
+            for spied in (kernel_calls, built, from_kernel, bases):
                 spied.clear()
             solve(catalog_get(name).problem)
             assert built, name
-            snapped += [name] * (len(built) - 1)
+            snapped += [name] * sum(call[-1] for call in kernel_calls)
             for rec in built + from_kernel + bases:
                 fresh = linearize_constraints(rec.sf, rec.x_k)
-                for field in ("c_k", "J_x", "J_k", "g", "offset"):
+                for field in ("c_k", "J_x", "J_k", "g_x", "g", "offset"):
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
                 assert rec.f == fresh.f, name
-        assert snapped == ["infeas-affine", "box-quadratic"]
+        assert snapped == ["infeas-affine"]
+
+    def test_no_callback_repeats_a_point(self):
+        """Within one solve each callback is called at most once at any x,
+        on every catalog entry from its own start and from warm starts near
+        its known solution and multipliers."""
+        runs = [(name, None, None) for name in catalog_names()]
+        rng = np.random.default_rng(19)
+        for name in catalog_names():
+            entry = catalog_get(name)
+            if entry.known_x is None or entry.known_y is None:
+                continue
+            for r in (1e-1, 1e-3):
+                d = rng.standard_normal(entry.problem.n)
+                runs.append((name, entry.known_x + r * d / np.abs(d).max(),
+                             entry.known_y + r))
+        for name, x_start, y_start in runs:
+            problem = catalog_get(name).problem
+            seen = []
+            for kind in "fgcJ":
+                fn = getattr(problem, f"eval_{kind}")
+                if fn is not None:
+                    def spied(x, kind=kind, fn=fn):
+                        seen.append((kind, x.tobytes()))
+                        return fn(x)
+                    setattr(problem, f"eval_{kind}", spied)
+            solve(problem, x_start=x_start, y_start=y_start)
+            assert len(set(seen)) == len(seen), (name, x_start)
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

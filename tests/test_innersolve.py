@@ -232,6 +232,37 @@ class TestLinearRows:
         assert np.array_equal(x_last, res.x)
         assert res.aux is aux_last
 
+    def test_start_value_skips_the_start_evaluation(self):
+        """With evaluate(start) given as start_value, evaluate is called at
+        the trial points alone, and the start's gradient reads the given
+        aux; the results agree bit for bit with a run without it."""
+        Q, a = 2.0 * np.eye(2), np.array([-1.0, 1.0])
+        evaluated, received = [], []
+
+        def evaluate(x):
+            evaluated.append(np.array(x))
+            d = x - a
+            return 0.5 * float(d @ Q @ d), d
+
+        def gradient(x, d):
+            received.append(d)
+            return Q @ d
+
+        start = np.array([0.5, 1.5])
+        plain = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
+                            start, tol=1e-10)
+        trials = evaluated[1:]
+        evaluated.clear()
+        received.clear()
+        first = evaluate(start)
+        evaluated.clear()
+        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
+                          start, tol=1e-10, start_value=first)
+        assert received[0] is first[1]
+        assert len(evaluated) == len(trials) == res.n_evals - 1 > 0
+        np.testing.assert_array_equal(res.x, plain.x)
+        assert res.f == plain.f and res.iterations == plain.iterations
+
     def test_bounds_released_to_reach_the_solution(self):
         """min (x1 - 0.5)^2 + (x2 - 1.5)^2 on x1 + x2 = 2 in [0, 2]^2.
 
@@ -359,17 +390,35 @@ class TestSolveLc:
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
 
-    def test_cycles_reuse_their_end_point(self):
-        """A cycle starts from the value and gradient the last one ended on.
-
-        g and J are then called once at the first start and once per
-        accepted kernel step, with no extra call per cycle or at the end.
-        """
+    def test_cycles_reuse_their_end_point(self, monkeypatch):
+        """A kernel start at a record the caller holds calls no callback
+        there: the base record, which the step toward the rows leaves in
+        place at this feasible start and which is read first as the
+        driver's start reads it, and the candidate a re-solve at a raised
+        penalty starts from.  Each kernel call then calls f and c once per
+        line-search trial and g and J once per accepted step, with no call
+        at its start or at its end."""
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
+        lin = sub.lin
+        lin.c_k, lin.f, lin.g, lin.J_x
+        kernel, results = innersolve.bound_solve, []
+
+        def spied(*args, **kwargs):
+            results.append(kernel(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(innersolve, "bound_solve", spied)
         calls = _counted(sf.nlp)
         sol = solve_lc(sub, 1e-6)
-        assert sol.status == CONVERGED
-        assert calls["g"] == calls["J"] == sol.inner_iterations + 1
+        cold = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        raised = assemble_elastic(lin, sub.y_k, 10.0 * sub.rho_k, 0.1 * sub.sigma_k)
+        sol_warm = solve_lc(raised, 1e-6, warm_start=sol)
+        assert sol.status == sol_warm.status == CONVERGED
+        assert sol.point is not lin and sol_warm.inner_iterations > 0
+        for res, counts in zip(results, (cold, calls)):
+            assert counts["f"] == counts["c"] == res.n_evals - 1
+            assert counts["g"] == counts["J"] == res.iterations
 
 
 def _counted(problem):
@@ -424,8 +473,8 @@ class TestEvaluationBudget:
         evaluate, gradient = ElasticSubproblem.evaluate, ElasticSubproblem.gradient
         evaluated, accepted = [], []
 
-        def spied_evaluate(sub, u):
-            evaluated.append(evaluate(sub, u))
+        def spied_evaluate(sub, u, *point):
+            evaluated.append(evaluate(sub, u, *point))
             return evaluated[-1]
 
         def spied_gradient(sub, u, point):

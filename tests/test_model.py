@@ -149,10 +149,17 @@ class TestSlackForm:
                                            rtol=1e-14, atol=1e-15)
 
     def test_dimension_probe_rejects_bad_callbacks(self):
+        """Building the slack form leaves a wrong-shaped callback alone; the
+        derivative check's first counted calls reject it."""
         p = _circle_problem()
         p.eval_J = lambda x: np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            build_slack_form(p)
+        build_slack_form(p)
+        with pytest.raises(ValueError, match=r"eval_J shape does not match \(m_c, n\)"):
+            check_derivatives(p, p.x_tilde)
+        p = _circle_problem()
+        p.eval_c = lambda x: np.zeros(2)
+        with pytest.raises(ValueError, match="eval_c shape does not match m_c"):
+            check_derivatives(p, p.x_tilde)
 
     def test_bounds_pair_ordering_enforced(self):
         with pytest.raises(ValueError):

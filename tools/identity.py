@@ -7,10 +7,12 @@ Usage (from the root of a checkout):
 
 Solves every case of the perfbench workloads once at the default options,
 with BLAS pinned to one thread, and prints for each workload the totals of
-f, g, c and J calls, majors and minors, and a SHA-256 over each report's
-status, majors, minors, final objective, x_ext, y, z, KKT residual and
-trace.  Two checkouts whose digests match return the same iterates,
-multipliers, residuals and traces bit for bit.  The cases come from
+f, g, c and J calls, majors and minors, the number of callback calls
+repeated at a point the same solve had already called that callback at,
+and a SHA-256 over each report's status, majors, minors, final objective,
+x_ext, y, z, KKT residual and trace.  Two checkouts whose digests match
+return the same iterates, multipliers, residuals and traces bit for bit.
+The tool exits 1 when any solve repeats a call.  The cases come from
 perfbench/cases.py, which is read and not changed; slcl is imported from
 src/ of the same checkout.
 """
@@ -38,18 +40,35 @@ def report_record(rep) -> tuple:
             [dataclasses.astuple(rec) for rec in rep.trace])
 
 
-def run(workload: str, seed: int, per_case: bool) -> None:
+def spy_calls(problem) -> list[tuple[str, bytes]]:
+    """Wrap the problem's raw callbacks; the list returned gets the kind
+    and the bytes of x of every call."""
+    calls = []
+    for kind in "fgcJ":
+        fn = getattr(problem, f"eval_{kind}")
+        if fn is not None:
+            def called(x, kind=kind, fn=fn):
+                calls.append((kind, x.tobytes()))
+                return fn(x)
+            setattr(problem, f"eval_{kind}", called)
+    return calls
+
+
+def run(workload: str, seed: int, per_case: bool) -> int:
+    """Print the workload's line and return its repeated callback calls."""
     from cases import WORKLOADS as CASES
     from slcl.driver import OuterOptions, solve
 
     digest = hashlib.sha256()
-    totals = dict.fromkeys(["f", "g", "c", "J", "majors", "minors"], 0)
+    totals = dict.fromkeys(["f", "g", "c", "J", "majors", "minors", "repeats"], 0)
     for case in CASES[workload](seed):
         p = case.problem
+        calls = spy_calls(p)
         before = {k: getattr(p, a) for k, a in KINDS}
         rep = solve(p, OuterOptions(), case.x_start, case.y_start)
         counts = {k: getattr(p, a) - before[k] for k, a in KINDS}
-        counts.update(majors=rep.majors, minors=rep.minors)
+        counts.update(majors=rep.majors, minors=rep.minors,
+                      repeats=len(calls) - len(set(calls)))
         for k, v in counts.items():
             totals[k] += v
         # repr of a float round-trips, so equal text means equal bits
@@ -59,6 +78,7 @@ def run(workload: str, seed: int, per_case: bool) -> None:
                   " ".join(f"{k}={v}" for k, v in counts.items()))
     print(f"{workload}: " + " ".join(f"{k}={v}" for k, v in totals.items())
           + f" sha256={digest.hexdigest()}")
+    return totals["repeats"]
 
 
 def main() -> int:
@@ -72,8 +92,13 @@ def main() -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
-        run(workload, args.seed, args.per_case)
+    repeats = sum(run(workload, args.seed, args.per_case)
+                  for workload in (WORKLOADS if args.workload == "all"
+                                   else (args.workload,)))
+    if repeats:
+        print(f"{repeats} callback calls repeated a point of their solve",
+              file=sys.stderr)
+        return 1
     return 0
 
 
