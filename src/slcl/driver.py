@@ -7,12 +7,13 @@ candidate and refreshes the multiplier estimates, anything else keeps the
 current estimates, raises the penalty, and tightens the elastic price.  Every
 test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
-the kernel's of its last point, the start's takes g and J from the
-derivative check when that probed the start, and a kernel started at a
-point the driver holds a record of starts from that record, so a solve
-calls each callback at most once at any point.  The elastic weight sigma makes the method
-degrade gracefully between the two classical extremes, which are also
-available directly as modes:
+the kernel's of its last point.  Where a new record is of a point visited
+before (the start, which the derivative check probed and the proximal
+start embedded, or a kernel's start at the last kernel's candidate), the
+problem returns the values of its last calls (see model.NlpProblem), so a
+solve calls each callback at most once at any point.  The elastic weight
+sigma makes the method degrade gracefully between the two classical
+extremes, which are also available directly as modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -40,8 +41,8 @@ from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
                          SubproblemSolution, solve_lc, solve_proximal)
 from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
-from .model import (DerivReport, NlpProblem, SlackForm, Vector, bitwise_equal,
-                    build_slack_form, check_derivatives, finite_array, push_interior)
+from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
+                    check_derivatives, finite_array, push_interior)
 
 STABILIZED = "stabilized"
 CANONICAL = "canonical"
@@ -219,15 +220,6 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                        J_evals=J_evals, trace=trace, f_norm_0=f_norm_0)
 
 
-def _start_record(sf: SlackForm, x_ext: Vector, r: Vector, probe: Vector,
-                  deriv: DerivReport) -> Linearization:
-    """The record of the start x_ext with its residual r, taking g and J from
-    the derivative check when its probe was x_ext's x bit for bit."""
-    if bitwise_equal(x_ext[:sf.n], probe):
-        return linearize_constraints(sf, x_ext, r, deriv.g, deriv.J)
-    return linearize_constraints(sf, x_ext, r)
-
-
 def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: OuterOptions,
                        counts0: list[int], f_norm_0: float) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
@@ -266,16 +258,15 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
 
     try:
-        x0, r0 = solve_proximal(sf, x_tilde)
+        x0 = solve_proximal(sf, x_tilde)
     except PpInfeasible:
-        x_ext, r = sf.embed(np.clip(x_tilde, lx, ux))
+        lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, lx, ux)))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        lin = _start_record(sf, x_ext, r, probe, deriv)
         res = kkt_residual(lin, y, z)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=res.f_norm)
 
-    lin = _start_record(sf, x0, r0, probe, deriv)
+    lin = linearize_constraints(sf, x0)
     y = np.zeros(sf.m) if y_start is None else y_start
     z = lin.g - lin.jacobian_t(y)
     res = kkt_residual(lin, y, z)

@@ -14,9 +14,9 @@ Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
 subproblem, the point's record, holding its residual and f), and the
 gradient at an accepted point takes that instead of computing it again.
-A subproblem that starts at a point the driver holds the record of (the
-base point, or a rejected major's candidate) computes the start's value
-from that record and hands both to the kernel, so nothing is evaluated
+A subproblem started at the base point reads the base record; one started
+at the point the previous kernel evaluated last finds its values
+remembered by the problem (see model.NlpProblem), so nothing is evaluated
 there again.
 On success the subproblem triple satisfies its relaxed optimality
 conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
@@ -33,7 +33,7 @@ import numpy as np
 
 from .linearize import ElasticSubproblem, Linearization, optimal_elastics
 from .merit import comp_measure
-from .model import Matrix, SlackForm, Vector, bitwise_equal
+from .model import Matrix, SlackForm, Vector
 
 CONVERGED = "Converged"
 UNBOUNDED = "Unbounded"
@@ -74,8 +74,8 @@ class SubproblemSolution:
 @dataclass
 class BoundSolveResult:
     """The last point with its value, gradient g, row multipliers y, BFGS
-    matrix and aux (what evaluate returned there; None when a move onto a
-    bound within rounding changed x after it, and f and g are then from
+    matrix and aux (what evaluate returned there; None when the solve ended
+    on a move of x onto a bound within rounding, and f and g are then from
     before that move)."""
 
     x: Vector
@@ -133,8 +133,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
                 rows: Matrix | None = None, offset: Vector | None = None,
                 iter_cap: int = _MAX_INNER_ITERS,
-                hess: Matrix | None = None,
-                start_value: tuple[float, object] | None = None) -> BoundSolveResult:
+                hess: Matrix | None = None) -> BoundSolveResult:
     """Minimize a smooth function over a box subject to rows R u + offset = 0.
 
     An active-set quasi-Newton method.  The working set holds the bounds the
@@ -162,19 +161,17 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
 
     evaluate(u) returns the value at u with whatever the caller wants to
     keep from computing it (aux); it is called at the start point and at
-    every line-search trial point, except at a start in the box whose
-    evaluate(start) the caller already has and passes as start_value.
-    gradient(u, aux) is called at the start point and at each accepted
-    trial point, with the aux evaluate returned there.  A trial with a
-    non-finite value fails and is backtracked; a non-finite value or
-    gradient at the start or an accepted point raises ValueError.  n_evals
-    counts the points evaluated (the start and every trial), iterations the
-    accepted points.
+    every line-search trial point.  gradient(u, aux) is called at the start
+    point and at each accepted trial point, with the aux evaluate returned
+    there.  A trial with a non-finite value fails and is backtracked; a
+    non-finite value or gradient at the start or an accepted point raises
+    ValueError.  n_evals counts the points evaluated (the start and every
+    trial), iterations the accepted points.
     """
     x = np.clip(np.array(start, dtype=float), lo, hi)
     R = np.zeros((0, x.size)) if rows is None else rows
     offset = np.zeros(R.shape[0]) if offset is None else offset
-    f, aux = evaluate(x) if start_value is None else start_value
+    f, aux = evaluate(x)
     g = gradient(x, aux)
     _check_finite("start", x, f, g)
     n_evals = 1
@@ -202,10 +199,9 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
 
         i, alpha_max, bound_i = _ratio_test(x, d, lo, hi)
         if alpha_max < 1.0 and abs(bound_i - x[i]) <= _ROUNDOFF * (1.0 + abs(x[i])):
-            if not bitwise_equal(x[i], bound_i):
-                x = x.copy()
-                x[i] = bound_i
-                aux = None
+            x = x.copy()
+            x[i] = bound_i
+            aux = None
             at_lo[i], at_hi[i] = d[i] < 0.0, d[i] > 0.0
             continue
 
@@ -352,22 +348,19 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
     if np.array_equal(x0, lin.x_k):
-        x0, held = _step_to_rows(lin, x0), lin
+        x0 = _step_to_rows(lin, x0)
     r = lin.cbar(x0)
     r[np.abs(r) <= _row_rounding(lin, x0)] = 0.0
     v0, w0 = optimal_elastics(r)
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
-    if held is not None and not bitwise_equal(u[:n_ext], held.x_k):
-        held = None
     res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,
-                      rows=sub.rows, offset=lin.offset, hess=hess,
-                      start_value=None if held is None else sub.evaluate(u, held))
+                      rows=sub.rows, offset=lin.offset, hess=hess)
     return _finalize(sub, res, omega)
 
 
-def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, Vector]:
-    """Project x_tilde onto the bounds and linear rows; return it embedded,
-    with the residual there (see SlackForm.embed).
+def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
+    """Project x_tilde onto the bounds and linear rows; return it embedded
+    (see SlackForm.embed).
 
     Minimizes (1/2)||x - x_tilde||^2 over u = (x, s_A) in the box subject to
     the rows A x - s_A = 0.  When the clipped start violates a row, a first

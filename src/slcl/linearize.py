@@ -27,20 +27,12 @@ from .model import Matrix, SlackForm, Vector
 
 class Linearization:
     """The record of a visited point x_k: its residual c_k, objective f,
-    gradients g_x = g(x) and g (g_x and the slacks' zeros) and Jacobian
-    J_x = J(x), each evaluated on first read and kept, and the first-order
-    model J_k x + offset of the rows about x_k.  A caller that already
-    holds c_k, g_x or J_x at x_k passes it in."""
+    gradient g (g(x) and the slacks' zeros) and Jacobian J_x = J(x), each
+    evaluated on first read and kept, and the first-order model
+    J_k x + offset of the rows about x_k."""
 
-    def __init__(self, sf: SlackForm, x_k: Vector, c_k: Vector | None = None,
-                 g_x: Vector | None = None, J_x: Matrix | None = None) -> None:
+    def __init__(self, sf: SlackForm, x_k: Vector) -> None:
         self.sf, self.x_k = sf, x_k
-        if c_k is not None:
-            self.c_k = c_k
-        if g_x is not None:
-            self.g_x = g_x
-        if J_x is not None:
-            self.J_x = J_x
 
     @cached_property
     def c_k(self) -> Vector:
@@ -51,12 +43,8 @@ class Linearization:
         return self.sf.nlp.f(self.x_k[:self.sf.n])
 
     @cached_property
-    def g_x(self) -> Vector:
-        return self.sf.nlp.g(self.x_k[:self.sf.n])
-
-    @cached_property
     def g(self) -> Vector:
-        return np.concatenate([self.g_x, np.zeros(self.sf.m)])
+        return np.concatenate([self.sf.nlp.g(self.x_k[:self.sf.n]), np.zeros(self.sf.m)])
 
     @cached_property
     def J_x(self) -> Matrix:
@@ -81,12 +69,9 @@ class Linearization:
         return np.concatenate([self.J_x.T @ y_c + self.sf.nlp.A.T @ y_A, -y_c, -y_A])
 
 
-def linearize_constraints(sf: SlackForm, x_ext: Vector, c_k: Vector | None = None,
-                          g_x: Vector | None = None,
-                          J_x: Matrix | None = None) -> Linearization:
-    """The record of x_ext, given its residual c_k and g and J at its x
-    where the caller holds them."""
-    return Linearization(sf, np.array(x_ext, dtype=float), c_k, g_x, J_x)
+def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
+    """The record of x_ext."""
+    return Linearization(sf, np.array(x_ext, dtype=float))
 
 
 @dataclass
@@ -126,15 +111,14 @@ class ElasticSubproblem:
         n_ext, m = self.n_ext, self.m
         return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
 
-    def evaluate(self, u: Vector,
-                 point: Linearization | None = None) -> tuple[float, Linearization]:
+    def evaluate(self, u: Vector) -> tuple[float, Linearization]:
         """Objective at u, with the record of its x_ext that it read c and f
-        from: point, where the caller holds the record of that x_ext, else a
-        new one.  gradient at u reads g and J from the same record, and the
-        kernel's last one is the candidate's record."""
+        from: the base record lin at the base point, else a new one.
+        gradient at u reads g and J from the same record, and the kernel's
+        last one is the candidate's record."""
         x_ext, v, w = self.split(u)
-        if point is None:
-            point = Linearization(self.lin.sf, x_ext)
+        same = x_ext.tobytes() == self.lin.x_k.tobytes()
+        point = self.lin if same else Linearization(self.lin.sf, x_ext)
         val = aug_lagrangian(point, self.y_k, self.rho_k)
         return val + self.sigma_k * float(np.sum(v) + np.sum(w)), point
 

@@ -14,6 +14,7 @@ slack variable, so the only inequalities left are simple bounds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -51,11 +52,21 @@ def _callback_value(value, shape: tuple[int, ...], message: str) -> np.ndarray:
     return out
 
 
-def bitwise_equal(a, b) -> bool:
-    """Whether two float arrays or scalars hold the same bits (so 0.0 and
-    -0.0 differ): a callback pure in x then returns the same values at both."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+def _remembered(method):
+    """A counted wrapper that keeps the bytes of x and the value of its last
+    call, and at the same x, bit for bit, returns that value uncalled; a
+    call that raises leaves x unremembered."""
+    kind = method.__name__
+
+    @wraps(method)
+    def recall(self, x):
+        key = np.asarray(x, dtype=float).tobytes()
+        last = self._last.get(kind)
+        if last is None or last[0] != key:
+            last = self._last[kind] = key, method(self, x)
+        return last[1]
+
+    return recall
 
 
 def finite_array(value, shape, what: str) -> np.ndarray:
@@ -79,8 +90,11 @@ def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
 class NlpProblem:
     """A smooth nonlinear program with nonlinear rows, linear rows, and bounds.
 
-    Callbacks must be pure functions of x.  The calls of each callback are
-    counted on the instance so reports can state exact evaluation counts.
+    Callbacks must be pure functions of x: the calls of each callback are
+    counted on the instance so reports can state exact evaluation counts,
+    and a call at the x of the last counted call of its kind, bit for bit,
+    returns that call's value without calling or counting again.  The
+    values are shared, so callers must not modify them.
     """
 
     n: int
@@ -100,6 +114,8 @@ class NlpProblem:
     n_geval: int = field(default=0, init=False)
     n_ceval: int = field(default=0, init=False)
     n_jeval: int = field(default=0, init=False)
+    # kind -> (bytes of x, value) of the last counted call; see _remembered
+    _last: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m_c < 0 or self.m_A < 0:
@@ -117,19 +133,23 @@ class NlpProblem:
         self.x_tilde = finite_array(self.x_tilde, self.n, "x_tilde")
 
     # Counted evaluation wrappers.  All solver code goes through these.  They
-    # check the shape of what each callback returns, and pass non-finite
-    # values through: the inner kernel checks each evaluated point once,
-    # rejecting a trial point and raising at an accepted one.
+    # remember their last call (_remembered), check the shape of what each
+    # callback returns, and pass non-finite values through: the inner
+    # kernel checks each evaluated point once, rejecting a trial point and
+    # raising at an accepted one.
 
+    @_remembered
     def f(self, x: Vector) -> float:
         self.n_feval += 1
         return float(self.eval_f(x))
 
+    @_remembered
     def g(self, x: Vector) -> Vector:
         self.n_geval += 1
         return _callback_value(self.eval_g(x), (self.n,),
                                "eval_g shape does not match n")
 
+    @_remembered
     def c(self, x: Vector) -> Vector:
         if self.m_c == 0:
             return np.zeros(0)
@@ -137,6 +157,7 @@ class NlpProblem:
         return _callback_value(self.eval_c(x), (self.m_c,),
                                "eval_c shape does not match m_c")
 
+    @_remembered
     def J(self, x: Vector) -> Matrix:
         if self.m_c == 0:
             return np.zeros((0, self.n))
@@ -191,18 +212,15 @@ class SlackForm:
         Jt[m_c:, n + m_c:] = -np.eye(m_A)
         return Jt
 
-    def embed(self, x: Vector) -> tuple[Vector, Vector]:
-        """x extended by slacks clipped into their bounds, and its residual.
+    def embed(self, x: Vector) -> Vector:
+        """x extended by slacks clipped into their bounds.
 
-        The residual is zero exactly when x satisfies the row constraints,
-        so this is the canonical feasible embedding.
+        The residual there is zero exactly when x satisfies the row
+        constraints, so this is the canonical feasible embedding.
         """
         x = np.asarray(x, dtype=float)
-        lc, uc = self.nlp.bounds_c
-        lA, uA = self.nlp.bounds_A
-        c, Ax = self.nlp.c(x), self.nlp.A @ x
-        s_c, s_A = np.clip(c, lc, uc), np.clip(Ax, lA, uA)
-        return np.concatenate([x, s_c, s_A]), np.concatenate([c - s_c, Ax - s_A])
+        s_c = np.clip(self.nlp.c(x), *self.nlp.bounds_c)
+        return np.concatenate([x, s_c, np.clip(self.nlp.A @ x, *self.nlp.bounds_A)])
 
     def nonlinear_bound_violation(self, x_ext: Vector, r: Vector) -> float:
         """Infinity-norm violation of the nonlinear row bounds at x_ext."""
@@ -211,9 +229,11 @@ class SlackForm:
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:
-    """Construct the slack form, checking the inputs; the callbacks' shapes
-    are checked at their first calls, which the derivative check makes."""
+    """Construct the slack form, checking the inputs and forgetting the
+    problem's last calls; the callbacks' shapes are checked at their first
+    calls, which the derivative check makes."""
     problem.check_inputs()
+    problem._last.clear()
     lo = np.concatenate([problem.bounds_x[0], problem.bounds_c[0], problem.bounds_A[0]])
     hi = np.concatenate([problem.bounds_x[1], problem.bounds_c[1], problem.bounds_A[1]])
     n_ext = problem.n + problem.m_c + problem.m_A
@@ -228,10 +248,6 @@ class DerivReport:
     max_rel_err_J: float
     worst_index: str
     passed: bool
-    # the analytic g(x) and J(x) at the checked point, for a caller that
-    # needs them there too
-    g: Vector
-    J: Matrix
 
 
 def push_interior(x: Vector, lo: Vector, hi: Vector,
@@ -277,7 +293,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     g = problem.g(x)
     Jmat = problem.J(x)
     if not free.any():
-        return DerivReport(0.0, 0.0, "g.d", passed=True, g=g, J=Jmat)
+        return DerivReport(0.0, 0.0, "g.d", passed=True)
     # signs and weights from the fractional parts of j times two irrationals:
     # no two weights are equal, so a swapped pair of entries cannot cancel,
     # and the direction is the same on every run
@@ -294,7 +310,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     max_g, max_J = float(dir_g), float(dir_J.max(initial=0.0))
     if max_g <= _DERIV_TOL and max_J <= _DERIV_TOL:
         worst = "g.d" if max_g >= max_J else f"J[{int(np.argmax(dir_J))}].d"
-        return DerivReport(max_g, max_J, worst, passed=True, g=g, J=Jmat)
+        return DerivReport(max_g, max_J, worst, passed=True)
 
     # the directional test failed: locate the worst entry
     err_g = np.zeros(problem.n)
@@ -318,4 +334,4 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
         worst = f"J[{i},{j}]"
     passed = bool(max_g <= _DERIV_TOL and max_J <= _DERIV_TOL)
     return DerivReport(max_rel_err_g=max_g, max_rel_err_J=max_J,
-                       worst_index=worst, passed=passed, g=g, J=Jmat)
+                       worst_index=worst, passed=passed)

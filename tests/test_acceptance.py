@@ -90,7 +90,7 @@ def test_criterion_3_gradient_suite():
     worst = 0.0
     for name in ALL_NAMES:
         sf = build_slack_form(catalog_get(name).problem)
-        base = sf.embed(sf.nlp.x_tilde)[0]
+        base = sf.embed(sf.nlp.x_tilde)
         # sampling box: near the start, inside bounds, away from the infinities
         lo = np.maximum(sf.lo, -10.0)
         hi = np.minimum(sf.hi, 10.0)

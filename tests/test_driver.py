@@ -11,7 +11,7 @@ from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI
                          SIGMA_LO, STABILIZED, TAU_RHO, OuterOptions, OuterState,
                          next_omega, solve, update_on_failure,
                          update_on_success)
-from slcl.innersolve import CONVERGED, UNBOUNDED, SubproblemSolution
+from slcl.innersolve import CONVERGED, ITERATION_LIMIT, UNBOUNDED, SubproblemSolution
 from slcl.linearize import ElasticSubproblem, linearize_constraints
 from slcl.merit import kkt_residual
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
@@ -67,6 +67,20 @@ def _disc(**changes):
         bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([0.5, 0.5]))
     fields.update(changes)
     return NlpProblem(**fields)
+
+
+def _spy_calls(problem):
+    """Wrap the problem's raw callbacks; the list returned gets the kind
+    and the bytes of x of every call."""
+    seen = []
+    for kind in "fgcJ":
+        fn = getattr(problem, f"eval_{kind}")
+        if fn is not None:
+            def spied(x, kind=kind, fn=fn):
+                seen.append((kind, x.tobytes()))
+                return fn(x)
+            setattr(problem, f"eval_{kind}", spied)
+    return seen
 
 
 class TestUpdateOnSuccess:
@@ -264,6 +278,71 @@ class TestDetectors:
         assert not any(t.accepted for t in rep.trace)
         assert rep.trace[-1].rho > driver.RHO_BAR >= rep.trace[-2].rho
         np.testing.assert_array_equal(rep.x, x_start)
+
+
+def _fake_solve_lc(monkeypatch, change):
+    """Make driver.solve_lc return the real solution after change(sol)."""
+    real = driver.solve_lc
+
+    def fake(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        change(sol)
+        return sol
+
+    monkeypatch.setattr(driver, "solve_lc", fake)
+
+
+class TestCannotImprove:
+    """The CannotImprove exits besides the penalty's (see TestDetectors)."""
+
+    @staticmethod
+    def _stall(sol):
+        sol.status = ITERATION_LIMIT
+
+    def test_two_kernel_stalls_at_the_omega_floor(self, monkeypatch):
+        """A kernel that stops at its limit is rejected; the run ends at the
+        second such major whose omega is at omega_star, however many came
+        before it above the floor."""
+        _fake_solve_lc(monkeypatch, self._stall)
+        problem = catalog_get("circle-proj").problem
+        rep = solve(problem, OuterOptions(omega_0=1e-6, omega_star=1e-6))
+        assert rep.status == "CannotImprove" and rep.majors == 2
+        rep = solve(problem)
+        omegas = [t.omega for t in rep.trace]
+        assert rep.status == "CannotImprove" and rep.majors > 3
+        assert omegas[-2] == omegas[-1] == 1e-6 < omegas[-3]
+        assert not any(t.accepted for t in rep.trace)
+        assert [t.inner_status for t in rep.trace] == [ITERATION_LIMIT] * rep.majors
+
+    def test_a_kernel_stall_ends_the_canonical_mode_at_once(self, monkeypatch):
+        """With its penalty fixed the canonical mode has nothing to change."""
+        _fake_solve_lc(monkeypatch, self._stall)
+        rep = solve(catalog_get("circle-proj").problem, OuterOptions(mode=CANONICAL))
+        assert rep.status == "CannotImprove" and rep.majors == 1
+        assert not rep.trace[0].accepted
+
+    def test_canonical_mode_needing_elastic_help(self):
+        """infeas-affine's linearized row cannot be met, so the canonical
+        mode's first candidate keeps an elastic at 1: it is accepted, as
+        every canonical candidate is, and the run ends there."""
+        rep = solve(catalog_get("infeas-affine").problem, OuterOptions(mode=CANONICAL))
+        assert rep.status == "CannotImprove" and rep.majors == 1
+        (t,) = rep.trace
+        assert t.accepted and t.inner_status == CONVERGED
+        assert t.elastic_inf == pytest.approx(1.0)
+
+    def test_linear_only_solve_converged_but_not_optimal(self, monkeypatch):
+        """A linear-only subproblem that converges to a point the KKT test
+        at omega_star and eta_star rejects ends the run CannotImprove."""
+        def shift(sol):
+            sol.z_star = sol.z_star + 1e-3
+
+        problem = catalog_get("box-quadratic").problem
+        assert solve(problem).status == "Optimal"
+        _fake_solve_lc(monkeypatch, shift)
+        rep = solve(problem)
+        assert rep.status == "CannotImprove" and rep.majors == 0
+        assert rep.residual.dual_inf == pytest.approx(1e-3)
 
 
 class TestOptionsValidation:
@@ -584,123 +663,145 @@ class TestSolve:
 
     @staticmethod
     def _spy_kernel(monkeypatch):
-        """A list filled by a solve with one entry per kernel call on a
-        subproblem: its points evaluated, its points given a gradient,
-        whether it started from a record the caller held, whether that
-        record still lacked f, and whether the candidate's record is a new
-        one at a point moved onto a bound after the last evaluation."""
-        calls, unread_f = [], []
-        kernel, evaluate = innersolve.bound_solve, ElasticSubproblem.evaluate
+        """Lists filled by a solve: the bytes of x at every point a
+        subproblem's kernel evaluates, at every point it gives a gradient,
+        and one entry per subproblem kernel call saying whether the
+        candidate's record is a new one at a point moved onto a bound
+        after the last evaluation."""
+        evaluated, gradients, snapped = [], [], []
+        kernel = innersolve.bound_solve
+        evaluate, gradient = ElasticSubproblem.evaluate, ElasticSubproblem.gradient
 
-        def spied_evaluate(sub, u, point=None):
-            if point is not None:
-                # a held record has c, g and J already
-                assert {"c_k", "g_x", "J_x"} <= vars(point).keys()
-                unread_f.append("f" not in vars(point))
-            return evaluate(sub, u, point)
+        def spied_evaluate(sub, u):
+            evaluated.append(sub.split(u)[0][:sub.lin.sf.n].tobytes())
+            return evaluate(sub, u)
 
-        def spied(evaluate, *args, start_value=None, **kwargs):
-            res = kernel(evaluate, *args, start_value=start_value, **kwargs)
+        def spied_gradient(sub, u, point):
+            gradients.append(point.x_k[:sub.lin.sf.n].tobytes())
+            return gradient(sub, u, point)
+
+        def spied(evaluate, *args, **kwargs):
+            res = kernel(evaluate, *args, **kwargs)
             if isinstance(getattr(evaluate, "__self__", None), ElasticSubproblem):
-                held = start_value is not None
-                calls.append((res.n_evals, 1 + res.iterations, held,
-                              held and unread_f.pop(), res.aux is None))
+                snapped.append(res.aux is None)
             return res
 
         monkeypatch.setattr(ElasticSubproblem, "evaluate", spied_evaluate)
+        monkeypatch.setattr(ElasticSubproblem, "gradient", spied_gradient)
         monkeypatch.setattr(innersolve, "bound_solve", spied)
-        return calls
+        return evaluated, gradients, snapped
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        """Beyond the derivative check, f and c are called once at every
-        point the kernel evaluates, except at a start from a record the
-        driver holds: the base record where the step toward the rows left
-        it in place, or the candidate of a rejected major.  That record
-        has c, g and J already, and f too, except the start's record and a
-        moved candidate's (two-circles' first start, infeas-affine's
-        second), where f is called once.  g and J are called once at
-        every point the kernel accepts and at each start from a record it
-        does not hold.  The only other calls are c once by the start's
-        embedding, and c, g and J once for a candidate the kernel moved
-        onto a bound after evaluating it (infeas-affine's first), which a
-        KKT residual reads.  The derivative check probes x0 on these
-        problems, so the start's record takes its g and J.
-        There is one record at the start and one per major (ridge-eq
-        rejects majors, whose candidates become no base point); two
-        records are never at one point, as a kernel that does not leave a
-        held start returns that record (infeas-affine's later majors), and
-        every subproblem's base record is one of them.  The report's
-        residual is the loop's, equal to a fresh one.  No problem here has
-        linear rows, so every kernel call is a subproblem."""
-        counters = ("n_feval", "n_ceval", "n_geval", "n_jeval")
-        deriv_calls, check = [], driver.check_derivatives
+        """Each callback is called once at each point it is needed at, and
+        nowhere else.  f: the derivative check's probes, every point a
+        kernel evaluates, and the reported point.  c: the check's probes,
+        x0 (the start's embedding), every point a kernel evaluates, and
+        every candidate.  g and J: the check's probe, x0, every point a
+        kernel gives a gradient, and every candidate.  A kernel starts at a
+        point already evaluated, as ridge-eq's rejected majors and
+        infeas-affine's later ones do, and the derivative check probes x0
+        on these problems, so without the problem's memory of its last calls
+        these lists would repeat points.  A candidate the kernel moved
+        onto a bound after evaluating it (infeas-affine's first) gets c, g
+        and J there once, which a KKT residual reads.  There is one record
+        at the start and one per major, and every subproblem's base record
+        is one of them.  The report's residual is the loop's, equal to a
+        fresh one.  No problem here has linear rows, so every kernel call is
+        a subproblem."""
+        probes, check = [], driver.check_derivatives
 
-        def counted_check(p, x):
-            before = [getattr(p, a) for a in counters]
+        def spied_check(p, x):
+            probes.append((x.tobytes(), len(seen)))
             out = check(p, x)
-            deriv_calls.append((out, [getattr(p, a) - b
-                                      for a, b in zip(counters, before)]))
+            probes.append(len(seen))
             return out
 
-        monkeypatch.setattr(driver, "check_derivatives", counted_check)
-        kernel_calls = self._spy_kernel(monkeypatch)
+        monkeypatch.setattr(driver, "check_derivatives", spied_check)
+        evaluated, gradients, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
         for name, status in (("two-circles", "Optimal"), ("ridge-eq", "Optimal"),
                              ("infeas-affine", "Infeasible")):
             problem = catalog_get(name).problem
-            for spied in (deriv_calls, kernel_calls, built, from_kernel, bases):
+            seen = _spy_calls(problem)
+            for spied in (probes, evaluated, gradients, snapped, built, from_kernel,
+                          bases):
                 spied.clear()
-            before = [getattr(problem, a) for a in counters]
             rep = solve(problem)
             assert rep.status == status and rep.majors > 1
             assert name == "two-circles" or not all(t.accepted for t in rep.trace)
-            f_calls, c_calls, g_calls, j_calls = (getattr(problem, a) - b
-                                                  for a, b in zip(counters, before))
-            (deriv, (deriv_f, deriv_c, deriv_g, deriv_j)), = deriv_calls
-            points, gradients, held, unread_f, snapped = (
-                sum(column) for column in zip(*kernel_calls))
-            assert held > 0
-            assert snapped == (name == "infeas-affine")
-            assert f_calls == deriv_f + points - held + unread_f
+            assert sum(snapped) == (name == "infeas-affine")
+            (probe, first), last = probes
+            x0 = built[0].x_k[:problem.n].tobytes()
+            assert probe == x0
+            candidates = {rec.x_k[:problem.n].tobytes() for rec in from_kernel}
+            in_check, outside = seen[first:last], seen[:first] + seen[last:]
+
+            def called(kind, calls):
+                return sorted(x for k, x in calls if k == kind)
+
+            assert called("g", in_check) == called("J", in_check) == [probe]
+            assert called("f", outside) == sorted(set(evaluated) | {rep.x.tobytes()})
+            assert called("c", outside) == sorted(set(evaluated) | {x0} | candidates)
+            for kind in "gJ":
+                assert called(kind, seen) == sorted(set(gradients) | {x0} | candidates)
+            assert len(set(seen)) == len(seen), name
+            assert name == "two-circles" or len(evaluated) > len(set(evaluated))
             assert rep.final_objective == float(problem.eval_f(rep.x))
-            assert c_calls == deriv_c + points - held + 1 + snapped
-            assert g_calls == deriv_g + gradients - held + snapped
-            assert j_calls == deriv_j + gradients - held + snapped
-            records = built + from_kernel
-            assert len(built) == 1 and len(records) == rep.majors + 1
-            assert built[0].g_x is deriv.g and built[0].J_x is deriv.J
-            for i, rec in enumerate(records):
-                assert all(other is rec for other in records[i + 1:]
-                           if np.array_equal(rec.x_k, other.x_k)), name
-            assert all(any(base is rec for rec in records) for base in bases)
+            assert len(built) == 1 and len(built + from_kernel) == rep.majors + 1
+            assert all(any(base is rec for rec in built + from_kernel) for base in bases)
 
             fresh = kkt_residual(linearize_constraints(build_slack_form(problem), rep.x_ext),
                                  rep.y, rep.z)
             assert rep.residual == fresh
 
     def test_every_record_equals_a_fresh_one(self, monkeypatch):
-        """Each record the driver reads, the start's, with g and J from the
-        derivative check where it probed x0, the kernel's at a candidate, a
-        new one at a candidate the kernel moved onto a bound after
-        evaluating it (infeas-affine alone: a move onto a bound the point
-        already sits on keeps the record), and each subproblem's base,
-        holds what a fresh record at its point gives, bit for bit."""
-        kernel_calls = self._spy_kernel(monkeypatch)
+        """Each record the driver reads, the start's, the kernel's at a
+        candidate, a new one at a candidate the kernel moved onto a bound
+        after evaluating it (infeas-affine's, and box-quadratic's, whose
+        move is onto a bound the point already sits on, so the new record
+        reads values the problem remembers), and each subproblem's base,
+        holds what a fresh record of a problem that remembers no call
+        gives, bit for bit."""
+        _, _, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
-        snapped = []
+        moved = []
         for name in catalog_names():
-            for spied in (kernel_calls, built, from_kernel, bases):
+            for spied in (snapped, built, from_kernel, bases):
                 spied.clear()
-            solve(catalog_get(name).problem)
+            problem = catalog_get(name).problem
+            solve(problem)
             assert built, name
-            snapped += [name] * sum(call[-1] for call in kernel_calls)
+            moved += [name] * sum(snapped)
             for rec in built + from_kernel + bases:
-                fresh = linearize_constraints(rec.sf, rec.x_k)
-                for field in ("c_k", "J_x", "J_k", "g_x", "g", "offset"):
+                fresh = linearize_constraints(build_slack_form(problem), rec.x_k)
+                for field in ("c_k", "J_x", "J_k", "g", "offset"):
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
                 assert rec.f == fresh.f, name
-        assert snapped == ["infeas-affine"]
+        assert moved == ["infeas-affine", "box-quadratic"]
+
+    def test_solving_twice_gives_equal_counts(self):
+        """A second solve of the same problem instance calls every callback
+        as often as the first and returns the same report: building the
+        slack form forgets the last calls of the solve before.  The last
+        case starts at its minimizer, so its first solve ends at the point
+        where its second one first calls g."""
+        at_minimizer = NlpProblem(
+            n=2, m_c=0, m_A=0, eval_f=lambda x: float((x - 1.0) @ (x - 1.0)),
+            eval_g=lambda x: 2.0 * (x - 1.0), eval_c=None, eval_J=None,
+            A=np.zeros((0, 2)), bounds_x=(np.full(2, -INF), np.full(2, INF)),
+            bounds_c=(np.zeros(0), np.zeros(0)), bounds_A=(np.zeros(0), np.zeros(0)),
+            x_tilde=np.ones(2))
+        problems = [catalog_get(name).problem for name in
+                    ("circle-proj", "ridge-eq", "infeas-affine", "linear-as-nl")]
+        for problem in problems + [at_minimizer]:
+            first, second = solve(problem), solve(problem)
+            assert first.f_evals > 0 and first.g_evals > 0
+            for field in ("f_evals", "g_evals", "c_evals", "J_evals", "majors",
+                          "minors", "status", "final_objective"):
+                assert getattr(first, field) == getattr(second, field), field
+            np.testing.assert_array_equal(first.x_ext, second.x_ext)
+        np.testing.assert_array_equal(first.x, at_minimizer.x_tilde)
 
     def test_no_callback_repeats_a_point(self):
         """Within one solve each callback is called at most once at any x,
@@ -718,14 +819,7 @@ class TestSolve:
                              entry.known_y + r))
         for name, x_start, y_start in runs:
             problem = catalog_get(name).problem
-            seen = []
-            for kind in "fgcJ":
-                fn = getattr(problem, f"eval_{kind}")
-                if fn is not None:
-                    def spied(x, kind=kind, fn=fn):
-                        seen.append((kind, x.tobytes()))
-                        return fn(x)
-                    setattr(problem, f"eval_{kind}", spied)
+            seen = _spy_calls(problem)
             solve(problem, x_start=x_start, y_start=y_start)
             assert len(set(seen)) == len(seen), (name, x_start)
 

@@ -22,7 +22,7 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     slack = 1e-9 * (1.0 + np.abs(u).max(initial=0.0))
     if np.any(u < sub.lo - slack) or np.any(u > sub.hi + slack):
         return False
-    r = sub.row_residual(u)
+    r = sub.rows @ u + sub.lin.offset
     if np.abs(r).max(initial=0.0) > delta_lin + 1e-12:
         return False
     grad_l = sub.gradient(u, sub.evaluate(u)[1])[:sub.n_ext]
@@ -139,6 +139,69 @@ class TestBoundSolve:
             bound_solve(evaluate, gradient, np.array([-INF]), np.array([INF]),
                         np.array([1.0]), tol=1e-8)
 
+    @staticmethod
+    def _matrices(monkeypatch):
+        """The B of every KKT step the kernel solves."""
+        seen, kkt_step = [], innersolve._kkt_step
+
+        def recorded(B, *args):
+            seen.append(B.copy())
+            return kkt_step(B, *args)
+
+        monkeypatch.setattr(innersolve, "_kkt_step", recorded)
+        return seen
+
+    def test_failed_search_resets_a_carried_matrix(self, monkeypatch):
+        """From hess = -I the step climbs, so no trial is evaluated and B
+        resets to the identity; the solve then runs as one started from
+        it, evaluating the same points."""
+        evaluate, gradient = _quadratic(np.diag([1.0, 4.0]), np.array([0.5, 0.8]))
+        lo, hi, start = np.full(2, -1.0), np.full(2, 1.0), np.zeros(2)
+        plain = bound_solve(evaluate, gradient, lo, hi, start, tol=1e-10)
+        seen = self._matrices(monkeypatch)
+        res = bound_solve(evaluate, gradient, lo, hi, start, tol=1e-10,
+                          hess=-np.identity(2))
+        assert res.status == CONVERGED
+        np.testing.assert_array_equal(seen[0], -np.identity(2))
+        np.testing.assert_array_equal(seen[1], np.identity(2))
+        np.testing.assert_array_equal(res.x, plain.x)
+        assert (res.n_evals, res.iterations) == (plain.n_evals, plain.iterations)
+
+    def test_matrix_singular_along_the_step_is_reset(self, monkeypatch):
+        """From hess = diag(1, 1e-20) the first step runs along x2 to its
+        bound, where s'Bs is lost against s's length: B resets to the
+        identity instead of taking the update, which would hold the
+        curvature 4 of x2."""
+        evaluate, gradient = _quadratic(np.diag([1.0, 4.0]), np.array([0.5, 0.8]))
+        seen = self._matrices(monkeypatch)
+        res = bound_solve(evaluate, gradient, np.full(2, -1.0), np.full(2, 1.0),
+                          np.zeros(2), tol=1e-10, hess=np.diag([1.0, 1e-20]))
+        assert res.status == CONVERGED
+        np.testing.assert_allclose(res.x, [0.5, 0.8], atol=1e-10)
+        np.testing.assert_array_equal(seen[1], np.identity(2))
+
+    def test_step_lost_in_rounding_ends_the_solve(self):
+        """The minimizer of (x - a)^2 is one unit in the last place away:
+        the step cannot move x, so the solve ends without a trial."""
+        a = np.nextafter(1.0, 2.0)
+        res = bound_solve(lambda x: (float((x[0] - a) ** 2), None),
+                          lambda x, _: np.array([2.0 * (x[0] - a)]),
+                          np.array([-INF]), np.array([INF]), np.ones(1), tol=1e-20)
+        assert res.status == ITERATION_LIMIT
+        assert (res.iterations, res.n_evals) == (0, 1)
+        np.testing.assert_array_equal(res.x, [1.0])
+
+    def test_search_that_backtracks_below_the_least_step_ends_the_solve(self):
+        """The value is nan at every point but the start, so every trial
+        fails and the search halves the step from 1 until it is below
+        1e-14, which takes 47 trials."""
+        evaluate = lambda x: (0.0 if x[0] == 0.0 else float("nan"), None)
+        res = bound_solve(evaluate, lambda x, _: np.array([-1.0]),
+                          np.array([-INF]), np.array([INF]), np.zeros(1), tol=1e-8)
+        assert res.status == ITERATION_LIMIT
+        assert (res.iterations, res.n_evals) == (0, 48)
+        np.testing.assert_array_equal(res.x, [0.0])
+
     def test_stiff_quadratic_reaches_its_active_set_solution(self):
         """A rotated quadratic with condition 1e4 over [-1, 1]^10.
 
@@ -232,37 +295,6 @@ class TestLinearRows:
         assert np.array_equal(x_last, res.x)
         assert res.aux is aux_last
 
-    def test_start_value_skips_the_start_evaluation(self):
-        """With evaluate(start) given as start_value, evaluate is called at
-        the trial points alone, and the start's gradient reads the given
-        aux; the results agree bit for bit with a run without it."""
-        Q, a = 2.0 * np.eye(2), np.array([-1.0, 1.0])
-        evaluated, received = [], []
-
-        def evaluate(x):
-            evaluated.append(np.array(x))
-            d = x - a
-            return 0.5 * float(d @ Q @ d), d
-
-        def gradient(x, d):
-            received.append(d)
-            return Q @ d
-
-        start = np.array([0.5, 1.5])
-        plain = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
-                            start, tol=1e-10)
-        trials = evaluated[1:]
-        evaluated.clear()
-        received.clear()
-        first = evaluate(start)
-        evaluated.clear()
-        res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
-                          start, tol=1e-10, start_value=first)
-        assert received[0] is first[1]
-        assert len(evaluated) == len(trials) == res.n_evals - 1 > 0
-        np.testing.assert_array_equal(res.x, plain.x)
-        assert res.f == plain.f and res.iterations == plain.iterations
-
     def test_bounds_released_to_reach_the_solution(self):
         """min (x1 - 0.5)^2 + (x2 - 1.5)^2 on x1 + x2 = 2 in [0, 2]^2.
 
@@ -308,7 +340,7 @@ class TestLinearRows:
 
 def _subproblem(name, x, y, rho, sigma):
     sf = build_slack_form(catalog_get(name).problem)
-    x0 = sf.embed(np.asarray(x, dtype=float))[0]
+    x0 = sf.embed(np.asarray(x, dtype=float))
     lin = linearize_constraints(sf, x0)
     m = sf.m
     return sf, assemble_elastic(lin, np.full(m, float(y)), rho, sigma)
@@ -383,12 +415,49 @@ class TestSolveLc:
         rng = np.random.default_rng(67)
         for name in ("circle-proj", "two-circles", "ball-proj", "sphere-min-sum"):
             sf = build_slack_form(catalog_get(name).problem)
-            x0 = sf.embed(sf.nlp.x_tilde + 0.1 * rng.standard_normal(sf.n))[0]
+            x0 = sf.embed(sf.nlp.x_tilde + 0.1 * rng.standard_normal(sf.n))
             lin = linearize_constraints(sf, x0)
             sub = assemble_elastic(lin, rng.standard_normal(sf.m), 10.0, 50.0)
             sol = solve_lc(sub, 1e-6)
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
+
+    def test_kernel_started_at_the_base_point_calls_nothing_there(self, monkeypatch):
+        """The step toward the rows leaves this feasible base point in place,
+        so the kernel starts there and reads the base record: once the
+        driver has read it, the solve calls no callback at the base point,
+        and before that it calls f and g there once each (the embedding
+        called c there, and building the subproblem read J)."""
+        starts = _recorded_starts(monkeypatch)
+        for read_first, calls_there in ((True, []), (False, ["f", "g"])):
+            sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
+            lin = sub.lin
+            if read_first:
+                lin.c_k, lin.f, lin.g, lin.J_x
+            calls = _called_at(sf.nlp)
+            sol = solve_lc(sub, 1e-6)
+            assert sol.status == CONVERGED and sol.inner_iterations > 0
+            np.testing.assert_array_equal(starts[-1][0][:sub.n_ext], lin.x_k)
+            base = lin.x_k[:sf.n].tobytes()
+            assert sorted(kind for kind, x in calls if x == base) == sorted(calls_there)
+
+    def test_kernel_started_at_the_last_kernel_s_point_calls_nothing_there(
+            self, monkeypatch):
+        """A re-solve at a raised penalty starts at the candidate, the point
+        the kernel before it evaluated last: the problem remembers f, c, g
+        and J there, so the re-solve calls none of them at that point."""
+        sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
+        calls = _called_at(sf.nlp)
+        sol = solve_lc(sub, 1e-6)
+        last = sol.x_star[:sf.n].tobytes()
+        assert sorted(kind for kind, x in calls[-4:] if x == last) == list("Jcfg")
+        starts = _recorded_starts(monkeypatch)
+        calls.clear()
+        raised = assemble_elastic(sub.lin, sub.y_k, 10.0 * sub.rho_k, 0.1 * sub.sigma_k)
+        sol_warm = solve_lc(raised, 1e-6, warm_start=sol)
+        assert sol_warm.status == CONVERGED and sol_warm.inner_iterations > 0
+        np.testing.assert_array_equal(starts[0][0][:sub.n_ext], sol.x_star)
+        assert calls and all(x != last for _, x in calls)
 
     def test_cycles_reuse_their_end_point(self, monkeypatch):
         """A kernel start at a record the caller holds calls no callback
@@ -419,6 +488,21 @@ class TestSolveLc:
         for res, counts in zip(results, (cold, calls)):
             assert counts["f"] == counts["c"] == res.n_evals - 1
             assert counts["g"] == counts["J"] == res.iterations
+
+
+def _called_at(problem):
+    """Wrap the raw callbacks; the list returned gets the kind and the
+    bytes of x of every call."""
+    calls = []
+    for kind in "fgcJ":
+        fn = getattr(problem, f"eval_{kind}")
+
+        def called(x, fn=fn, kind=kind):
+            calls.append((kind, x.tobytes()))
+            return fn(x)
+
+        setattr(problem, f"eval_{kind}", called)
+    return calls
 
 
 def _counted(problem):
@@ -473,8 +557,8 @@ class TestEvaluationBudget:
         evaluate, gradient = ElasticSubproblem.evaluate, ElasticSubproblem.gradient
         evaluated, accepted = [], []
 
-        def spied_evaluate(sub, u, *point):
-            evaluated.append(evaluate(sub, u, *point))
+        def spied_evaluate(sub, u):
+            evaluated.append(evaluate(sub, u))
             return evaluated[-1]
 
         def spied_gradient(sub, u, point):
@@ -494,15 +578,18 @@ class TestEvaluationBudget:
             assert (problem.n_geval - before[0], problem.n_jeval - before[1]) == (1, 1)
 
     def test_kernel_counts_points_and_accepted_points(self):
-        """f and c once per evaluated point, g and J once per accepted point."""
+        """f once per evaluated point and c once per trial point; g once per
+        accepted point and at the start and J once per accepted point.  The
+        start is the base point, where the embedding called c and building
+        the subproblem read J."""
         sub, calls = self._cycle()
         u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m)]),
                      sub.lo, sub.hi)
         res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u0,
                           tol=1e-8)
         assert res.status == CONVERGED and res.iterations > 5
-        assert calls["f"] == calls["c"] == res.n_evals
-        assert calls["g"] == calls["J"] == res.iterations + 1
+        assert calls["f"] == calls["c"] + 1 == res.n_evals
+        assert calls["g"] == calls["J"] + 1 == res.iterations + 1
 
 
 class TestExactRows:
@@ -574,7 +661,7 @@ class TestSubproblemStart:
         assert np.all(u0[sub.n_ext:] == 0.0)
         assert sol.status == CONVERGED
         u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
-        assert np.abs(sub.row_residual(u)).max() <= 1e-12
+        assert np.abs(sub.rows @ u + sub.lin.offset).max() <= 1e-12
 
     def test_rejected_major_restarts_from_the_candidate(self, monkeypatch):
         """Same linearization, rho raised tenfold: the kernel starts at the
@@ -611,13 +698,13 @@ class TestSubproblemStart:
             bounds_c=(np.ones(1), np.ones(1)),
             bounds_A=(np.ones(1), np.ones(1)), x_tilde=np.full(2, 0.5))
         sf = build_slack_form(p)
-        sub = assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)[0]),
+        sub = assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)),
                                np.zeros(2), 10.0, 100.0)
         starts = _recorded_starts(monkeypatch)
         sol = solve_lc(sub, 1e-6)
         (u0, _), = starts
         assert abs(u0[0] + u0[1] - 1.0) <= 1e-12
-        assert np.abs(sub.row_residual(u0)).max() <= 1e-12
+        assert np.abs(sub.rows @ u0 + sub.lin.offset).max() <= 1e-12
         assert sol.status == CONVERGED
         assert abs(sol.x_star[0] + sol.x_star[1] - 1.0) <= 1e-12
         np.testing.assert_allclose(sol.v_star[0] - sol.w_star[0], 0.5,
@@ -657,19 +744,19 @@ class TestVerifyRelaxedKkt:
 class TestSolveProximal:
     def test_projects_onto_box(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0, _ = solve_proximal(sf, np.array([-1.0, 5.0]))
+        x0 = solve_proximal(sf, np.array([-1.0, 5.0]))
         np.testing.assert_allclose(x0[:2], [0.0, 2.0], atol=1e-8)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_feasible_guess_is_kept(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0, _ = solve_proximal(sf, np.array([1.0, 1.0]))
+        x0 = solve_proximal(sf, np.array([1.0, 1.0]))
         np.testing.assert_allclose(x0[:2], [1.0, 1.0], atol=1e-4)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_equality_rows_are_met(self):
         sf = build_slack_form(catalog_get("lin-eq-quadratic").problem)
-        x0, _ = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        x0 = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
         x = x0[:3]
         assert abs(x[0] + x[1] + x[2] - 4.0) <= 1e-6
@@ -690,7 +777,7 @@ class TestSolveProximal:
             bounds_A=(np.array([-INF]), np.array([1.0])),
             x_tilde=np.array([0.3, 2.0]))
         sf = build_slack_form(p)
-        x0, _ = solve_proximal(sf, p.x_tilde)
+        x0 = solve_proximal(sf, p.x_tilde)
         np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
@@ -705,7 +792,7 @@ class TestSolveProximal:
             bounds_A=(np.array([3.0]), np.array([3.0])),
             x_tilde=np.zeros(2))
         sf = build_slack_form(p)
-        x0, _ = solve_proximal(sf, p.x_tilde)
+        x0 = solve_proximal(sf, p.x_tilde)
         assert abs(x0[0] + 2.0 * x0[1] - 3.0) <= 1e-12
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
         np.testing.assert_allclose(x0[:2], [0.6, 1.2], atol=1e-5)
@@ -725,7 +812,7 @@ class TestSolveProximal:
             bounds_A=(np.array([1.0]), np.array([1.0])),
             x_tilde=np.zeros(1))
         sf = build_slack_form(p)
-        x0, _ = solve_proximal(sf, p.x_tilde)
+        x0 = solve_proximal(sf, p.x_tilde)
         np.testing.assert_allclose(x0[0], 1e7, rtol=1e-12)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
 
@@ -745,5 +832,5 @@ class TestSolveProximal:
 
     def test_no_linear_rows_is_plain_embedding(self):
         sf = build_slack_form(catalog_get("circle-proj").problem)
-        x0, _ = solve_proximal(sf, np.array([-2.0, 0.5]))
+        x0 = solve_proximal(sf, np.array([-2.0, 0.5]))
         np.testing.assert_allclose(x0[:2], [0.0, 0.5])

@@ -39,7 +39,7 @@ class TestLinearization:
 
     def test_affine_rows_linearize_to_themselves(self):
         sf = build_slack_form(catalog_get("linear-as-nl").problem)
-        lin = linearize_constraints(sf, sf.embed(np.array([0.3, 1.7]))[0])
+        lin = linearize_constraints(sf, sf.embed(np.array([0.3, 1.7])))
         rng = np.random.default_rng(17)
         for _ in range(10):
             x_ext = rng.uniform(-3.0, 3.0, size=sf.n_ext)
@@ -103,7 +103,9 @@ class TestLinearization:
 
     def test_fields_are_evaluated_on_first_read_only(self):
         """Building a record calls no callback; reading every field twice
-        calls f, g and J once each, and c once unless the caller held it."""
+        calls f, g, c and J once each.  A second record of the same point
+        reads them all from the problem's memory of its last calls, and a
+        record of another point calls each once more."""
         sf = _ring_form()
         p = sf.nlp
         x_k = np.array([0.6, -0.8, 1.0])
@@ -111,22 +113,24 @@ class TestLinearization:
         def counts():
             return np.array([p.n_feval, p.n_geval, p.n_ceval, p.n_jeval])
 
-        for c_k, c_calls in ((None, 1), (sf.residual(x_k), 0)):
-            before = counts()
-            lin = linearize_constraints(sf, x_k, c_k)
-            assert (counts() == before).all()
+        def read(lin):
             for _ in range(2):
                 for field in ("c_k", "f", "g", "J_x", "J_k", "offset"):
                     getattr(lin, field)
-                lin.cbar(x_k)
+                lin.cbar(lin.x_k)
                 lin.jacobian_t(np.ones(1))
-            assert (counts() - before).tolist() == [1, 1, c_calls, 1]
 
+        for x_ext, calls in ((x_k, 1), (x_k.copy(), 0), (x_k + 0.5, 1)):
+            before = counts()
+            lin = linearize_constraints(sf, x_ext)
+            assert (counts() == before).all()
+            read(lin)
+            assert (counts() - before).tolist() == [calls] * 4
 
 class TestElasticSubproblem:
     def test_lifted_dimensions(self):
         sf = build_slack_form(catalog_get("two-circles").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         assert sf.n_ext == 4 and sub.m == 2
         assert sub.lo.size == sub.hi.size == 8
@@ -135,7 +139,7 @@ class TestElasticSubproblem:
         """The dense rows and the blockwise row residual agree with
         [J_k, I, -I]; the rows are column-major."""
         sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         m = sf.m
         sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
         R = np.hstack([lin.J_k, np.eye(m), -np.eye(m)])
@@ -159,6 +163,20 @@ class TestElasticSubproblem:
         assert value == aug_lagrangian(linearize_constraints(sf, x_k), y, 3.0)
         np.testing.assert_allclose(sub.gradient(u, point)[sf.n_ext:], 0.0)
 
+    def test_evaluate_reads_the_base_record_at_the_base_point(self):
+        """At the base point, bit for bit, evaluate returns the base record
+        and reads f and c from it; anywhere else it builds a new record."""
+        sf = _ring_form()
+        lin = linearize_constraints(sf, np.array([0.0, 1.0, 1.0]))
+        sub = assemble_elastic(lin, np.zeros(1), 1.0, 1.0)
+        elastics = np.zeros(2)
+        value, point = sub.evaluate(np.concatenate([lin.x_k, elastics]))
+        assert point is lin and value == aug_lagrangian(lin, sub.y_k, 1.0)
+        for x_ext in (np.array([-0.0, 1.0, 1.0]), np.array([0.5, 1.0, 1.0])):
+            _, point = sub.evaluate(np.concatenate([x_ext, elastics]))
+            assert point is not lin
+            assert point.x_k.tobytes() == x_ext.tobytes()
+
     def test_base_point_with_signed_split_is_row_feasible(self):
         sf = _ring_form()
         x_k = np.array([1.0, 1.0, 1.0])
@@ -166,7 +184,7 @@ class TestElasticSubproblem:
         sub = assemble_elastic(lin, np.zeros(1), 1.0, 1.0)
         v, w = optimal_elastics(lin.cbar(lin.x_k))
         u = np.concatenate([x_k, v, w])
-        np.testing.assert_allclose(sub.row_residual(u), 0.0, atol=1e-14)
+        np.testing.assert_allclose(sub.rows @ u + lin.offset, 0.0, atol=1e-14)
 
     def test_objective_prices_elastics(self):
         sf = _ring_form()
@@ -180,7 +198,7 @@ class TestElasticSubproblem:
         """Minimal elastics turn the lifted objective into L + sigma ||cbar||_1."""
         rng = np.random.default_rng(29)
         sf = build_slack_form(catalog_get("two-circles").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         for _ in range(15):
             y = rng.standard_normal(2)
             rho = float(rng.uniform(0.0, 20.0))
@@ -196,7 +214,7 @@ class TestElasticSubproblem:
     def test_linear_rows_get_no_elastic_range(self):
         """Elastic pairs on linear rows are pinned to zero by their bounds."""
         sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde)[0])
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
         m, m_c, n_ext = sub.m, sf.m_c, sf.n_ext
         assert (m, m_c) == (2, 1)

@@ -17,7 +17,7 @@ def _linear_as_nl_form():
 
 def _sample_point(sf, rng, spread=1.0):
     """Random extended point near the start, clipped into finite bounds."""
-    base = sf.embed(sf.nlp.x_tilde)[0]
+    base = sf.embed(sf.nlp.x_tilde)
     x_ext = base + spread * rng.standard_normal(sf.n_ext)
     return np.clip(x_ext, np.maximum(sf.lo, -10.0), np.minimum(sf.hi, 10.0))
 
@@ -230,9 +230,9 @@ class TestInfeasibilityMeasures:
     def test_min_norm_stationarity_at_residual_minimizer(self):
         """The origin minimizes the squared residual of x1 + x2 + 1 over x >= 0."""
         sf = build_slack_form(catalog_get("infeas-affine").problem)
-        x_ext = sf.embed(np.zeros(2))[0]
+        x_ext = sf.embed(np.zeros(2))
         assert min_norm_stationarity(linearize_constraints(sf, x_ext)) <= 1e-12
-        x_ext = sf.embed(np.array([0.5, 0.5]))[0]
+        x_ext = sf.embed(np.array([0.5, 0.5]))
         assert min_norm_stationarity(linearize_constraints(sf, x_ext)) > 0.1
 
 

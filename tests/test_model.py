@@ -101,9 +101,9 @@ class TestSlackForm:
     def test_embed_zeroes_residual_at_feasible_point(self):
         entry = catalog_get("circle-proj")
         sf = build_slack_form(entry.problem)
-        x_ext, r = sf.embed(entry.known_x)
-        np.testing.assert_array_equal(r, sf.residual(x_ext))
-        np.testing.assert_allclose(r, 0.0, atol=1e-12)
+        x_ext = sf.embed(entry.known_x)
+        np.testing.assert_array_equal(x_ext[:sf.n], entry.known_x)
+        np.testing.assert_allclose(sf.residual(x_ext), 0.0, atol=1e-12)
 
     def test_round_trip_feasibility(self):
         """Zero slack-form residual at in-bounds slacks == row feasibility."""
@@ -113,7 +113,7 @@ class TestSlackForm:
         rng = np.random.default_rng(42)
         for _ in range(20):
             x = rng.uniform(0.0, 2.0, size=3)
-            x_ext = sf.embed(x)[0]
+            x_ext = sf.embed(x)
             cval = p.c(x)
             aval = p.A @ x
             in_rows = (np.all(cval >= p.bounds_c[0] - 1e-12)
@@ -347,15 +347,71 @@ class TestCatalog:
             assert abs(f - entry.known_objective) <= 1e-10 * (1 + abs(f)), name
 
     def test_evaluation_counters(self):
+        """Each kind counts its calls; a call at the x of the last call of
+        its kind returns that value and is not counted; any other x, an
+        earlier one included, is."""
         entry = catalog_get("circle-proj")
         p = entry.problem
         counters = ("n_feval", "n_geval", "n_ceval", "n_jeval")
         assert [getattr(p, a) for a in counters] == [0, 0, 0, 0]
-        p.f(p.x_tilde)
-        p.c(p.x_tilde)
-        p.c(p.x_tilde)
-        p.J(p.x_tilde)
-        assert [getattr(p, a) for a in counters] == [1, 0, 2, 1]
+        x, other = p.x_tilde, p.x_tilde + 1.0
+        p.f(x)
+        first = p.c(x)
+        assert p.c(x.copy()) is first
+        p.J(x)
+        assert [getattr(p, a) for a in counters] == [1, 0, 1, 1]
+        p.c(other)
+        np.testing.assert_array_equal(p.c(x), first)
+        assert [getattr(p, a) for a in counters] == [1, 0, 3, 1]
+
+    def test_a_call_repeats_only_at_the_same_bits(self):
+        """The memory compares the bytes of x: 0.0 and -0.0 are two points,
+        and each kind remembers its own last call."""
+        p = _bilinear_problem()
+        calls = []
+        p.eval_f = lambda x: calls.append(x.tobytes()) or x[0] * x[1]
+        zero, negative_zero = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        p.f(zero)
+        p.g(negative_zero)
+        p.f(zero)
+        p.f(negative_zero)
+        p.f(negative_zero)
+        assert calls == [zero.tobytes(), negative_zero.tobytes()]
+        assert (p.n_feval, p.n_geval) == (2, 1)
+
+    def test_a_call_that_raises_leaves_its_point_unremembered(self):
+        """A retry at the point where a callback raised calls it again, and
+        the point remembered before still returns its value uncalled."""
+        p = _bilinear_problem()
+        raised = []
+
+        def eval_f(x):
+            if x[0] < 0.0 and not raised:
+                raised.append(x.tobytes())
+                raise ArithmeticError("outside the domain")
+            return x[0] * x[1]
+
+        p.eval_f = eval_f
+        inside, outside = np.array([1.0, 2.0]), np.array([-1.0, 2.0])
+        assert p.f(inside) == 2.0
+        with pytest.raises(ArithmeticError):
+            p.f(outside)
+        assert p.f(outside) == -2.0
+        assert p.n_feval == 3
+        p.eval_g = lambda x: np.zeros(3)
+        with pytest.raises(ValueError, match="eval_g shape"):
+            p.g(inside)
+        with pytest.raises(ValueError, match="eval_g shape"):
+            p.g(inside)
+        assert p.n_geval == 2
+
+    def test_building_the_slack_form_forgets_the_last_calls(self):
+        p = _circle_problem()
+        x = p.x_tilde
+        p.f(x), p.g(x), p.c(x), p.J(x)
+        build_slack_form(p)
+        p.f(x), p.g(x), p.c(x), p.J(x)
+        assert (p.n_feval, p.n_geval, p.n_ceval, p.n_jeval) == (2, 2, 2, 2)
 
     def test_fresh_entries_per_lookup(self):
         a = catalog_get("circle-proj").problem
