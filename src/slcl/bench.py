@@ -55,34 +55,28 @@ class SuiteReport:
         return all(e.matched for e in self.entries)
 
 
-def _solve_entry(name: str, opts: OuterOptions) -> tuple[SuiteEntry, SolveReport]:
-    """Solve one catalog problem and summarize the run as a suite row."""
-    entry = catalog_get(name)
-    t0 = time.perf_counter()
-    result = solve(entry.problem, opts)
-    wall = time.perf_counter() - t0
-    res = result.residual
-    row = SuiteEntry(
-        name=name, status=result.status, majors=result.majors,
-        minors=result.minors, f_evals=result.f_evals, g_evals=result.g_evals,
-        c_evals=result.c_evals, J_evals=result.J_evals,
-        final_objective=result.final_objective, primal_inf=res.primal_inf,
-        dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
-        classification=entry.classification,
-        matched=result.status == _EXPECTED_STATUS[entry.classification])
-    return row, result
-
-
 def run_suite(names, opts: OuterOptions | None = None, log=None) -> SuiteReport:
-    """Solve each named catalog problem once and collect one row per problem."""
+    """Solve each named catalog problem once and collect one row per problem;
+    log(row, result), when given, sees each row with its solve's report."""
     opts = opts if opts is not None else OuterOptions()
     report = SuiteReport(options=asdict(opts))
     for name in names:
-        row, _ = _solve_entry(name, opts)
+        entry = catalog_get(name)
+        t0 = time.perf_counter()
+        result = solve(entry.problem, opts)
+        wall = time.perf_counter() - t0
+        res = result.residual
+        row = SuiteEntry(
+            name=name, status=result.status, majors=result.majors,
+            minors=result.minors, f_evals=result.f_evals, g_evals=result.g_evals,
+            c_evals=result.c_evals, J_evals=result.J_evals,
+            final_objective=result.final_objective, primal_inf=res.primal_inf,
+            dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
+            classification=entry.classification,
+            matched=result.status == _EXPECTED_STATUS[entry.classification])
         report.entries.append(row)
         if log is not None:
-            log(f"{name:<18} {row.status:<14} majors={row.majors:<4} "
-                f"minors={row.minors:<6} f={row.final_objective:.6g}")
+            log(row, result)
     return report
 
 
@@ -151,13 +145,6 @@ def _print_trace(report: SolveReport) -> None:
               f"{rec.inner_iterations:>6}")
 
 
-def _emit_from_args(report: SuiteReport, args) -> None:
-    if args.json_path:
-        emit_report(report, "json", args.json_path)
-    if args.csv_path:
-        emit_report(report, "csv", args.csv_path)
-
-
 def _cmd_list(_args) -> int:
     for name in catalog_names():
         entry = catalog_get(name)
@@ -166,32 +153,31 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    row, result = _solve_entry(args.name, args.opts)
-    if args.trace:
-        _print_trace(result)
-    print(f"{args.name}: {row.status}  f = {row.final_objective:.10g}  "
-          f"majors = {row.majors}  minors = {row.minors}  "
-          f"calls: {_eval_line(asdict(row))}")
-    print(f"residuals: primal {row.primal_inf:.3e}  dual {row.dual_inf:.3e}  "
-          f"comp {row.comp:.3e}  wall {row.wall_time_s:.3f}s")
-    _emit_from_args(SuiteReport(entries=[row], options=asdict(args.opts)), args)
-    return 0 if row.matched else 1
-
-
-def _cmd_suite(args) -> int:
-    if args.all:
-        names = catalog_names()
-    elif args.names:
-        names = args.names
-    else:
+def _cmd_run(args) -> int:
+    """`solve` and `suite`: each problem's schedule table under --trace,
+    its result and residuals lines, then the totals."""
+    names = catalog_names() if args.all else args.names
+    if not names:
         print("suite: give problem names or --all", file=sys.stderr)
         return 2
-    report = run_suite(names, args.opts, log=print)
+
+    def log(row: SuiteEntry, result: SolveReport) -> None:
+        if args.trace:
+            _print_trace(result)
+        print(f"{row.name}: {row.status}  f = {row.final_objective:.10g}  "
+              f"majors = {row.majors}  minors = {row.minors}  "
+              f"calls: {_eval_line(asdict(row))}")
+        print(f"residuals: primal {row.primal_inf:.3e}  dual {row.dual_inf:.3e}  "
+              f"comp {row.comp:.3e}  wall {row.wall_time_s:.3f}s")
+
+    report = run_suite(names, args.opts, log=log)
     totals = report.totals
     print(f"total: majors = {totals['majors']}  minors = {totals['minors']}  "
           f"calls: {_eval_line(totals)}  wall = {totals['wall_time_s']:.3f}s")
-    _emit_from_args(report, args)
+    if args.json_path:
+        emit_report(report, "json", args.json_path)
+    if args.csv_path:
+        emit_report(report, "csv", args.csv_path)
     return 0 if report.all_matched else 1
 
 
@@ -205,15 +191,15 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list)
 
     p_solve = sub.add_parser("solve", help="solve one catalog problem")
-    p_solve.add_argument("name")
+    p_solve.add_argument("names", nargs=1, metavar="name")
     _add_solver_flags(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_run, all=False)
 
     p_suite = sub.add_parser("suite", help="solve a set of catalog problems")
     p_suite.add_argument("names", nargs="*")
     p_suite.add_argument("--all", action="store_true")
     _add_solver_flags(p_suite)
-    p_suite.set_defaults(func=_cmd_suite)
+    p_suite.set_defaults(func=_cmd_run)
 
     args = parser.parse_args(argv)
     if args.command != "list":
@@ -226,6 +212,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyError as exc:
         print(f"slcl: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a report path that cannot be written
+        print(f"slcl: {exc}", file=sys.stderr)
         return 2
 
 

@@ -57,14 +57,14 @@ def catalog_get(name: str) -> CatalogEntry:
     return entry
 
 
-def _check_feasible(p: NlpProblem, x: Vector, tol: float = 1e-8) -> None:
+def _check_feasible(p: NlpProblem, x: Vector) -> None:
     # raw callbacks here: lookups must hand out zeroed evaluation counters
     viol = max(bound_violation(x, *p.bounds_x),
                bound_violation(p.A @ x, *p.bounds_A))
     if p.m_c > 0:
         viol = max(viol, bound_violation(np.asarray(p.eval_c(x), dtype=float),
                                          *p.bounds_c))
-    if viol > tol:
+    if viol > 1e-8:
         raise ValueError(f"declared solution of {p.name!r} violates constraints by {viol:.2e}")
 
 

@@ -8,12 +8,13 @@ current estimates, raises the penalty, and tightens the elastic price.  Every
 test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
 the kernel's of its last point.  Where a new record is of a point visited
-before (the start, which the derivative check probed and the proximal
-start embedded, or a kernel's start at the last kernel's candidate), the
-problem returns the values of its last calls (see model.NlpProblem), so a
-solve calls each callback at most once at any point.  The elastic weight
-sigma makes the method degrade gracefully between the two classical
-extremes, which are also available directly as modes:
+before (the start, which the proximal start embedded and the derivative
+check probed if it lies two of the check's steps inside its bounds, or a
+kernel's start at the last kernel's candidate), the problem returns the
+values of its last calls (see model.NlpProblem), so a solve calls each
+callback at most once at any point.  The elastic weight sigma makes the
+method degrade gracefully between the two classical extremes, which are
+also available directly as modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -41,8 +42,8 @@ from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
                          SubproblemSolution, solve_lc, solve_proximal)
 from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
-from .model import (NlpProblem, SlackForm, Vector, build_slack_form,
-                    check_derivatives, finite_array, push_interior)
+from .model import (NlpProblem, Vector, build_slack_form, check_derivatives,
+                    finite_array)
 
 STABILIZED = "stabilized"
 CANONICAL = "canonical"
@@ -220,7 +221,7 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                        J_evals=J_evals, trace=trace, f_norm_0=f_norm_0)
 
 
-def _solve_linear_only(sf: SlackForm, lin: Linearization, y0: Vector, opts: OuterOptions,
+def _solve_linear_only(lin: Linearization, y0: Vector, opts: OuterOptions,
                        counts0: list[int], f_norm_0: float) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
@@ -248,10 +249,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         y_start = finite_array(y_start, sf.m, "y_start")
     counts0 = _eval_counts(problem)
 
-    lx, ux = problem.bounds_x
-    # a box thinner than twice the margin is probed at its midpoint
-    probe = push_interior(x_tilde, lx, ux, margin=np.minimum(2e-5, 0.5 * (ux - lx)))
-    deriv = check_derivatives(problem, probe)
+    deriv = check_derivatives(problem, x_tilde)
     if not deriv.passed:
         raise ValueError(
             f"derivative check failed at the start point: worst {deriv.worst_index} "
@@ -260,7 +258,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     try:
         x0 = solve_proximal(sf, x_tilde)
     except PpInfeasible:
-        lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, lx, ux)))
+        lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, *problem.bounds_x)))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
         res = kkt_residual(lin, y, z)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
@@ -273,7 +271,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     f_norm_0 = res.f_norm
 
     if sf.m_c == 0:
-        return _solve_linear_only(sf, lin, y, opts, counts0, f_norm_0)
+        return _solve_linear_only(lin, y, opts, counts0, f_norm_0)
 
     state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),

@@ -58,7 +58,10 @@ class PpInfeasible(Exception):
 
 @dataclass
 class SubproblemSolution:
-    x_star: Vector
+    """A subproblem's solution: the candidate's record, point, whose x_k is
+    x_ext at the kernel's last point, and delta_y, z_star, v_star, w_star."""
+
+    point: Linearization
     delta_y: Vector
     z_star: Vector
     v_star: Vector
@@ -66,9 +69,8 @@ class SubproblemSolution:
     status: str
     inner_iterations: int
     # the kernel's last BFGS matrix and the penalty it was built for
-    hess: Matrix | None = None
-    rho: float = 0.0
-    point: Linearization | None = None  # x_star's record
+    hess: Matrix
+    rho: float
 
 
 @dataclass
@@ -132,7 +134,6 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
                 gradient: Callable[[Vector, object], Vector],
                 lo: Vector, hi: Vector, start: Vector, tol: float,
                 rows: Matrix | None = None, offset: Vector | None = None,
-                iter_cap: int = _MAX_INNER_ITERS,
                 hess: Matrix | None = None) -> BoundSolveResult:
     """Minimize a smooth function over a box subject to rows R u + offset = 0.
 
@@ -157,7 +158,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     Converged means the two-sided complementarity of g - R^T y against the
     box (see merit.comp_measure) is at most tol.  Unbounded means an
     accepted point has an objective below -1e15 or a coordinate beyond
-    1e10.  IterationLimit means the cap or a failed search ended the solve.
+    1e10.  IterationLimit means _MAX_INNER_ITERS or a failed search ended it.
 
     evaluate(u) returns the value at u with whatever the caller wants to
     keep from computing it (aux); it is called at the start point and at
@@ -183,7 +184,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     B = identity if hess is None else hess
     status = ITERATION_LIMIT
 
-    for _ in range(iter_cap):
+    for _ in range(_MAX_INNER_ITERS):
         free = np.flatnonzero(~(at_lo | at_hi))
         d, y = _kkt_step(B, R, free, g, R @ x + offset)
         z = g - R.T @ y
@@ -281,13 +282,12 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     cap = sub.sigma_k + omega
     delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
     z = res.g[:sub.n_ext] - sub.lin.J_k.T @ delta_y
-    x_star = np.array(x_ext)
     # a new record only if the kernel moved x onto a bound after evaluating it
-    point = res.aux if res.aux is not None else Linearization(sub.lin.sf, x_star)
+    point = res.aux if res.aux is not None else Linearization(sub.lin.sf, np.array(x_ext))
     return SubproblemSolution(
-        x_star=x_star, delta_y=delta_y, z_star=z,
+        point=point, delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k, point=point)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k)
 
 
 def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
@@ -340,9 +340,9 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     there are not evaluated again.
     """
     lin, n_ext = sub.lin, sub.n_ext
-    x0, hess, held = lin.x_k, None, None
+    x0, hess = lin.x_k, None
     if warm_start is not None:
-        x0, hess, held = warm_start.x_star, warm_start.hess, warm_start.point
+        x0, hess = warm_start.point.x_k, warm_start.hess
         if sub.rho_k > warm_start.rho:
             hess = hess.copy()
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)

@@ -131,6 +131,26 @@ class TestCli:
         assert head == ["k", "acc", "rho", "sigma", "eta", "eta_target",
                         "omega", "||c||", "f_norm", "inner"]
 
+    def test_suite_trace_prints_each_problem_s_schedule(self, capsys):
+        """Each problem's schedule table comes before its result and
+        residuals lines, and the totals end the run."""
+        assert main(["suite", "circle-proj", "linear-as-nl", "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        heads = [i for i, line in enumerate(lines) if line.split()[:2] == ["k", "acc"]]
+        assert len(heads) == 2
+        for head, name in zip(heads, ("circle-proj", "linear-as-nl")):
+            result = next(i for i, line in enumerate(lines) if line.startswith(name))
+            assert head < result and lines[result + 1].startswith("residuals:")
+        assert lines[-1].startswith("total:")
+
+    def test_unwritable_report_path_exits_two(self, tmp_path, capsys):
+        """A report path that cannot be written is one error line, not a
+        traceback ending in exit 1, the code of a mismatched status."""
+        path = tmp_path / "missing" / "x.json"
+        assert main(["solve", "circle-proj", "--json", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("slcl: ") and "x.json" in err[0]
+
     def test_mode_flag(self, capsys):
         assert main(["solve", "linear-as-nl", "--mode", "bcl"]) == 0
         assert main(["solve", "linear-as-nl", "--mode", "canonical"]) == 0

@@ -25,9 +25,9 @@ def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
 def _solution(delta_y, n_ext=3):
     delta_y = np.atleast_1d(np.asarray(delta_y, dtype=float))
     return SubproblemSolution(
-        x_star=np.zeros(n_ext), delta_y=delta_y, z_star=np.zeros(n_ext),
+        point=None, delta_y=delta_y, z_star=np.zeros(n_ext),
         v_star=np.zeros(len(delta_y)), w_star=np.zeros(len(delta_y)),
-        status=CONVERGED, inner_iterations=1)
+        status=CONVERGED, inner_iterations=1, hess=None, rho=0.0)
 
 
 def _circles(x0, k=32, seed=0):
@@ -67,20 +67,6 @@ def _disc(**changes):
         bounds_A=(np.zeros(0), np.zeros(0)), x_tilde=np.array([0.5, 0.5]))
     fields.update(changes)
     return NlpProblem(**fields)
-
-
-def _spy_calls(problem):
-    """Wrap the problem's raw callbacks; the list returned gets the kind
-    and the bytes of x of every call."""
-    seen = []
-    for kind in "fgcJ":
-        fn = getattr(problem, f"eval_{kind}")
-        if fn is not None:
-            def spied(x, kind=kind, fn=fn):
-                seen.append((kind, x.tobytes()))
-                return fn(x)
-            setattr(problem, f"eval_{kind}", spied)
-    return seen
 
 
 class TestUpdateOnSuccess:
@@ -691,7 +677,7 @@ class TestSolve:
         monkeypatch.setattr(innersolve, "bound_solve", spied)
         return evaluated, gradients, snapped
 
-    def test_each_point_is_evaluated_once(self, monkeypatch):
+    def test_each_point_is_evaluated_once(self, monkeypatch, spy_calls):
         """Each callback is called once at each point it is needed at, and
         nowhere else.  f: the derivative check's probes, every point a
         kernel evaluates, and the reported point.  c: the check's probes,
@@ -722,7 +708,7 @@ class TestSolve:
         for name, status in (("two-circles", "Optimal"), ("ridge-eq", "Optimal"),
                              ("infeas-affine", "Infeasible")):
             problem = catalog_get(name).problem
-            seen = _spy_calls(problem)
+            seen = spy_calls(problem)
             for spied in (probes, evaluated, gradients, snapped, built, from_kernel,
                           bases):
                 spied.clear()
@@ -803,7 +789,7 @@ class TestSolve:
             np.testing.assert_array_equal(first.x_ext, second.x_ext)
         np.testing.assert_array_equal(first.x, at_minimizer.x_tilde)
 
-    def test_no_callback_repeats_a_point(self):
+    def test_no_callback_repeats_a_point(self, spy_calls):
         """Within one solve each callback is called at most once at any x,
         on every catalog entry from its own start and from warm starts near
         its known solution and multipliers."""
@@ -819,7 +805,7 @@ class TestSolve:
                              entry.known_y + r))
         for name, x_start, y_start in runs:
             problem = catalog_get(name).problem
-            seen = _spy_calls(problem)
+            seen = spy_calls(problem)
             solve(problem, x_start=x_start, y_start=y_start)
             assert len(set(seen)) == len(seen), (name, x_start)
 

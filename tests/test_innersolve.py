@@ -1,5 +1,7 @@
 """Tests for the inner solver: active-set kernel, subproblems, proximal start."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from slcl.model import INF, NlpProblem, build_slack_form
 def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
                        omega: float, delta_lin: float) -> bool:
     """Check the relaxed subproblem conditions on a returned triple."""
-    u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
+    u = np.concatenate([sol.point.x_k, sol.v_star, sol.w_star])
     slack = 1e-9 * (1.0 + np.abs(u).max(initial=0.0))
     if np.any(u < sub.lo - slack) or np.any(u > sub.hi + slack):
         return False
@@ -104,12 +106,13 @@ class TestBoundSolve:
             np.testing.assert_allclose(res.x, grid_x, atol=2e-3)
             assert evaluate(res.x)[0] <= F[j] + 1e-9
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
         # 1 iteration cannot reach the flat tolerance from this start
+        monkeypatch.setattr(innersolve, "_MAX_INNER_ITERS", 1)
         evaluate = lambda x: (float((x ** 2).sum()), None)
         gradient = lambda x, _: 2.0 * x
         res = bound_solve(evaluate, gradient, np.full(2, -INF), np.full(2, INF),
-                          np.full(2, 3.0), tol=1e-14, iter_cap=1)
+                          np.full(2, 3.0), tol=1e-14)
         assert res.status == ITERATION_LIMIT
 
     def test_descending_ray_flags_unbounded(self):
@@ -264,7 +267,7 @@ class TestLinearRows:
         assert res.x[0] == 0.0
         np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-10)
 
-    def test_aux_is_the_last_point_s_unless_snapped(self):
+    def test_aux_is_the_last_point_s_unless_snapped(self, monkeypatch):
         """On the problem above, one iteration ends on the move of x1 onto
         its bound, made after the start was evaluated: aux is None and f is
         the start's value.  Run on, the kernel ends at an accepted point,
@@ -281,13 +284,15 @@ class TestLinearRows:
             return Q @ d
 
         start = np.array([1e-16, 1.5])
+        monkeypatch.setattr(innersolve, "_MAX_INNER_ITERS", 1)
         res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
-                          start, tol=1e-10, iter_cap=1)
+                          start, tol=1e-10)
         assert res.x[0] == 0.0 and res.iterations == 0
         assert res.aux is None
         assert res.f == evaluate(start)[0]
 
         received.clear()
+        monkeypatch.undo()
         res = bound_solve(evaluate, gradient, np.zeros(2), np.full(2, INF),
                           start, tol=1e-10)
         assert res.status == CONVERGED
@@ -358,7 +363,7 @@ class TestSolveLc:
         sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 0.0, 100.0)
         sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
-        np.testing.assert_allclose(sol.x_star, [1.0, 1.0, 2.0], atol=1e-5)
+        np.testing.assert_allclose(sol.point.x_k, [1.0, 1.0, 2.0], atol=1e-5)
         np.testing.assert_allclose(sol.delta_y, [2.0], atol=1e-5)
         np.testing.assert_allclose(sol.z_star[:2], 0.0, atol=1e-5)
         np.testing.assert_allclose(sol.v_star, 0.0, atol=1e-9)
@@ -377,7 +382,7 @@ class TestSolveLc:
         sf, sub = _subproblem("linear-as-nl", [0.0, 0.0], 0.0, 2.0, 0.0)
         sol = solve_lc(sub, 1e-6)
         assert sol.status == CONVERGED
-        np.testing.assert_allclose(sol.x_star[:2], [2.0 / 3.0] * 2, atol=1e-4)
+        np.testing.assert_allclose(sol.point.x_k[:2], [2.0 / 3.0] * 2, atol=1e-4)
         # the row is absorbed by the elastics: v - w = 2 - x1 - x2
         np.testing.assert_allclose(sol.v_star - sol.w_star, [2.0 / 3.0],
                                    atol=1e-4)
@@ -422,7 +427,8 @@ class TestSolveLc:
             assert sol.status == CONVERGED, name
             assert verify_relaxed_kkt(sub, sol, 1e-6, 1e-6), name
 
-    def test_kernel_started_at_the_base_point_calls_nothing_there(self, monkeypatch):
+    def test_kernel_started_at_the_base_point_calls_nothing_there(self, monkeypatch,
+                                                                  spy_calls):
         """The step toward the rows leaves this feasible base point in place,
         so the kernel starts there and reads the base record: once the
         driver has read it, the solve calls no callback at the base point,
@@ -434,7 +440,7 @@ class TestSolveLc:
             lin = sub.lin
             if read_first:
                 lin.c_k, lin.f, lin.g, lin.J_x
-            calls = _called_at(sf.nlp)
+            calls = spy_calls(sf.nlp)
             sol = solve_lc(sub, 1e-6)
             assert sol.status == CONVERGED and sol.inner_iterations > 0
             np.testing.assert_array_equal(starts[-1][0][:sub.n_ext], lin.x_k)
@@ -442,24 +448,24 @@ class TestSolveLc:
             assert sorted(kind for kind, x in calls if x == base) == sorted(calls_there)
 
     def test_kernel_started_at_the_last_kernel_s_point_calls_nothing_there(
-            self, monkeypatch):
+            self, monkeypatch, spy_calls):
         """A re-solve at a raised penalty starts at the candidate, the point
         the kernel before it evaluated last: the problem remembers f, c, g
         and J there, so the re-solve calls none of them at that point."""
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-        calls = _called_at(sf.nlp)
+        calls = spy_calls(sf.nlp)
         sol = solve_lc(sub, 1e-6)
-        last = sol.x_star[:sf.n].tobytes()
+        last = sol.point.x_k[:sf.n].tobytes()
         assert sorted(kind for kind, x in calls[-4:] if x == last) == list("Jcfg")
         starts = _recorded_starts(monkeypatch)
         calls.clear()
         raised = assemble_elastic(sub.lin, sub.y_k, 10.0 * sub.rho_k, 0.1 * sub.sigma_k)
         sol_warm = solve_lc(raised, 1e-6, warm_start=sol)
         assert sol_warm.status == CONVERGED and sol_warm.inner_iterations > 0
-        np.testing.assert_array_equal(starts[0][0][:sub.n_ext], sol.x_star)
+        np.testing.assert_array_equal(starts[0][0][:sub.n_ext], sol.point.x_k)
         assert calls and all(x != last for _, x in calls)
 
-    def test_cycles_reuse_their_end_point(self, monkeypatch):
+    def test_cycles_reuse_their_end_point(self, monkeypatch, spy_calls):
         """A kernel start at a record the caller holds calls no callback
         there: the base record, which the step toward the rows leaves in
         place at this feasible start and which is read first as the
@@ -477,66 +483,42 @@ class TestSolveLc:
             return results[-1]
 
         monkeypatch.setattr(innersolve, "bound_solve", spied)
-        calls = _counted(sf.nlp)
+        calls = spy_calls(sf.nlp)
         sol = solve_lc(sub, 1e-6)
-        cold = dict(calls)
-        calls.update(dict.fromkeys(calls, 0))
+        cold = _tally(calls)
+        calls.clear()
         raised = assemble_elastic(lin, sub.y_k, 10.0 * sub.rho_k, 0.1 * sub.sigma_k)
         sol_warm = solve_lc(raised, 1e-6, warm_start=sol)
         assert sol.status == sol_warm.status == CONVERGED
         assert sol.point is not lin and sol_warm.inner_iterations > 0
-        for res, counts in zip(results, (cold, calls)):
+        for res, counts in zip(results, (cold, _tally(calls))):
             assert counts["f"] == counts["c"] == res.n_evals - 1
             assert counts["g"] == counts["J"] == res.iterations
 
 
-def _called_at(problem):
-    """Wrap the raw callbacks; the list returned gets the kind and the
-    bytes of x of every call."""
-    calls = []
-    for kind in "fgcJ":
-        fn = getattr(problem, f"eval_{kind}")
-
-        def called(x, fn=fn, kind=kind):
-            calls.append((kind, x.tobytes()))
-            return fn(x)
-
-        setattr(problem, f"eval_{kind}", called)
-    return calls
-
-
-def _counted(problem):
-    """Wrap the raw callbacks with per-kind call counters."""
-    calls = dict.fromkeys("fgcJ", 0)
-    for kind in calls:
-        fn = getattr(problem, f"eval_{kind}")
-
-        def counted(x, fn=fn, kind=kind):
-            calls[kind] += 1
-            return fn(x)
-
-        setattr(problem, f"eval_{kind}", counted)
-    return calls
+def _tally(calls):
+    """Calls by kind from a spy_calls list."""
+    return Counter(kind for kind, _ in calls)
 
 
 class TestEvaluationBudget:
     def _cycle(self):
-        sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-        return sub, _counted(sf.nlp)
+        return _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)[1]
 
-    def test_trial_and_accepted_gradient_call_each_callback_once(self):
-        sub, calls = self._cycle()
+    def test_trial_and_accepted_gradient_call_each_callback_once(self, spy_calls):
+        sub = self._cycle()
+        calls = spy_calls(sub.lin.sf.nlp)
         u = np.clip(np.concatenate([sub.lin.x_k + 0.05, np.zeros(2 * sub.m)]),
                     sub.lo, sub.hi)
         _, aux = sub.evaluate(u)
         grad = sub.gradient(u, aux)
-        assert calls == {"f": 1, "g": 1, "c": 1, "J": 1}
+        assert _tally(calls) == {"f": 1, "g": 1, "c": 1, "J": 1}
         assert grad.shape == (sub.lo.size,)
 
     def test_gradient_matches_a_fresh_evaluation(self):
         """The record evaluate returned gives the gradient a fresh record
         at the point gives, and holds the same values bit for bit."""
-        sub, _ = self._cycle()
+        sub = self._cycle()
         sf, n_ext = sub.lin.sf, sub.n_ext
         u = np.clip(np.concatenate([sub.lin.x_k - 0.1, [0.1, 0.0, 0.0, 0.2]]),
                     sub.lo, sub.hi)
@@ -577,19 +559,21 @@ class TestEvaluationBudget:
             rec.g, rec.J_x
             assert (problem.n_geval - before[0], problem.n_jeval - before[1]) == (1, 1)
 
-    def test_kernel_counts_points_and_accepted_points(self):
+    def test_kernel_counts_points_and_accepted_points(self, spy_calls):
         """f once per evaluated point and c once per trial point; g once per
         accepted point and at the start and J once per accepted point.  The
         start is the base point, where the embedding called c and building
         the subproblem read J."""
-        sub, calls = self._cycle()
+        sub = self._cycle()
+        calls = spy_calls(sub.lin.sf.nlp)
         u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m)]),
                      sub.lo, sub.hi)
         res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u0,
                           tol=1e-8)
         assert res.status == CONVERGED and res.iterations > 5
-        assert calls["f"] == calls["c"] + 1 == res.n_evals
-        assert calls["g"] == calls["J"] + 1 == res.iterations + 1
+        counts = _tally(calls)
+        assert counts["f"] == counts["c"] + 1 == res.n_evals
+        assert counts["g"] == counts["J"] + 1 == res.iterations + 1
 
 
 class TestExactRows:
@@ -652,7 +636,7 @@ class TestSubproblemStart:
         inside the box, so the kernel starts with both elastics at zero."""
         sf, sub0 = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
         sol0 = solve_lc(sub0, 1e-6)
-        sub = assemble_elastic(linearize_constraints(sf, sol0.x_star),
+        sub = assemble_elastic(linearize_constraints(sf, sol0.point.x_k),
                                sol0.delta_y, 10.0, 100.0)
         assert np.abs(sub.lin.cbar(sub.lin.x_k)).max() > 1e-3
         starts = _recorded_starts(monkeypatch)
@@ -660,7 +644,7 @@ class TestSubproblemStart:
         (u0, _), = starts
         assert np.all(u0[sub.n_ext:] == 0.0)
         assert sol.status == CONVERGED
-        u = np.concatenate([sol.x_star, sol.v_star, sol.w_star])
+        u = np.concatenate([sol.point.x_k, sol.v_star, sol.w_star])
         assert np.abs(sub.rows @ u + sub.lin.offset).max() <= 1e-12
 
     def test_rejected_major_restarts_from_the_candidate(self, monkeypatch):
@@ -674,7 +658,7 @@ class TestSubproblemStart:
         sol = solve_lc(sub, 1e-6, warm_start=sol0)
         (u0, hess), = starts
         n_ext, J = sub.n_ext, sub.lin.J_k
-        np.testing.assert_array_equal(u0[:n_ext], sol0.x_star)
+        np.testing.assert_array_equal(u0[:n_ext], sol0.point.x_k)
         np.testing.assert_allclose(
             u0[n_ext:], np.concatenate([sol0.v_star, sol0.w_star]), atol=1e-12)
         expected = sol0.hess.copy()
@@ -706,7 +690,7 @@ class TestSubproblemStart:
         assert abs(u0[0] + u0[1] - 1.0) <= 1e-12
         assert np.abs(sub.rows @ u0 + sub.lin.offset).max() <= 1e-12
         assert sol.status == CONVERGED
-        assert abs(sol.x_star[0] + sol.x_star[1] - 1.0) <= 1e-12
+        assert abs(sol.point.x_k[0] + sol.point.x_k[1] - 1.0) <= 1e-12
         np.testing.assert_allclose(sol.v_star[0] - sol.w_star[0], 0.5,
                                    atol=1e-12)
 
@@ -732,7 +716,8 @@ class TestVerifyRelaxedKkt:
 
     def test_row_violation_fails(self):
         sub, sol = self._converged()
-        sol.x_star = sol.x_star + np.array([0.1, 0.0, 0.0])
+        sol.point = linearize_constraints(sub.lin.sf,
+                                          sol.point.x_k + np.array([0.1, 0.0, 0.0]))
         assert not verify_relaxed_kkt(sub, sol, 1e-6, 1e-6)
 
     def test_inconsistent_reduced_costs_fail(self):

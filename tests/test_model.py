@@ -5,8 +5,8 @@ import pytest
 
 from slcl.catalog import catalog_get, catalog_names
 from slcl.linearize import linearize_constraints
-from slcl.model import (INF, NlpProblem, build_slack_form, check_derivatives,
-                        push_interior)
+from slcl.model import (_DERIV_STEP, INF, NlpProblem, build_slack_form,
+                        check_derivatives)
 
 
 def _bilinear_problem(swap_gradient=False):
@@ -192,11 +192,18 @@ class TestDerivativeCheck:
         assert not rep.passed
         assert rep.worst_index == "g[0]"
 
-    def test_point_too_close_to_bound_rejected(self):
+    def test_point_on_a_bound_is_probed_two_steps_inside(self, spy_calls):
+        """x1 = 0 on its lower bound checks clean: the directional test's
+        two calls of f are centred two steps inside, at (2 step, 1)."""
         p = _circle_problem()
         p.bounds_x = (np.zeros(2), np.full(2, INF))
-        with pytest.raises(ValueError):
-            check_derivatives(p, np.array([0.0, 1.0]))
+        calls = spy_calls(p)
+        rep = check_derivatives(p, np.array([0.0, 1.0]))
+        assert rep.passed and rep.worst_index in ("g.d", "J[0].d")
+        at = [np.frombuffer(x) for kind, x in calls if kind == "f"]
+        assert len(at) == 2 and min(at[0][0], at[1][0]) > 0.0
+        np.testing.assert_allclose(0.5 * (at[0] + at[1]), [2 * _DERIV_STEP, 1.0],
+                                   rtol=1e-12)
 
     def test_fixed_coordinates_are_skipped(self):
         """A fixed x2 sits on its bounds; only x1 is differenced."""
@@ -248,30 +255,11 @@ class TestDerivativeCheck:
         for name in catalog_names():
             p = catalog_get(name).problem
             lx, ux = p.bounds_x
-            probe = push_interior(p.x_tilde, lx, ux, margin=1e-3)
+            probe = np.clip(p.x_tilde, lx, ux)
             assert check_derivatives(p, probe).passed, name
             for _ in range(5):
-                x = probe + rng.uniform(-0.5, 0.5, size=p.n)
-                x = push_interior(x, lx, ux, margin=1e-3)
+                x = np.clip(probe + rng.uniform(-0.5, 0.5, size=p.n), lx, ux)
                 assert check_derivatives(p, x).passed, name
-
-
-class TestPushInterior:
-    def test_clips_to_margin_inside_finite_bounds(self):
-        lo = np.array([0.0, -INF])
-        hi = np.array([1.0, 2.0])
-        out = push_interior(np.array([0.0, 5.0]), lo, hi, margin=0.1)
-        np.testing.assert_allclose(out, [0.1, 1.9])
-
-    def test_fixed_coordinates_keep_their_value(self):
-        lo, hi = np.array([0.0, 0.4]), np.array([1.0, 0.4])
-        out = push_interior(np.array([0.0, 3.0]), lo, hi, margin=0.1)
-        np.testing.assert_allclose(out, [0.1, 0.4])
-
-    def test_too_thin_box_raises(self):
-        lo, hi = np.array([0.0]), np.array([0.1])
-        with pytest.raises(ValueError):
-            push_interior(np.array([0.05]), lo, hi, margin=0.2)
 
 
 class TestCatalog:
