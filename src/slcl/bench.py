@@ -87,11 +87,7 @@ def emit_report(report: SuiteReport, fmt: str, path) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for e in report.entries:
-                writer.writerow([
-                    e.name, e.status, e.majors, e.minors,
-                    *(getattr(e, key) for key in EVAL_KINDS),
-                    repr(e.final_objective), repr(e.primal_inf),
-                    repr(e.dual_inf), repr(e.comp), repr(e.wall_time_s)])
+                writer.writerow([getattr(e, column) for column in CSV_COLUMNS])
     elif fmt == "json":
         payload = {
             "entries": [asdict(e) for e in report.entries],

@@ -263,18 +263,21 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     relative errors scaled by 1 + |analytic value|, and the report names the
     worst entry g[j] or J[i,j] and passes up to _DERIV_TOL.
 
-    The check places its own probe: x clipped 2 _DERIV_STEP inside its
-    finite bounds, or to the middle of a box narrower than 4 _DERIV_STEP,
-    so no point it evaluates leaves the box.  A coordinate is stepped by
-    _DERIV_STEP, or by a fifth of its width when its box is narrower than
-    five steps; fixed coordinates (lo == hi) are not perturbed and go
-    unchecked.
+    Steps are relative, so rounding does not swallow them at large |x|:
+    h_j = _DERIV_STEP max(1, |x_j|), x_j first clipped into its box.  The
+    check places its own probe: x clipped 2 h_j inside its finite bounds,
+    or to the middle of a box narrower than 4 h_j, so no point it
+    evaluates leaves the box.  A coordinate is stepped by h_j, or by a
+    fifth of its width when its box is narrower than 5 h_j; fixed
+    coordinates (lo == hi) are not perturbed and go unchecked.
     """
     lx, ux = problem.bounds_x
-    margin = np.minimum(2 * _DERIV_STEP, 0.5 * (ux - lx))  # 0 where fixed
-    x = np.clip(np.asarray(x, dtype=float).reshape(problem.n), lx + margin, ux - margin)
+    x = np.clip(np.asarray(x, dtype=float).reshape(problem.n), lx, ux)
+    h = _DERIV_STEP * np.maximum(1.0, np.abs(x))
+    margin = np.minimum(2 * h, 0.5 * (ux - lx))  # 0 where fixed
+    x = np.clip(x, lx + margin, ux - margin)
     free = lx < ux
-    step = np.minimum(_DERIV_STEP, 0.2 * (ux - lx))
+    step = np.minimum(h, 0.2 * (ux - lx))
 
     g = problem.g(x)
     Jmat = problem.J(x)

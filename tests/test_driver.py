@@ -454,6 +454,16 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"derivative check failed.*g\[0\]"):
             solve(p)
 
+    def test_start_at_large_x(self):
+        """min x^2 from x = 1e10: the derivative check's relative step
+        passes the correct gradient there."""
+        p = NlpProblem(
+            n=1, m_c=0, m_A=0, eval_f=lambda x: x[0] ** 2,
+            eval_g=lambda x: 2.0 * x, eval_c=None, eval_J=None,
+            A=np.zeros((0, 1)), bounds_x=([-INF], [INF]), bounds_c=((), ()),
+            bounds_A=((), ()), x_tilde=[1e10])
+        assert solve(p).status == "Optimal"
+
     def test_trial_outside_the_domain_of_f(self):
         """f = x - log x: the first spectral steps leave x > 0 and are cut back."""
         p = NlpProblem(

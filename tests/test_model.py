@@ -40,6 +40,17 @@ def _circle_problem():
         x_tilde=np.array([1.0, 1.0]))
 
 
+def _square_problem(**changes):
+    """f = x^2 with g = 2x on one free variable, with some fields replaced."""
+    fields = dict(
+        n=1, m_c=0, m_A=0, eval_f=lambda x: x[0] ** 2, eval_g=lambda x: 2.0 * x,
+        eval_c=None, eval_J=None, A=np.zeros((0, 1)),
+        bounds_x=([-INF], [INF]), bounds_c=((), ()), bounds_A=((), ()),
+        x_tilde=[1.0])
+    fields.update(changes)
+    return NlpProblem(**fields)
+
+
 def _circles_problem(k=100, bad_g=None, bad_J=None):
     """k unit-circle projections in 2k variables, like the benchmark's
     circles instances, with g[bad_g] or J[bad_J] off by a relative 1e-3."""
@@ -172,6 +183,18 @@ class TestSlackForm:
                 bounds_A=(np.zeros(0), np.zeros(0)),
                 x_tilde=np.zeros(1))
 
+    @pytest.mark.parametrize("sizes", [{"n": 0}, {"m_c": -1}])
+    def test_bad_dimensions_rejected(self, sizes):
+        with pytest.raises(ValueError, match="dimensions must satisfy"):
+            _square_problem(**sizes)
+
+    @pytest.mark.parametrize("missing", ["eval_c", "eval_J"])
+    def test_nonlinear_rows_need_both_callbacks(self, missing):
+        rows = {"m_c": 1, "bounds_c": ([0.0], [0.0]),
+                "eval_c": lambda x: x, "eval_J": lambda x: np.ones((1, 1))}
+        with pytest.raises(ValueError, match="m_c > 0 requires eval_c and eval_J"):
+            _square_problem(**{**rows, missing: None})
+
 
 class TestDerivativeCheck:
     def test_bilinear_gradient_passes(self):
@@ -249,6 +272,14 @@ class TestDerivativeCheck:
         assert rep.worst_index == worst
         assert p.n_feval == p.n_ceval == 2 + 2 * p.n
 
+    def test_step_is_relative_at_large_x(self):
+        """At x = 1e8 a step of 1e-5 would be lost in rounding; a step of
+        1e-5 |x| passes the directional test at its two calls of f."""
+        p = _square_problem()
+        rep = check_derivatives(p, np.array([1e8]))
+        assert rep.passed and rep.worst_index == "g.d"
+        assert p.n_feval == 2
+
     def test_catalog_entries_pass_everywhere(self):
         """Every entry checks clean at its start point and 5 interior samples."""
         rng = np.random.default_rng(314)
@@ -266,6 +297,10 @@ class TestCatalog:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             catalog_get("no-such-problem")
+
+    def test_problem_is_named_after_its_entry(self):
+        for name in catalog_names():
+            assert catalog_get(name).problem.name == name
 
     def test_required_entries_present(self):
         names = catalog_names()
