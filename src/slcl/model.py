@@ -256,7 +256,10 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     First along one fixed direction d, each free coordinate's step times a
     sign and a weight in [0.5, 1), as SNOPT's cheap test does: the errors of
     (f(x + d) - f(x - d)) / 2 against g.d, and of each row of c against
-    J_i.d, scaled by max(step) and by 1 + ||g||_inf, or 1 + ||J_i||_inf.
+    J_i.d, scaled by min(step) and by 1 + ||g||_inf, or 1 + ||J_i||_inf.
+    The smallest step keeps an error in a coordinate with a small step
+    from being diluted by the others; where that lets rounding fail the
+    test, the entrywise test below decides.
     That costs two calls of f and two of c, and when both errors pass up to
     _DERIV_TOL the report holds them, its worst_index naming "g.d" or the
     row "J[i].d".  Otherwise every free coordinate is differenced alone, its
@@ -290,7 +293,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     sign = np.where(k * 1.4142135623730951 % 1.0 < 0.5, 1.0, -1.0)
     weight = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
     d = np.where(free, step * sign * weight, 0.0)
-    scale = float(step[free].max())
+    scale = float(step[free].min())
     # without nonlinear rows problem.c and problem.J return empty arrays uncounted
     slope_f = 0.5 * (problem.f(x + d) - problem.f(x - d))
     slope_c = 0.5 * (problem.c(x + d) - problem.c(x - d))

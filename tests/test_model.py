@@ -280,6 +280,17 @@ class TestDerivativeCheck:
         assert rep.passed and rep.worst_index == "g.d"
         assert p.n_feval == 2
 
+    def test_small_step_error_is_not_diluted(self):
+        """f = x0 + x1^2 at (1e6, 0.5) with g[1] wrong by 0.5: x0's large
+        step must not hide the error along x1's small one."""
+        p = _square_problem(
+            n=2, eval_f=lambda x: x[0] + x[1] ** 2,
+            eval_g=lambda x: np.array([1.0, 2.0 * x[1] + 0.5]),
+            A=np.zeros((0, 2)), bounds_x=([-INF, -INF], [INF, INF]),
+            x_tilde=[1e6, 0.5])
+        rep = check_derivatives(p, np.array([1e6, 0.5]))
+        assert not rep.passed and rep.worst_index == "g[1]"
+
     def test_catalog_entries_pass_everywhere(self):
         """Every entry checks clean at its start point and 5 interior samples."""
         rng = np.random.default_rng(314)
