@@ -92,8 +92,9 @@ class BoundSolveResult:
 
 
 def _check_finite(where: str, x: Vector, *values) -> None:
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
+    for v in values:
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
 
 
 def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
@@ -105,9 +106,9 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
     """
     nf = free.size
     size = nf + R.shape[0]
-    RF = R[:, free]
+    RF = R.take(free, axis=1)
     K = np.zeros((size, size))
-    K[:nf, :nf] = B[np.ix_(free, free)]
+    K[:nf, :nf] = B.take(free, axis=0).take(free, axis=1)
     K[:nf, nf:] = RF.T
     K[nf:, :nf] = RF
     rhs = np.concatenate([-g[free], -r])
@@ -123,9 +124,8 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
 def _ratio_test(x: Vector, d: Vector, lo: Vector,
                 hi: Vector) -> tuple[int, float, float]:
     """First bound met along x + alpha d: its index, alpha and value."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(d < 0.0, (lo - x) / d,
-                          np.where(d > 0.0, (hi - x) / d, np.inf))
+    ratios = np.divide(lo - x, d, out=np.full(x.size, np.inf), where=d < 0.0)
+    np.divide(hi - x, d, out=ratios, where=d > 0.0)
     i = int(np.argmin(ratios))
     return i, float(ratios[i]), float(lo[i] if d[i] < 0.0 else hi[i])
 
@@ -213,7 +213,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         noise = _F_PRECISION * (1.0 + abs(f))
         alpha = min(1.0, alpha_max)
         while gtd < 0.0:
-            x_new = np.clip(x + alpha * d, lo, hi)
+            x_new = np.minimum(np.maximum(x + alpha * d, lo), hi)
             if alpha == alpha_max:
                 x_new[i] = bound_i
             if (np.abs(x_new - x) <= _ROUNDOFF * np.abs(x)).all():
@@ -296,8 +296,10 @@ def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
     return _ROUNDOFF * (1.0 + scale)
 
 
-def _step_to_rows(lin: Linearization, x_ext: Vector) -> Vector:
-    """x_ext moved by one least-squares step toward J_k x + offset = 0.
+def _step_to_rows(lin: Linearization,
+                  x_ext: Vector) -> tuple[Vector, Vector, Vector]:
+    """x_ext moved by one least-squares step toward J_k x + offset = 0,
+    with the linearized residual there and its rounding (_row_rounding).
 
     Only the coordinates off their bounds move, and the step stops at the
     first bound it meets.  x_ext comes back unchanged when the step would
@@ -310,14 +312,14 @@ def _step_to_rows(lin: Linearization, x_ext: Vector) -> Vector:
     d = np.zeros_like(x_ext)
     d[free] = np.linalg.lstsq(lin.J_k[:, free], -r, rcond=None)[0]
     i, alpha_max, bound_i = _ratio_test(x_ext, d, lo, hi)
-    x_new = np.clip(x_ext + min(1.0, alpha_max) * d, lo, hi)
+    x_new = np.minimum(np.maximum(x_ext + min(1.0, alpha_max) * d, lo), hi)
     if alpha_max <= 1.0:
         x_new[i] = bound_i
     m_c = lin.sf.m_c
-    kept = np.maximum(np.abs(r[m_c:]), _row_rounding(lin, x_new)[m_c:])
-    if np.any(np.abs(lin.cbar(x_new)[m_c:]) > kept):
-        return x_ext
-    return x_new
+    r_new, rounding = lin.cbar(x_new), _row_rounding(lin, x_new)
+    if (np.abs(r_new[m_c:]) > np.maximum(np.abs(r[m_c:]), rounding[m_c:])).any():
+        return x_ext, r, _row_rounding(lin, x_ext)
+    return x_new, r_new, rounding
 
 
 def solve_lc(sub: ElasticSubproblem, omega: float,
@@ -348,9 +350,10 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
     if np.array_equal(x0, lin.x_k):
-        x0 = _step_to_rows(lin, x0)
-    r = lin.cbar(x0)
-    r[np.abs(r) <= _row_rounding(lin, x0)] = 0.0
+        x0, r, rounding = _step_to_rows(lin, x0)
+    else:
+        r, rounding = lin.cbar(x0), _row_rounding(lin, x0)
+    r[np.abs(r) <= rounding] = 0.0
     v0, w0 = optimal_elastics(r)
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
     res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,

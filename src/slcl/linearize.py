@@ -17,12 +17,27 @@ them hard even when sigma is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .merit import aug_lagrangian, aug_lagrangian_grad
 from .model import Matrix, SlackForm, Vector
+
+
+class _once:
+    """An attribute computed by its method on first read and kept in the
+    instance's __dict__, which later reads find before this descriptor;
+    functools.cached_property does the same, but through 3.11 takes a lock
+    on every first read."""
+
+    def __init__(self, method) -> None:
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 class Linearization:
@@ -34,27 +49,27 @@ class Linearization:
     def __init__(self, sf: SlackForm, x_k: Vector) -> None:
         self.sf, self.x_k = sf, x_k
 
-    @cached_property
+    @_once
     def c_k(self) -> Vector:
         return self.sf.residual(self.x_k)
 
-    @cached_property
+    @_once
     def f(self) -> float:
         return self.sf.nlp.f(self.x_k[:self.sf.n])
 
-    @cached_property
+    @_once
     def g(self) -> Vector:
         return np.concatenate([self.sf.nlp.g(self.x_k[:self.sf.n]), np.zeros(self.sf.m)])
 
-    @cached_property
+    @_once
     def J_x(self) -> Matrix:
         return self.sf.nlp.J(self.x_k[:self.sf.n])
 
-    @cached_property
+    @_once
     def J_k(self) -> Matrix:
         return self.sf.jacobian(self.J_x)
 
-    @cached_property
+    @_once
     def offset(self) -> Vector:
         return self.c_k - self.J_k @ self.x_k
 
@@ -120,7 +135,7 @@ class ElasticSubproblem:
         same = x_ext.tobytes() == self.lin.x_k.tobytes()
         point = self.lin if same else Linearization(self.lin.sf, x_ext)
         val = aug_lagrangian(point, self.y_k, self.rho_k)
-        return val + self.sigma_k * float(np.sum(v) + np.sum(w)), point
+        return val + self.sigma_k * float(v.sum() + w.sum()), point
 
     def gradient(self, u: Vector, point: Linearization) -> Vector:
         """Objective gradient at u; point is the record evaluate(u) returned."""
