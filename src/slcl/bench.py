@@ -38,6 +38,9 @@ class SuiteEntry:
     wall_time_s: float
     classification: str
     matched: bool
+    # the solve's scale factors of f and of each nonlinear row
+    f_scale: float
+    row_scale: list[float]
 
 
 @dataclass
@@ -73,7 +76,8 @@ def run_suite(names, opts: OuterOptions | None = None, log=None) -> SuiteReport:
             final_objective=result.final_objective, primal_inf=res.primal_inf,
             dual_inf=res.dual_inf, comp=res.comp, wall_time_s=wall,
             classification=entry.classification,
-            matched=result.status == _EXPECTED_STATUS[entry.classification])
+            matched=result.status == _EXPECTED_STATUS[entry.classification],
+            f_scale=result.f_scale, row_scale=result.row_scale.tolist())
         report.entries.append(row)
         if log is not None:
             log(row, result)
@@ -130,6 +134,8 @@ def _eval_line(counts: dict) -> str:
 
 
 def _print_trace(report: SolveReport) -> None:
+    """The schedule table, whose omega and f_norm are in the problem's units
+    and other measures in scaled units, then the scale factors."""
     head = (f"{'k':>3} {'acc':>3} {'rho':>10} {'sigma':>10} {'eta':>10} "
             f"{'eta_target':>10} {'omega':>10} {'||c||':>10} {'f_norm':>10} "
             f"{'inner':>6}")
@@ -139,6 +145,8 @@ def _print_trace(report: SolveReport) -> None:
               f"{rec.sigma:>10.3e} {rec.eta:>10.3e} {rec.eta_target:>10.3e} "
               f"{rec.omega:>10.3e} {rec.c_norm:>10.3e} {rec.f_norm:>10.3e} "
               f"{rec.inner_iterations:>6}")
+    rows = " ".join(f"{s:g}" for s in report.row_scale)
+    print(f"scaling: f_scale {report.f_scale:g}  row_scale [{rows}]")
 
 
 def _cmd_list(_args) -> int:

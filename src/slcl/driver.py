@@ -25,6 +25,12 @@ also available directly as modes:
 
 canonical and bcl start the penalty at 10^2.5 / m_c for m_c nonlinear rows.
 
+Every mode solves the problem as the slack form scales it at the start
+(see model.SlackForm.scale_at), so the schedule's fixed constants meet
+gradients of about unit size.  The targets omega_0 and omega_star are
+mapped into those units, and the optimality test and the report are in the
+problem's own.
+
 Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
 first-order stationary point of the squared-residual minimization.  A
@@ -89,6 +95,10 @@ class OuterOptions:
 
 @dataclass
 class TraceRecord:
+    """One major.  omega, f_norm and omega_next are in the problem's units,
+    like the targets they are compared with; the other measures are in the
+    scaled units the schedule works in."""
+
     k: int
     accepted: bool
     rho: float
@@ -137,6 +147,9 @@ class SolveReport:
     J_evals: int
     trace: list[TraceRecord]
     f_norm_0: float  # the KKT measure F = max(primal, dual, comp) at (x0, y0, z0)
+    # the factors the solve scaled f and each nonlinear row by
+    f_scale: float
+    row_scale: Vector
 
 
 def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
@@ -208,29 +221,33 @@ def _eval_counts(nlp: NlpProblem) -> list[int]:
 def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                  res: KktResidual, minors: int, counts0: list[int],
                  trace: list[TraceRecord], f_norm_0: float) -> SolveReport:
-    """lin is the reported point's record and res the KKT residual at
-    (lin.x_k, y, z); majors is len(trace)."""
-    sf, x_ext, f_val = lin.sf, lin.x_k, lin.f
+    """lin is the reported point's record, y and z are in the slack form's
+    units, and res is the KKT residual at (lin.x_k, y, z) in the problem's
+    units; majors is len(trace)."""
+    sf = lin.sf
+    x_ext, y, z = sf.unscaled(lin.x_k, y, z)
+    f_val = lin.f / sf.f_scale
     # counted last so the report's own evaluations are included
     f_evals, g_evals, c_evals, J_evals = (
         now - then for now, then in zip(_eval_counts(sf.nlp), counts0))
-    return SolveReport(status=status, x=np.array(x_ext[:sf.n]), x_ext=np.array(x_ext),
-                       y=np.array(y), z=np.array(z), residual=res,
-                       final_objective=f_val, majors=len(trace), minors=minors,
-                       f_evals=f_evals, g_evals=g_evals, c_evals=c_evals,
-                       J_evals=J_evals, trace=trace, f_norm_0=f_norm_0)
+    return SolveReport(status=status, x=x_ext[:sf.n].copy(), x_ext=x_ext, y=y, z=z,
+                       residual=res, final_objective=f_val, majors=len(trace),
+                       minors=minors, f_evals=f_evals, g_evals=g_evals,
+                       c_evals=c_evals, J_evals=J_evals, trace=trace,
+                       f_norm_0=f_norm_0, f_scale=sf.f_scale,
+                       row_scale=np.array(sf.row_scale))
 
 
 def _solve_linear_only(lin: Linearization, y0: Vector, opts: OuterOptions,
                        counts0: list[int], f_norm_0: float) -> SolveReport:
     """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
     sub = assemble_elastic(lin, y0, 0.0, 0.0)
-    sol = solve_lc(sub, opts.omega_star)
+    sol = solve_lc(sub, opts.omega_star * lin.sf.f_scale)
     y = y0 + sol.delta_y
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
     cand = sol.point
-    res = kkt_residual(cand, y, z)
+    res = kkt_residual(cand, y, z, user=True)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
     return _make_report(status, cand, y, z, res, minors=sol.inner_iterations,
@@ -260,29 +277,35 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     except PpInfeasible:
         lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, *problem.bounds_x)))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        res = kkt_residual(lin, y, z)
+        res = kkt_residual(lin, y, z, user=True)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=res.f_norm)
 
-    lin = linearize_constraints(sf, x0)
-    y = np.zeros(sf.m) if y_start is None else y_start
+    lin = linearize_constraints(sf, sf.scale_at(x0))
+    # multipliers and the schedule's targets in the slack form's units
+    y = (np.zeros(sf.m) if y_start is None
+         else y_start * sf.f_scale / sf.col_scale[sf.n:])
+    omega_star = opts.omega_star * sf.f_scale
+    eta_star = opts.eta_star * float(sf.row_scale.min(initial=1.0))
     z = lin.g - lin.jacobian_t(y)
-    res = kkt_residual(lin, y, z)
+    res = kkt_residual(lin, y, z, user=True)
     f_norm_0 = res.f_norm
 
     if sf.m_c == 0:
         return _solve_linear_only(lin, y, opts, counts0, f_norm_0)
 
+    # the KKT measure the omega schedule follows, in the form's units
+    f_norm = kkt_residual(lin, y, z).f_norm
     state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
-                       eta=ETA_0, omega=opts.omega_0)
+                       eta=ETA_0, omega=opts.omega_0 * sf.f_scale)
     minors = 0
     sol: SubproblemSolution | None = None
     stalls_at_floor = 0
 
     for k in range(opts.max_major):
         rho_k, sigma_k, eta_k, omega_k = state.rho, state.sigma, state.eta, state.omega
-        eta_target = max(opts.eta_star, eta_k)
+        eta_target = max(eta_star, eta_k)
         sub = assemble_elastic(lin, state.y, rho_k, sigma_k)
         sol = solve_lc(sub, omega_k, warm_start=sol)
         minors += sol.inner_iterations
@@ -308,7 +331,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             if opts.mode == CANONICAL:
                 # with a fixed penalty nothing about the subproblem will change
                 exit_status = CANNOT_IMPROVE
-            elif omega_k <= opts.omega_star * (1.0 + 1e-12):
+            elif omega_k <= omega_star * (1.0 + 1e-12):
                 stalls_at_floor += 1
                 if stalls_at_floor >= 2:
                     exit_status = CANNOT_IMPROVE
@@ -319,7 +342,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         if accepted:
             update_on_success(state, sol, cand.c_k, opts, sf.m_c)
             lin = cand
-            res = kkt_residual(lin, state.y, state.z)
+            res = kkt_residual(lin, state.y, state.z, user=True)
+            f_norm = kkt_residual(lin, state.y, state.z).f_norm
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL
             if opts.mode == CANONICAL and elastic_inf > 1e-5:
@@ -331,17 +355,19 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             if (exit_status is None and sol.status == CONVERGED and rho_k > RHO_BAR
                     and sf.nonlinear_bound_violation(cand.x_k, cand.c_k) > opts.eta_star):
                 exit_status = INFEASIBLE
-            # a rejection moves only rho, sigma and eta, so lin and res still hold
+            # a rejection moves only rho, sigma and eta, so lin, f_norm and
+            # res still hold
             if exit_status is None:
                 update_on_failure(state, opts)
 
-        state.omega = next_omega(omega_k, res.f_norm, opts.omega_star)
+        state.omega = next_omega(omega_k, f_norm, omega_star)
         state.trace.append(TraceRecord(
             k=k, accepted=accepted, rho=rho_k, sigma=sigma_k, eta=eta_k,
-            eta_target=eta_target, omega=omega_k, c_norm=c_norm, f_norm=res.f_norm,
-            inner_status=sol.status, inner_iterations=sol.inner_iterations,
-            delta_y_norm=dy_norm, elastic_inf=elastic_inf, rho_next=state.rho,
-            sigma_next=state.sigma, eta_next=state.eta, omega_next=state.omega))
+            eta_target=eta_target, omega=omega_k / sf.f_scale, c_norm=c_norm,
+            f_norm=res.f_norm, inner_status=sol.status,
+            inner_iterations=sol.inner_iterations, delta_y_norm=dy_norm,
+            elastic_inf=elastic_inf, rho_next=state.rho, sigma_next=state.sigma,
+            eta_next=state.eta, omega_next=state.omega / sf.f_scale))
 
         if exit_status is not None:
             break
@@ -351,7 +377,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         # report the last candidate itself: it is the stationary point of the
         # squared-residual problem that certifies the infeasibility
         lin, state.y, state.z = cand, state.y + sol.delta_y, sol.z_star
-        res = kkt_residual(lin, state.y, state.z)
+        res = kkt_residual(lin, state.y, state.z, user=True)
 
     # lin is the record of the base point
     return _make_report(status, lin, state.y, state.z, res, minors=minors,

@@ -41,10 +41,10 @@ class _once:
 
 
 class Linearization:
-    """The record of a visited point x_k: its residual c_k, objective f,
-    gradient g (g(x) and the slacks' zeros) and Jacobian J_x = J(x), each
-    evaluated on first read and kept, and the first-order model
-    J_k x + offset of the rows about x_k."""
+    """The record of a visited point x_k of the slack form sf: its residual
+    c_k, objective f, gradient g (g(x) and the slacks' zeros) and Jacobian
+    J_x = J(x), each evaluated on first read, scaled by sf's factors and
+    kept, and the first-order model J_k x + offset of the rows about x_k."""
 
     def __init__(self, sf: SlackForm, x_k: Vector) -> None:
         self.sf, self.x_k = sf, x_k
@@ -55,15 +55,16 @@ class Linearization:
 
     @_once
     def f(self) -> float:
-        return self.sf.nlp.f(self.x_k[:self.sf.n])
+        return self.sf.f_scale * self.sf.nlp.f(self.x_k[:self.sf.n])
 
     @_once
     def g(self) -> Vector:
-        return np.concatenate([self.sf.nlp.g(self.x_k[:self.sf.n]), np.zeros(self.sf.m)])
+        sf = self.sf
+        return np.concatenate([sf.f_scale * sf.nlp.g(self.x_k[:sf.n]), np.zeros(sf.m)])
 
     @_once
     def J_x(self) -> Matrix:
-        return self.sf.nlp.J(self.x_k[:self.sf.n])
+        return self.sf.row_scale[:, None] * self.sf.nlp.J(self.x_k[:self.sf.n])
 
     @_once
     def J_k(self) -> Matrix:

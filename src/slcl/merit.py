@@ -56,18 +56,27 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     return np.maximum(lower, upper)
 
 
-def kkt_residual(lin: Linearization, y: Vector, z: Vector) -> KktResidual:
+def kkt_residual(lin: Linearization, y: Vector, z: Vector,
+                 user: bool = False) -> KktResidual:
     """Primal, dual, and complementarity residuals at (lin.x_k, y, z).
 
     ctil, g and J come from the point's record lin.  primal_inf covers the
     equality residual and any bound violation; dual_inf is ||g - J^T y - z||_inf
     with no penalty term; comp applies the two-sided measure against the box.
+    The point, its multipliers and the measures are in the slack form's
+    scaled units, or with user=True the measures are of the same point and
+    multipliers in the problem's units (see SlackForm).
     """
-    sf, x = lin.sf, lin.x_k
-    primal = max(float(np.abs(lin.c_k).max(initial=0.0)), bound_violation(x, sf.lo, sf.hi))
+    sf, x, r = lin.sf, lin.x_k, lin.c_k
+    lo, hi = sf.lo, sf.hi
     dual_vec = lin.g - lin.jacobian_t(y) - z
+    if user:
+        d, to_user = sf.col_scale, sf.col_scale / sf.f_scale
+        x, r, lo, hi = x / d, r / d[sf.n:], lo / d, hi / d
+        z, dual_vec = z * to_user, dual_vec * to_user
+    primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x, lo, hi))
     dual = float(np.abs(dual_vec).max(initial=0.0))
-    comp = float(np.abs(comp_measure(x, z, sf.lo, sf.hi)).max(initial=0.0))
+    comp = float(np.abs(comp_measure(x, z, lo, hi)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)
 
 

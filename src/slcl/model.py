@@ -9,6 +9,11 @@ equivalent slack form in which every row becomes an equality against a bounded
 slack variable, so the only inequalities left are simple bounds:
 
     minimize f(x)  subject to  (c(x); A x) - s = 0,  (x; s) in box.
+
+The slack form also scales the problem once per solve, at its start (see
+SlackForm.scale_at): f by a power of two and each nonlinear row, with its
+slack, by another, so that the solver's fixed constants meet gradients of
+about unit size whatever the units f and c are given in.
 """
 
 from __future__ import annotations
@@ -27,6 +32,16 @@ INF = np.inf
 # central-difference step and relative error bound of the derivative check
 _DERIV_STEP = 1e-5
 _DERIV_TOL = 1e-5
+# the smallest scale factor, for gradient norms of this size or more
+_MAX_SCALED_NORM = 2.0 ** 10
+
+
+def scale_factors(norms):
+    """2^floor(log2(1 / clip(norm, 1, 2^10))) for each norm: the power of
+    two that brings a norm above 1 down to (1/2, 1], and 1 for a norm of at
+    most 1 or a NaN, so scaling only ever divides."""
+    clipped = np.fmin(np.fmax(norms, 1.0), _MAX_SCALED_NORM)
+    return 2.0 ** np.floor(np.log2(1.0 / clipped))
 
 
 def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
@@ -168,12 +183,17 @@ class NlpProblem:
 
 @dataclass
 class SlackForm:
-    """Slack-variable view of an NlpProblem.
+    """Slack-variable view of an NlpProblem, in scaled units.
 
     Extended variables are ordered (x, s_c, s_A) with n_ext = n + m_c + m_A.
-    The equality residual is (c(x) - s_c; A x - s_A) and an extended point with
-    zero residual corresponds exactly to a feasible point of the original
-    problem, and vice versa.
+    The form's objective is f_scale f(x), and its equality residual is
+    (row_scale c(x) - s_c; A x - s_A), so s_c is row_scale times the
+    problem's slack and its bounds are scaled with it.  An extended point
+    with zero residual corresponds exactly to a feasible point of the
+    original problem, and vice versa.  The factors are powers of two, so
+    moving between units is exact: a point of the form is col_scale times
+    the problem's point, and its multipliers y and z are those of the
+    problem times f_scale / col_scale.  They are 1 until scale_at sets them.
     """
 
     nlp: NlpProblem
@@ -181,6 +201,9 @@ class SlackForm:
     m: int
     lo: Vector
     hi: Vector
+    f_scale: float
+    row_scale: Vector  # one factor per nonlinear row
+    col_scale: Vector  # (1 for x, row_scale, 1 for s_A)
 
     @property
     def n(self) -> int:
@@ -200,7 +223,8 @@ class SlackForm:
 
     def residual(self, x_ext: Vector) -> Vector:
         x, s_c, s_A = self.split(x_ext)
-        return np.concatenate([self.nlp.c(x) - s_c, self.nlp.A @ x - s_A])
+        return np.concatenate([self.row_scale * self.nlp.c(x) - s_c,
+                               self.nlp.A @ x - s_A])
 
     def jacobian(self, J_x: Matrix) -> Matrix:
         """Dense Jacobian of the residual from J_x = J(x), built once per record."""
@@ -219,25 +243,49 @@ class SlackForm:
         constraints, so this is the canonical feasible embedding.
         """
         x = np.asarray(x, dtype=float)
-        s_c = np.clip(self.nlp.c(x), *self.nlp.bounds_c)
-        return np.concatenate([x, s_c, np.clip(self.nlp.A @ x, *self.nlp.bounds_A)])
+        rows = np.concatenate([self.row_scale * self.nlp.c(x), self.nlp.A @ x])
+        return np.concatenate([x, np.clip(rows, self.lo[self.n:], self.hi[self.n:])])
 
     def nonlinear_bound_violation(self, x_ext: Vector, r: Vector) -> float:
-        """Infinity-norm violation of the nonlinear row bounds at x_ext."""
-        c = r[:self.m_c] + self.split(x_ext)[1]  # r is c(x) - s_c there
-        return bound_violation(c, *self.nlp.bounds_c)
+        """Infinity-norm violation of the nonlinear row bounds at x_ext, in
+        the problem's units."""
+        c = r[:self.m_c] + self.split(x_ext)[1]  # r is row_scale c(x) - s_c there
+        return bound_violation(c / self.row_scale, *self.nlp.bounds_c)
+
+    def scale_at(self, x_ext: Vector) -> Vector:
+        """Set the factors from g and J at x_ext, the start of a solve in
+        the problem's units, and return x_ext in the form's units.
+
+        f_scale comes from ||g||_inf and each row's factor from the
+        infinity norm of its row of J (see scale_factors).  Called once, on
+        a form with unit factors, before any record of it is built.
+        """
+        x = x_ext[:self.n]
+        self.f_scale = float(scale_factors(np.abs(self.nlp.g(x)).max(initial=0.0)))
+        self.row_scale = scale_factors(np.abs(self.nlp.J(x)).max(axis=1, initial=0.0))
+        self.col_scale = np.concatenate([np.ones(self.n), self.row_scale,
+                                         np.ones(self.m_A)])
+        self.lo, self.hi = self.lo * self.col_scale, self.hi * self.col_scale
+        return x_ext * self.col_scale
+
+    def unscaled(self, x_ext: Vector, y: Vector,
+                 z: Vector) -> tuple[Vector, Vector, Vector]:
+        """A point of the form with its multipliers, in the problem's units."""
+        to_user = self.col_scale / self.f_scale
+        return x_ext / self.col_scale, y * to_user[self.n:], z * to_user
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:
-    """Construct the slack form, checking the inputs and forgetting the
-    problem's last calls; the callbacks' shapes are checked at their first
-    calls, which the derivative check makes."""
+    """Construct the slack form with unit factors, checking the inputs and
+    forgetting the problem's last calls; the callbacks' shapes are checked
+    at their first calls, which the derivative check makes."""
     problem.check_inputs()
     problem._last.clear()
     lo = np.concatenate([problem.bounds_x[0], problem.bounds_c[0], problem.bounds_A[0]])
     hi = np.concatenate([problem.bounds_x[1], problem.bounds_c[1], problem.bounds_A[1]])
     n_ext = problem.n + problem.m_c + problem.m_A
-    return SlackForm(nlp=problem, n_ext=n_ext, m=problem.m_c + problem.m_A, lo=lo, hi=hi)
+    return SlackForm(nlp=problem, n_ext=n_ext, m=problem.m_c + problem.m_A, lo=lo, hi=hi,
+                     f_scale=1.0, row_scale=np.ones(problem.m_c), col_scale=np.ones(n_ext))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import dataclasses
+
 import pytest
 
 
@@ -20,3 +22,19 @@ def spy_calls():
         return calls
 
     return spy
+
+
+@pytest.fixture
+def rescaled():
+    """rescaled(problem, a, b) is a copy of the problem with f and g
+    multiplied by a and c, J and the bounds of c by b > 0: the same
+    problem in other units."""
+    def copy(problem, a, b):
+        f, g, c, J = problem.eval_f, problem.eval_g, problem.eval_c, problem.eval_J
+        lc, uc = problem.bounds_c
+        return dataclasses.replace(
+            problem, eval_f=lambda x: a * f(x), eval_g=lambda x: a * g(x),
+            eval_c=lambda x: b * c(x), eval_J=lambda x: b * J(x),
+            bounds_c=(b * lc, b * uc))
+
+    return copy

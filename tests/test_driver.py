@@ -178,32 +178,35 @@ class TestDetectors:
         return [t for t in rep.trace
                 if not t.accepted and t.inner_status == CONVERGED]
 
-    def test_infeasible_needs_both_conditions(self, monkeypatch):
+    def test_infeasible_needs_both_conditions(self, monkeypatch, rescaled):
         """A rejected candidate ends the run Infeasible only when rho is past
         RHO_BAR and its nonlinear rows violate their bounds by more than
-        eta_star.  ridge-eq rejects a violating candidate at a small rho
-        and goes on to Optimal; with RHO_BAR at zero the same rejection ends
-        it Infeasible.  ball-proj's rejected candidates from the origin meet
-        its nonlinear row, so it ends Optimal even with RHO_BAR at zero."""
-        rep = solve(catalog_get("ridge-eq").problem)
+        eta_star.  sphere-min-sum rejects a violating candidate at a small
+        rho and goes on to Optimal; with RHO_BAR at zero the same rejection
+        ends it Infeasible.  ball-proj with f a thousand times larger, more
+        than its scaling takes back, rejects candidates from the origin that
+        meet its nonlinear row, so it ends Optimal even with RHO_BAR at zero."""
+        rep = solve(catalog_get("sphere-min-sum").problem)
         assert rep.status == "Optimal"
         first = self._converged_rejections(rep)[0]
         assert first.rho <= driver.RHO_BAR
 
         monkeypatch.setattr(driver, "RHO_BAR", 0.0)
-        rep = solve(catalog_get("ridge-eq").problem)
+        rep = solve(catalog_get("sphere-min-sum").problem)
         assert rep.status == "Infeasible"
         assert rep.majors == first.k + 1
 
-        rep = solve(catalog_get("ball-proj").problem, x_start=np.zeros(3))
+        rep = solve(rescaled(catalog_get("ball-proj").problem, 1e3, 1.0),
+                    OuterOptions(omega_star=1e-3), x_start=np.zeros(3))
         assert rep.status == "Optimal"
         assert self._converged_rejections(rep)
 
     def test_infeasible_test_waits_for_the_penalty(self, monkeypatch):
         """The violation tests read the c of the point's record and call c
-        never.  ridge-eq's rejections at small rho do not run the Infeasible
-        test; unbounded-ray from its own start runs the Unbounded test, which
-        fires at once, and with RHO_BAR at zero ridge-eq's fires."""
+        never.  sphere-min-sum's rejection at small rho does not run the
+        Infeasible test; unbounded-ray from its own start runs the Unbounded
+        test, which fires at once, and with RHO_BAR at zero sphere-min-sum's
+        fires."""
         original = SlackForm.nonlinear_bound_violation
         c_calls = []
 
@@ -214,7 +217,7 @@ class TestDetectors:
             return out
 
         monkeypatch.setattr(SlackForm, "nonlinear_bound_violation", counted)
-        rep = solve(catalog_get("ridge-eq").problem)
+        rep = solve(catalog_get("sphere-min-sum").problem)
         assert rep.status == "Optimal"
         assert self._converged_rejections(rep)
         assert sum(c_calls) == 0
@@ -223,7 +226,7 @@ class TestDetectors:
         assert rep.status == "Unbounded"
         assert len(c_calls) == 1
         monkeypatch.setattr(driver, "RHO_BAR", 0.0)
-        rep = solve(catalog_get("ridge-eq").problem)
+        rep = solve(catalog_get("sphere-min-sum").problem)
         assert rep.status == "Infeasible"
         assert len(c_calls) == 2 and sum(c_calls) == 0
 
@@ -319,7 +322,9 @@ class TestCannotImprove:
 
     def test_linear_only_solve_converged_but_not_optimal(self, monkeypatch):
         """A linear-only subproblem that converges to a point the KKT test
-        at omega_star and eta_star rejects ends the run CannotImprove."""
+        at omega_star and eta_star rejects ends the run CannotImprove.  The
+        shift is in the scaled units of the subproblem, and the report's
+        residual in the problem's."""
         def shift(sol):
             sol.z_star = sol.z_star + 1e-3
 
@@ -328,7 +333,7 @@ class TestCannotImprove:
         _fake_solve_lc(monkeypatch, shift)
         rep = solve(problem)
         assert rep.status == "CannotImprove" and rep.majors == 0
-        assert rep.residual.dual_inf == pytest.approx(1e-3)
+        assert rep.residual.dual_inf == pytest.approx(1e-3 / rep.f_scale)
 
 
 class TestOptionsValidation:
@@ -614,20 +619,21 @@ class TestSolve:
 
     def test_rejection_reuses_the_residual(self, monkeypatch):
         """A rejected major leaves x, y and z alone, so the KKT residual is
-        evaluated once at the start and once per accepted major; the report
-        takes the last one."""
+        evaluated at the start and at each accepted major, once in the
+        scaled units the schedule follows and once in the problem's units
+        the optimality test reads; the report takes the last one."""
         original = driver.kkt_residual
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("user", False))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(driver, "kkt_residual", counted)
-        rep = solve(catalog_get("ridge-eq").problem)
+        rep = solve(catalog_get("sphere-min-sum").problem)
         accepted = sum(rec.accepted for rec in rep.trace)
         assert accepted < rep.majors
-        assert len(calls) == 1 + accepted
+        assert calls == [True, False] * (1 + accepted)
 
     @staticmethod
     def _spy_records(monkeypatch):
@@ -694,7 +700,7 @@ class TestSolve:
         x0 (the start's embedding), every point a kernel evaluates, and
         every candidate.  g and J: the check's probe, x0, every point a
         kernel gives a gradient, and every candidate.  A kernel starts at a
-        point already evaluated, as ridge-eq's rejected majors and
+        point already evaluated, as sphere-min-sum's rejected major and
         infeas-affine's later ones do, and the derivative check probes x0
         on these problems, so without the problem's memory of its last calls
         these lists would repeat points.  A candidate the kernel moved
@@ -715,7 +721,7 @@ class TestSolve:
         monkeypatch.setattr(driver, "check_derivatives", spied_check)
         evaluated, gradients, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
-        for name, status in (("two-circles", "Optimal"), ("ridge-eq", "Optimal"),
+        for name, status in (("two-circles", "Optimal"), ("sphere-min-sum", "Optimal"),
                              ("infeas-affine", "Infeasible")):
             problem = catalog_get(name).problem
             seen = spy_calls(problem)
@@ -756,8 +762,8 @@ class TestSolve:
         after evaluating it (infeas-affine's, and box-quadratic's, whose
         move is onto a bound the point already sits on, so the new record
         reads values the problem remembers), and each subproblem's base,
-        holds what a fresh record of a problem that remembers no call
-        gives, bit for bit."""
+        holds what a fresh record of the same scaled form gives, bit for
+        bit, when the problem remembers no call."""
         _, _, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
         moved = []
@@ -769,7 +775,8 @@ class TestSolve:
             assert built, name
             moved += [name] * sum(snapped)
             for rec in built + from_kernel + bases:
-                fresh = linearize_constraints(build_slack_form(problem), rec.x_k)
+                problem._last.clear()
+                fresh = linearize_constraints(rec.sf, rec.x_k)
                 for field in ("c_k", "J_x", "J_k", "g", "offset"):
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
@@ -841,7 +848,7 @@ class TestTraceSchedules:
             assert cur.omega == prev.omega_next
 
     def test_acceptance_branches_move_the_right_knobs(self):
-        trace = self._trace("ridge-eq")
+        trace = self._trace("sphere-min-sum")
         saw_failure = False
         for rec in trace[:-1]:
             if rec.accepted:
@@ -867,11 +874,15 @@ class TestTraceSchedules:
                     rec.eta_next, rec.eta / rec.rho ** BETA, rtol=1e-12)
 
     def test_eta_target_is_what_acceptance_used(self):
-        """eta underflows far below eta_star; the test used the larger one."""
-        trace = self._trace("ridge-eq", omega_star=1e-8)
-        assert any(rec.eta < 1e-6 for rec in trace)
+        """eta falls below eta_star, which the schedule reads in the units of
+        the scaled rows; the test used the larger one."""
+        rep = solve(catalog_get("sphere-min-sum").problem,
+                    OuterOptions(eta_star=1e-2, omega_star=1e-8))
+        eta_star = 1e-2 * rep.row_scale.min()
+        trace = rep.trace
+        assert any(rec.eta < eta_star for rec in trace)
         for rec in trace:
-            assert rec.eta_target == max(rec.eta, 1e-6)
+            assert rec.eta_target == max(rec.eta, eta_star)
             if rec.inner_status == CONVERGED:
                 assert rec.accepted == (rec.c_norm <= rec.eta_target)
 

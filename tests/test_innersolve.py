@@ -532,10 +532,11 @@ class TestEvaluationBudget:
         for field in ("c_k", "g", "J_x", "J_k", "offset"):
             np.testing.assert_array_equal(getattr(point, field), getattr(fresh, field))
 
-    def test_rejected_trial_records_call_neither_g_nor_J(self, monkeypatch):
+    def test_rejected_trial_records_call_neither_g_nor_J(self, monkeypatch, rescaled):
         """A trial the line search rejects costs f and c alone: after a
         whole solve, reading g and J from its record calls each of them for
-        the first time."""
+        the first time.  rosenbrock-ball with f a thousand times smaller,
+        which the solve does not scale back up, backtracks often."""
         evaluate, gradient = ElasticSubproblem.evaluate, ElasticSubproblem.gradient
         evaluated, accepted = [], []
 
@@ -549,8 +550,8 @@ class TestEvaluationBudget:
 
         monkeypatch.setattr(ElasticSubproblem, "evaluate", spied_evaluate)
         monkeypatch.setattr(ElasticSubproblem, "gradient", spied_gradient)
-        problem = catalog_get("ridge-eq").problem
-        solve(problem)
+        problem = rescaled(catalog_get("rosenbrock-ball").problem, 1e-3, 1.0)
+        solve(problem, OuterOptions(omega_star=1e-9))
         rejected = [rec for _, rec in evaluated
                     if not any(rec is point for point in accepted)]
         assert len(rejected) >= 10
