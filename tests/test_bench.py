@@ -85,6 +85,9 @@ class TestEmitReport:
         assert payload["entries"][0]["name"] == "linear-as-nl"
         assert "totals" in payload and "options" in payload
         assert payload["options"]["omega_star"] == 1e-6
+        # linear-as-nl starts where g and J are zero and one: nothing to scale
+        assert payload["entries"][0]["f_scale"] == 1.0
+        assert payload["entries"][0]["row_scale"] == [1.0]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -130,6 +133,8 @@ class TestCli:
         head = out.splitlines()[0].split()
         assert head == ["k", "acc", "rho", "sigma", "eta", "eta_target",
                         "omega", "||c||", "f_norm", "inner"]
+        # circle-proj's start (0.5, 0.5) has g = (-3, -1) and J = (1, 1)
+        assert "scaling: f_scale 0.25  row_scale [1]" in out.splitlines()
 
     def test_suite_trace_prints_each_problem_s_schedule(self, capsys):
         """Each problem's schedule table comes before its result and
