@@ -158,7 +158,7 @@ def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
     Tightens toward the square of the current optimality measure, halves as a
     safeguard, and never drops below omega_star.
     """
-    om = min(omega_k, f_norm ** 2)
+    om = min(omega_k, f_norm * f_norm)
     return max(0.5 * om, omega_star)
 
 
@@ -247,7 +247,7 @@ def _solve_linear_only(lin: Linearization, y0: Vector, opts: OuterOptions,
     z = np.array(sol.z_star)
     status = OPTIMAL if sol.status == CONVERGED else sol.status
     cand = sol.point
-    res = kkt_residual(cand, y, z, user=True)
+    res, _ = kkt_residual(cand, y, z)
     if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
         status = CANNOT_IMPROVE
     return _make_report(status, cand, y, z, res, minors=sol.inner_iterations,
@@ -277,7 +277,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     except PpInfeasible:
         lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, *problem.bounds_x)))
         y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        res = kkt_residual(lin, y, z, user=True)
+        res, _ = kkt_residual(lin, y, z)
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=res.f_norm)
 
@@ -288,14 +288,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     omega_star = opts.omega_star * sf.f_scale
     eta_star = opts.eta_star * float(sf.row_scale.min(initial=1.0))
     z = lin.g - lin.jacobian_t(y)
-    res = kkt_residual(lin, y, z, user=True)
+    res, f_norm = kkt_residual(lin, y, z)
     f_norm_0 = res.f_norm
 
     if sf.m_c == 0:
         return _solve_linear_only(lin, y, opts, counts0, f_norm_0)
 
-    # the KKT measure the omega schedule follows, in the form's units
-    f_norm = kkt_residual(lin, y, z).f_norm
     state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
                        eta=ETA_0, omega=opts.omega_0 * sf.f_scale)
@@ -342,8 +340,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         if accepted:
             update_on_success(state, sol, cand.c_k, opts, sf.m_c)
             lin = cand
-            res = kkt_residual(lin, state.y, state.z, user=True)
-            f_norm = kkt_residual(lin, state.y, state.z).f_norm
+            res, f_norm = kkt_residual(lin, state.y, state.z)
             if is_optimal(res, opts.omega_star, opts.eta_star):
                 exit_status = OPTIMAL
             if opts.mode == CANONICAL and elastic_inf > 1e-5:
@@ -377,7 +374,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         # report the last candidate itself: it is the stationary point of the
         # squared-residual problem that certifies the infeasibility
         lin, state.y, state.z = cand, state.y + sol.delta_y, sol.z_star
-        res = kkt_residual(lin, state.y, state.z, user=True)
+        res, _ = kkt_residual(lin, state.y, state.z)
 
     # lin is the record of the base point
     return _make_report(status, lin, state.y, state.z, res, minors=minors,

@@ -278,9 +278,8 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     delta_y = np.array(res.y, dtype=float)
     # elastic-row multipliers must respect the sigma + omega box; clip the
     # rare numerical overshoot and recompute z so the triple stays consistent
-    m_c = sub.lin.sf.m_c
     cap = sub.sigma_k + omega
-    delta_y[:m_c] = np.clip(delta_y[:m_c], -cap, cap)
+    delta_y[:sub.m_c] = np.clip(delta_y[:sub.m_c], -cap, cap)
     z = res.g[:sub.n_ext] - sub.lin.J_k.T @ delta_y
     # a new record only if the kernel moved x onto a bound after evaluating it
     point = res.aux if res.aux is not None else Linearization(sub.lin.sf, np.array(x_ext))
@@ -303,8 +302,8 @@ def _step_to_rows(lin: Linearization,
 
     Only the coordinates off their bounds move, and the step stops at the
     first bound it meets.  x_ext comes back unchanged when the step would
-    leave a linear row, whose elastics are pinned at zero, violated beyond
-    rounding, as free columns of deficient rank can.
+    leave a linear row, which has no elastics, violated beyond rounding,
+    as free columns of deficient rank can.
     """
     lo, hi = lin.sf.lo, lin.sf.hi
     free = np.flatnonzero((lo < x_ext) & (x_ext < hi))
@@ -332,10 +331,11 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     step toward the linearized rows (see _step_to_rows); a warm start
     elsewhere, the candidate of a rejected major, already meets this
     linearization.  The elastics start at their cheapest values for the
-    linearized residual left there, taking residuals at rounding level as
-    zero, so the rows hold from the start on.  The kernel also starts from
-    the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
-    block when the penalty has risen from the rho that matrix was built for.
+    nonlinear rows' linearized residual left there, taking residuals at
+    rounding level as zero, so the rows hold from the start on.  The kernel
+    also starts from the warm start's BFGS matrix, plus (rho_k - rho)
+    J_k^T J_k on the x_ext block when the penalty has risen from the rho
+    that matrix was built for.
     When the start's x_ext is, bit for bit, the point of the record it came
     from (the base point's, when the step left it in place, or the warm
     start's candidate's), the kernel starts from that record, so its values
@@ -354,7 +354,7 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     else:
         r, rounding = lin.cbar(x0), _row_rounding(lin, x0)
     r[np.abs(r) <= rounding] = 0.0
-    v0, w0 = optimal_elastics(r)
+    v0, w0 = optimal_elastics(r[:sub.m_c])
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
     res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,
                       rows=sub.rows, offset=lin.offset, hess=hess)

@@ -1,17 +1,16 @@
 """Point records, constraint linearization and the elastic lifted subproblem.
 
 Each outer iteration linearizes the slack-form equality rows at the current
-point and relaxes them with a pair of nonnegative elastic variables per row,
-priced at sigma in the objective:
+point and relaxes the m_c nonlinear ones with a pair of nonnegative elastic
+variables per row, priced at sigma in the objective:
 
     minimize  L(x) + sigma * sum(v + w)
-    subject to  Jk x + offset + v - w = 0,   x in box,  v, w >= 0,
+    subject to  Jk x + offset + E (v - w) = 0,   x in box,  v, w >= 0,
 
-where L is the augmented Lagrangian at the current multipliers and penalty.
-The lifted rows are always consistent, so the subproblem is always feasible.
-Linear rows are exactly their own linearization and get no slack from the
-relaxation: their elastic pair is pinned to zero by its bounds, which keeps
-them hard even when sigma is zero.
+where L is the augmented Lagrangian at the current multipliers and penalty
+and E is the first m_c columns of the identity.  Linear rows are exactly
+their own linearization and have no elastics, so they stay hard; the
+proximal start has already met them, so the subproblem stays feasible.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
 
 @dataclass
 class ElasticSubproblem:
-    """Lifted elastic subproblem over u = (x_ext, v, w).
+    """Lifted elastic subproblem over u = (x_ext, v, w), v and w of size m_c.
 
-    Its rows are R u + offset with R = [J_k, I, -I], held densely in rows
+    Its rows are R u + offset with R = [J_k, E, -E], held densely in rows
     for the kernel; row_residual applies R by blocks.
     """
 
@@ -102,7 +101,7 @@ class ElasticSubproblem:
     y_k: Vector
     rho_k: float
     sigma_k: float
-    m: int = field(init=False)
+    m_c: int = field(init=False)
     n_ext: int = field(init=False)
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
@@ -110,22 +109,21 @@ class ElasticSubproblem:
 
     def __post_init__(self) -> None:
         sf = self.lin.sf
-        m = self.m = sf.m
+        m_c = self.m_c = sf.m_c
         self.n_ext = sf.n_ext
-        self.y_k = np.asarray(self.y_k, dtype=float).reshape(m)
+        self.y_k = np.asarray(self.y_k, dtype=float).reshape(sf.m)
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")
-        elastic_hi = np.where(np.arange(m) < sf.m_c, np.inf, 0.0)
-        self.lo = np.concatenate([sf.lo, np.zeros(2 * m)])
-        self.hi = np.concatenate([sf.hi, elastic_hi, elastic_hi])
-        identity = np.identity(m)
+        self.lo = np.concatenate([sf.lo, np.zeros(2 * m_c)])
+        self.hi = np.concatenate([sf.hi, np.full(2 * m_c, np.inf)])
+        E = np.eye(sf.m, m_c)
         # column-major: R's memory order sets how the kernel's products sum,
         # and with it the iterates in their last bits
-        self.rows = np.vstack([self.lin.J_k.T, identity, -identity]).T
+        self.rows = np.asfortranarray(np.hstack([self.lin.J_k, E, -E]))
 
     def split(self, u: Vector) -> tuple[Vector, Vector, Vector]:
-        n_ext, m = self.n_ext, self.m
-        return u[:n_ext], u[n_ext:n_ext + m], u[n_ext + m:]
+        n_ext, m_c = self.n_ext, self.m_c
+        return u[:n_ext], u[n_ext:n_ext + m_c], u[n_ext + m_c:]
 
     def evaluate(self, u: Vector) -> tuple[float, Linearization]:
         """Objective at u, with the record of its x_ext that it read c and f
@@ -141,11 +139,11 @@ class ElasticSubproblem:
     def gradient(self, u: Vector, point: Linearization) -> Vector:
         """Objective gradient at u; point is the record evaluate(u) returned."""
         gl = aug_lagrangian_grad(point, self.y_k, self.rho_k)
-        return np.concatenate([gl, np.full(2 * self.m, self.sigma_k)])
+        return np.concatenate([gl, np.full(2 * self.m_c, self.sigma_k)])
 
     def row_residual(self, u: Vector) -> Vector:
         x_ext, v, w = self.split(u)
-        return self.lin.J_k @ x_ext + v - w + self.lin.offset
+        return self.lin.cbar(x_ext) + np.concatenate([v - w, np.zeros(self.lin.sf.m_A)])
 
 
 def assemble_elastic(lin: Linearization, y_k: Vector, rho_k: float,

@@ -1,8 +1,8 @@
 """Augmented Lagrangian merit values and KKT residuals.
 
 All routines act on the slack form, where the constraint residual is the
-vector ctil(x_ext) = (c(x) - s_c; A x - s_A) and the only inequalities are
-the box bounds on the extended variables.
+vector ctil(x_ext) = (row_scale c(x) - s_c; A x - s_A) and the only
+inequalities are the box bounds on the extended variables.
 """
 
 from __future__ import annotations
@@ -56,28 +56,32 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     return np.maximum(lower, upper)
 
 
-def kkt_residual(lin: Linearization, y: Vector, z: Vector,
-                 user: bool = False) -> KktResidual:
-    """Primal, dual, and complementarity residuals at (lin.x_k, y, z).
-
-    ctil, g and J come from the point's record lin.  primal_inf covers the
-    equality residual and any bound violation; dual_inf is ||g - J^T y - z||_inf
-    with no penalty term; comp applies the two-sided measure against the box.
-    The point, its multipliers and the measures are in the slack form's
-    scaled units, or with user=True the measures are of the same point and
-    multipliers in the problem's units (see SlackForm).
-    """
-    sf, x, r = lin.sf, lin.x_k, lin.c_k
-    lo, hi = sf.lo, sf.hi
-    dual_vec = lin.g - lin.jacobian_t(y) - z
-    if user:
-        d, to_user = sf.col_scale, sf.col_scale / sf.f_scale
-        x, r, lo, hi = x / d, r / d[sf.n:], lo / d, hi / d
-        z, dual_vec = z * to_user, dual_vec * to_user
+def _measures(x: Vector, r: Vector, z: Vector, dual_vec: Vector, lo: Vector,
+              hi: Vector) -> KktResidual:
     primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x, lo, hi))
     dual = float(np.abs(dual_vec).max(initial=0.0))
     comp = float(np.abs(comp_measure(x, z, lo, hi)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)
+
+
+def kkt_residual(lin: Linearization, y: Vector,
+                 z: Vector) -> tuple[KktResidual, float]:
+    """Primal, dual, and complementarity residuals at (lin.x_k, y, z) in the
+    problem's units (see SlackForm), and the KKT measure F, the max of the
+    same three in the form's scaled units, which the omega schedule follows.
+
+    The point and its multipliers are in the form's units, and ctil, g and
+    J come from the point's record lin; g - J^T y - z is formed once for
+    both.  primal_inf covers the equality residual and any bound violation;
+    dual_inf is ||g - J^T y - z||_inf with no penalty term; comp applies the
+    two-sided measure against the box.
+    """
+    sf, x, r = lin.sf, lin.x_k, lin.c_k
+    dual_vec = lin.g - lin.jacobian_t(y) - z
+    f_norm = _measures(x, r, z, dual_vec, sf.lo, sf.hi).f_norm
+    d, to_user = sf.col_scale, sf.col_scale / sf.f_scale
+    return _measures(x / d, r / d[sf.n:], z * to_user, dual_vec * to_user,
+                     sf.lo / d, sf.hi / d), f_norm
 
 
 def is_optimal(res: KktResidual, omega_star: float, eta_star: float) -> bool:

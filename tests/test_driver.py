@@ -161,6 +161,8 @@ class TestUpdateOnFailure:
 class TestNextOmega:
     def test_large_measure_just_halves(self):
         assert next_omega(1e-3, 0.2, 1e-6) == 5e-4
+        # a measure whose square overflows a float
+        assert next_omega(1e-3, 1e200, 1e-6) == 5e-4
 
     def test_small_measure_squares_first(self):
         np.testing.assert_allclose(next_omega(1e-3, 1e-2, 1e-6), 5e-5, rtol=1e-12)
@@ -619,21 +621,23 @@ class TestSolve:
 
     def test_rejection_reuses_the_residual(self, monkeypatch):
         """A rejected major leaves x, y and z alone, so the KKT residual is
-        evaluated at the start and at each accepted major, once in the
-        scaled units the schedule follows and once in the problem's units
-        the optimality test reads; the report takes the last one."""
+        evaluated once at the start and once at each accepted major, one
+        pass giving both the residual in the problem's units the optimality
+        test reads and the measure in the scaled units the schedule follows;
+        the report takes the last one."""
         original = driver.kkt_residual
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("user", False))
-            return original(*args, **kwargs)
+        def counted(*args):
+            calls.append(original(*args))
+            return calls[-1]
 
         monkeypatch.setattr(driver, "kkt_residual", counted)
         rep = solve(catalog_get("sphere-min-sum").problem)
         accepted = sum(rec.accepted for rec in rep.trace)
         assert accepted < rep.majors
-        assert calls == [True, False] * (1 + accepted)
+        assert len(calls) == 1 + accepted
+        assert rep.residual is calls[-1][0]
 
     @staticmethod
     def _spy_records(monkeypatch):
@@ -752,8 +756,8 @@ class TestSolve:
             assert len(built) == 1 and len(built + from_kernel) == rep.majors + 1
             assert all(any(base is rec for rec in built + from_kernel) for base in bases)
 
-            fresh = kkt_residual(linearize_constraints(build_slack_form(problem), rep.x_ext),
-                                 rep.y, rep.z)
+            fresh, _ = kkt_residual(
+                linearize_constraints(build_slack_form(problem), rep.x_ext), rep.y, rep.z)
             assert rep.residual == fresh
 
     def test_every_record_equals_a_fresh_one(self, monkeypatch):

@@ -31,14 +31,13 @@ def verify_relaxed_kkt(sub: ElasticSubproblem, sol: SubproblemSolution,
     z_def = grad_l - sub.lin.J_k.T @ sol.delta_y
     if np.abs(z_def - sol.z_star).max(initial=0.0) > 1e-8 * (1.0 + np.abs(z_def).max(initial=0.0)):
         return False
-    z_lifted = np.concatenate([sol.z_star,
-                               sub.sigma_k - sol.delta_y,
-                               sub.sigma_k + sol.delta_y])
+    # only the nonlinear rows have elastics
+    dy_c = sol.delta_y[:sub.m_c]
+    z_lifted = np.concatenate([sol.z_star, sub.sigma_k - dy_c, sub.sigma_k + dy_c])
     comp = comp_measure(u, z_lifted, sub.lo, sub.hi)
     if np.abs(comp).max(initial=0.0) > omega + 1e-12:
         return False
-    m_c = sub.lin.sf.m_c
-    dy_elastic = np.abs(sol.delta_y[:m_c]).max(initial=0.0)
+    dy_elastic = np.abs(dy_c).max(initial=0.0)
     return dy_elastic <= sub.sigma_k + omega + 1e-12
 
 
@@ -508,7 +507,7 @@ class TestEvaluationBudget:
     def test_trial_and_accepted_gradient_call_each_callback_once(self, spy_calls):
         sub = self._cycle()
         calls = spy_calls(sub.lin.sf.nlp)
-        u = np.clip(np.concatenate([sub.lin.x_k + 0.05, np.zeros(2 * sub.m)]),
+        u = np.clip(np.concatenate([sub.lin.x_k + 0.05, np.zeros(2 * sub.m_c)]),
                     sub.lo, sub.hi)
         _, aux = sub.evaluate(u)
         grad = sub.gradient(u, aux)
@@ -567,7 +566,7 @@ class TestEvaluationBudget:
         the subproblem read J."""
         sub = self._cycle()
         calls = spy_calls(sub.lin.sf.nlp)
-        u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m)]),
+        u0 = np.clip(np.concatenate([sub.lin.x_k, np.zeros(2 * sub.m_c)]),
                      sub.lo, sub.hi)
         res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u0,
                           tol=1e-8)

@@ -132,17 +132,19 @@ class TestElasticSubproblem:
         sf = build_slack_form(catalog_get("two-circles").problem)
         lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
-        assert sf.n_ext == 4 and sub.m == 2
+        assert sf.n_ext == 4 and sub.m_c == 2
         assert sub.lo.size == sub.hi.size == 8
 
     def test_blockwise_rows_match_dense_matrix(self):
         """The dense rows and the blockwise row residual agree with
-        [J_k, I, -I]; the rows are column-major."""
+        [J_k, E, -E], E the nonlinear rows' columns of the identity; the
+        rows are column-major."""
         sf = build_slack_form(catalog_get("circle-chord").problem)
         lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
         m = sf.m
         sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
-        R = np.hstack([lin.J_k, np.eye(m), -np.eye(m)])
+        E = np.eye(m, sf.m_c)
+        R = np.hstack([lin.J_k, E, -E])
         np.testing.assert_array_equal(sub.rows, R)
         assert sub.rows.flags.f_contiguous
         rng = np.random.default_rng(61)
@@ -212,16 +214,22 @@ class TestElasticSubproblem:
             np.testing.assert_allclose(lifted, direct, rtol=1e-12, atol=1e-12)
 
     def test_linear_rows_get_no_elastic_range(self):
-        """Elastic pairs on linear rows are pinned to zero by their bounds."""
-        sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
-        sub = assemble_elastic(lin, np.zeros(2), 1.0, 1.0)
-        m, m_c, n_ext = sub.m, sf.m_c, sf.n_ext
-        assert (m, m_c) == (2, 1)
-        hi_v = sub.hi[n_ext:n_ext + m]
-        hi_w = sub.hi[n_ext + m:]
-        assert hi_v[0] == INF and hi_w[0] == INF
-        assert hi_v[1] == 0.0 and hi_w[1] == 0.0
+        """Only the m_c nonlinear rows get an elastic pair: on entries with
+        a linear row the lifted problem has n_ext + 2 m_c coordinates, the
+        elastics' columns are zero on the linear rows, and each elastic is
+        free above zero."""
+        for name in ("circle-chord", "ball-proj", "product-cap"):
+            sf = build_slack_form(catalog_get(name).problem)
+            lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+            sub = assemble_elastic(lin, np.zeros(sf.m), 1.0, 1.0)
+            m_c, n_ext = sf.m_c, sf.n_ext
+            assert sf.m_A == 1 and sub.m_c == m_c
+            assert sub.lo.size == sub.hi.size == sub.rows.shape[1] == n_ext + 2 * m_c
+            np.testing.assert_array_equal(sub.rows[m_c:, n_ext:], 0.0)
+            np.testing.assert_array_equal(sub.lo[n_ext:], 0.0)
+            np.testing.assert_array_equal(sub.hi[n_ext:], INF)
+            x_ext, v, w = sub.split(np.arange(n_ext + 2.0 * m_c))
+            assert x_ext.size == n_ext and v.size == w.size == m_c
 
     def test_negative_prices_rejected(self):
         sf = _ring_form()

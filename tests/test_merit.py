@@ -180,20 +180,22 @@ class TestKktResidual:
         """(1, 1) with y = 2 and slack cost 2 is a clean KKT triple."""
         sf = _linear_as_nl_form()
         x_ext = np.array([1.0, 1.0, 2.0])
-        res = kkt_residual(linearize_constraints(sf, x_ext), np.array([2.0]),
-                           np.array([0.0, 0.0, 2.0]))
+        res, f_norm = kkt_residual(linearize_constraints(sf, x_ext), np.array([2.0]),
+                                   np.array([0.0, 0.0, 2.0]))
         assert res.primal_inf == 0.0
         assert res.dual_inf <= 1e-15
         assert res.comp <= 1e-15
-        assert res.f_norm <= 1e-15
+        assert res.f_norm <= 1e-15 and f_norm == res.f_norm
 
     def test_missing_multiplier_shows_in_dual(self):
         sf = _linear_as_nl_form()
         x_ext = np.array([1.0, 1.0, 2.0])
-        res = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
-                           np.zeros(3))
+        res, f_norm = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
+                                   np.zeros(3))
         assert res.primal_inf == 0.0
         assert res.dual_inf == 2.0
+        # a form with unit factors: the scaled measure is the residual's
+        assert f_norm == res.f_norm == 2.0
 
     def test_f_norm_is_componentwise_max(self):
         res = KktResidual(primal_inf=0.3, dual_inf=0.1, comp=0.7)
@@ -202,8 +204,8 @@ class TestKktResidual:
     def test_bound_violation_enters_primal(self):
         sf = _linear_as_nl_form()
         x_ext = np.array([-0.5, 1.0, 2.0])
-        res = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
-                           np.zeros(3))
+        res, _ = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
+                              np.zeros(3))
         assert res.primal_inf >= 0.5
 
 

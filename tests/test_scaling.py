@@ -4,8 +4,9 @@ The solver multiplies f by f_scale and each nonlinear row by its row_scale,
 powers of two read from g and J at the start point, and reports in the
 problem's own units.  These tests check the factor rule, that a problem
 stated in other units is solved as well, bit for bit where the factors
-take the change of units back exactly, and that the report's residual is
-the problem's own.
+take the change of units back exactly, that the report's residual is
+the problem's own, and that the KKT measure the schedule follows is the
+scaled form's.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import pytest
 from slcl.catalog import SOLVABLE, catalog_get, catalog_names
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import solve_proximal
+from slcl.linearize import linearize_constraints
+from slcl.merit import kkt_residual
 from slcl.model import build_slack_form, scale_factors
 
 # the solvable entries with nonlinear rows, whose rows the scaling touches
@@ -150,3 +153,31 @@ class TestReportUnits:
         assert res.comp == pytest.approx(np.abs(comp).max(), rel=1e-9, abs=1e-15)
         assert rep.final_objective == problem.eval_f(rep.x)
         assert np.array_equal(x, rep.x) and not np.shares_memory(rep.x, rep.x_ext)
+
+    @pytest.mark.parametrize("name", ["two-circles", "ridge-eq", "circle-chord"])
+    def test_kkt_measure_is_the_scaled_form_s(self, name):
+        """With the residual in the problem's units, kkt_residual gives the
+        KKT measure F the omega schedule follows: max(primal, dual, comp)
+        of the raw callbacks times f_scale, row_scale and col_scale, here
+        at the scaled start with multipliers off the solution."""
+        problem = catalog_get(name).problem
+        sf = build_slack_form(problem)
+        x_ext = sf.scale_at(solve_proximal(sf, problem.x_tilde))
+        assert sf.f_scale < 1.0 and (sf.row_scale < 1.0).all()
+        rng = np.random.default_rng(3)
+        y, z = rng.standard_normal(sf.m), rng.standard_normal(sf.n_ext)
+        res, f_norm = kkt_residual(linearize_constraints(sf, x_ext), y, z)
+        n, d = problem.n, sf.col_scale
+        x = x_ext[:n]
+        rows = np.concatenate([sf.row_scale * problem.eval_c(x), problem.A @ x])
+        lo = d * np.concatenate([problem.bounds_x[0], problem.bounds_c[0], problem.bounds_A[0]])
+        hi = d * np.concatenate([problem.bounds_x[1], problem.bounds_c[1], problem.bounds_A[1]])
+        jac = np.vstack([sf.row_scale[:, None] * problem.eval_J(x), problem.A])
+        primal = max(np.abs(rows - x_ext[n:]).max(),
+                     np.maximum(lo - x_ext, x_ext - hi).max(initial=0.0))
+        grad = np.concatenate([sf.f_scale * problem.eval_g(x) - jac.T @ y, y])
+        dual = np.abs(grad - z).max()
+        comp = np.maximum(np.minimum(x_ext - lo, np.maximum(z, 0.0)),
+                          np.minimum(hi - x_ext, np.maximum(-z, 0.0)))
+        assert f_norm == pytest.approx(max(primal, dual, np.abs(comp).max()), rel=1e-12)
+        assert f_norm != res.f_norm

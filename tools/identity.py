@@ -12,6 +12,9 @@ repeated at a point the same solve had already called that callback at,
 and a SHA-256 over each report's status, majors, minors, final objective,
 x_ext, y, z, KKT residual and trace.  Two checkouts whose digests match
 return the same iterates, multipliers, residuals and traces bit for bit.
+With --per-case each case's line also carries that case's own digest, so
+two checkouts whose workload digests differ name the cases that moved;
+the workload lines are the same with or without it.
 The tool exits 1 when any solve repeats a call.  The cases come from
 perfbench/cases.py, which is read and not changed; slcl is imported from
 src/ of the same checkout.
@@ -72,10 +75,12 @@ def run(workload: str, seed: int, per_case: bool) -> int:
         for k, v in counts.items():
             totals[k] += v
         # repr of a float round-trips, so equal text means equal bits
-        digest.update(repr((case.label, report_record(rep))).encode())
+        text = repr((case.label, report_record(rep))).encode()
+        digest.update(text)
         if per_case:
             print(case.label, rep.status,
-                  " ".join(f"{k}={v}" for k, v in counts.items()))
+                  " ".join(f"{k}={v}" for k, v in counts.items()),
+                  f"sha256={hashlib.sha256(text).hexdigest()}")
     print(f"{workload}: " + " ".join(f"{k}={v}" for k, v in totals.items())
           + f" sha256={digest.hexdigest()}")
     return totals["repeats"]
@@ -86,7 +91,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
     parser.add_argument("--per-case", action="store_true",
-                        help="also print each case's status and counts")
+                        help="also print each case's status, counts and digest")
     args = parser.parse_args()
     # one BLAS thread, set before NumPy is first imported, as perfbench does
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
