@@ -1,5 +1,6 @@
 """Tests for the inner solver: active-set kernel, subproblems, proximal start."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -693,6 +694,96 @@ class TestSubproblemStart:
         assert abs(sol.point.x_k[0] + sol.point.x_k[1] - 1.0) <= 1e-12
         np.testing.assert_allclose(sol.v_star[0] - sol.w_star[0], 0.5,
                                    atol=1e-12)
+
+    def test_accepted_major_starts_at_its_model_s_minimizer(self, monkeypatch):
+        """After an accepted major the base point has moved and the start
+        carries the last kernel's BFGS matrix.  The kernel starts at the
+        minimizer of that matrix's model on the linearized rows: with B its
+        x_ext block, g the objective's gradient at the base point x_k and F
+        the free coordinates, B_FF (x0 - x_k)_F + g_F = J_F^T y for some y,
+        and J_k x0 + offset = 0."""
+        sf, sub0 = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
+        sol0 = solve_lc(sub0, 1e-6)
+        sub = assemble_elastic(linearize_constraints(sf, sol0.point.x_k),
+                               sol0.delta_y, 10.0, 100.0)
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6, warm_start=sol0)
+        (u0, hess), = starts
+        lin, n_ext = sub.lin, sub.n_ext
+        x0 = u0[:n_ext]
+        free = np.flatnonzero((sf.lo < lin.x_k) & (lin.x_k < sf.hi))
+        assert free.size == 2 and np.abs(x0 - lin.x_k).max() > 0.1
+        model_grad = (hess[:n_ext, :n_ext] @ (x0 - lin.x_k)
+                      + aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))[free]
+        J_F = lin.J_k[:, free]
+        y = np.linalg.lstsq(J_F.T, model_grad, rcond=None)[0]
+        assert np.abs(J_F.T @ y - model_grad).max() <= 1e-12
+        assert np.abs(lin.cbar(x0)).max() <= 1e-12
+        assert sol.status == CONVERGED
+
+    def test_model_step_parallel_to_a_linear_row_keeps_it_met(self, monkeypatch):
+        """The row-parallel case above with a carried matrix: the model's
+        KKT system is singular on the free coordinates, so its step would
+        break the linear row; the start keeps the base point and the
+        nonlinear row's elastic takes up the 0.5 left over."""
+        sub = _circle_and_plane_subproblem(
+            lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2),
+            lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]]), [0.5, 0.5])
+        warm = _carried_at_base(sub)
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6, warm_start=warm)
+        (u0, hess), = starts
+        assert hess is not None
+        np.testing.assert_array_equal(u0[:sub.n_ext], sub.lin.x_k)
+        assert np.abs(sub.rows @ u0 + sub.lin.offset).max() <= 1e-12
+        assert sol.status == CONVERGED
+        assert abs(sol.point.x_k[0] + sol.point.x_k[1] - 1.0) <= 1e-12
+        np.testing.assert_allclose(sol.v_star[0] - sol.w_star[0], 0.5,
+                                   atol=1e-12)
+
+    def test_model_step_cut_by_a_bound_keeps_the_rows_met(self, monkeypatch):
+        """With a carried matrix the model's step from (0.6, 0.3, 0.1) on
+        x1 + x2 + x3 = 1 and the linearized x.x = 1 drives x3 below its
+        bound 0: the step stops there, the linear row stays met, and the
+        nonlinear row's elastic takes up what the cut step leaves."""
+        sub = _circle_and_plane_subproblem(
+            lambda x: float((x[0] - 2.0) ** 2 + x[1] ** 2 + (x[2] + 1.0) ** 2),
+            lambda x: np.array([2.0 * (x[0] - 2.0), 2.0 * x[1], 2.0 * (x[2] + 1.0)]),
+            [0.6, 0.3, 0.1])
+        warm = _carried_at_base(sub)
+        starts = _recorded_starts(monkeypatch)
+        sol = solve_lc(sub, 1e-6, warm_start=warm)
+        (u0, hess), = starts
+        x0, v0, w0 = sub.split(u0)
+        assert hess is not None and x0[2] == 0.0 and not np.array_equal(x0, sub.lin.x_k)
+        assert abs(x0[:3].sum() - 1.0) <= 1e-12
+        assert v0[0] + w0[0] > 0.1
+        assert np.abs(sub.rows @ u0 + sub.lin.offset).max() <= 1e-12
+        assert sol.status == CONVERGED
+        assert abs(sol.point.x_k[:3].sum() - 1.0) <= 1e-12
+
+
+def _circle_and_plane_subproblem(f, g, x_tilde):
+    """The subproblem at x_tilde of min f over x >= 0 on the nonlinear row
+    x.x = 1 and the linear row sum(x) = 1, with y = 0, rho = 10 and
+    sigma = 100."""
+    n = len(x_tilde)
+    p = NlpProblem(
+        n=n, m_c=1, m_A=1, eval_f=f, eval_g=g,
+        eval_c=lambda x: np.array([x @ x]), eval_J=lambda x: 2.0 * x.reshape(1, n),
+        A=np.ones((1, n)), bounds_x=(np.zeros(n), np.full(n, INF)),
+        bounds_c=(np.ones(1), np.ones(1)), bounds_A=(np.ones(1), np.ones(1)),
+        x_tilde=np.asarray(x_tilde, dtype=float))
+    sf = build_slack_form(p)
+    return assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)),
+                            np.zeros(2), 10.0, 100.0)
+
+
+def _carried_at_base(sub):
+    """A warm start at sub's base point carrying the BFGS matrix a first
+    solve of sub ends with, as after an accepted major whose candidate is
+    this base point."""
+    return dataclasses.replace(solve_lc(sub, 1e-6), point=sub.lin)
 
 
 class TestVerifyRelaxedKkt:
