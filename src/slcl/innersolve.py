@@ -10,8 +10,8 @@ the free variables are stationary, a bound whose multiplier has the wrong
 sign leaves it.  The elastic subproblem is one kernel call, started on its
 linearized rows where one step reaches them and from the BFGS matrix the
 previous subproblem ended with; the step is the minimizer of that
-matrix's quadratic model on the rows, as SNOPT's QP step is, or at the
-first major, which has no matrix, a least-squares step, as MINOS starts.
+matrix's quadratic model on the rows, as SNOPT's QP step is, with the
+identity at the first major, which has no matrix.
 The proximal start is at most two calls.
 Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
@@ -298,28 +298,22 @@ def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
     return _ROUNDOFF * (1.0 + scale)
 
 
-def _step_to_rows(lin: Linearization, x_ext: Vector,
-                  model: tuple[Matrix, Vector] | None = None
-                  ) -> tuple[Vector, Vector, Vector]:
-    """x_ext moved by one step toward J_k x + offset = 0, with the
-    linearized residual there and its rounding (_row_rounding).
+def _step_to_rows(lin: Linearization, x_ext: Vector, B: Matrix,
+                  g: Vector) -> tuple[Vector, Vector, Vector]:
+    """x_ext moved by the minimizer of the model g'd + d'Bd/2 of the
+    objective about x_ext on the linearized rows J_k x + offset = 0 (see
+    _kkt_step), with the linearized residual there and its rounding
+    (_row_rounding).
 
-    With model = (B, g), a quadratic model g'd + d'Bd/2 of the objective
-    about x_ext, the step minimizes that model on the rows (see _kkt_step);
-    without one it is the least-squares step.  Only the coordinates off
-    their bounds move, and the step stops at the first bound it meets.
-    x_ext comes back unchanged when the step would leave a linear row,
-    which has no elastics, violated beyond rounding, as free columns of
-    deficient rank can.
+    Only the coordinates off their bounds move, and the step stops at the
+    first bound it meets.  x_ext comes back unchanged when the step would
+    leave a linear row, which has no elastics, violated beyond rounding, as
+    free columns of deficient rank can.
     """
     lo, hi = lin.sf.lo, lin.sf.hi
     free = np.flatnonzero((lo < x_ext) & (x_ext < hi))
     r = lin.cbar(x_ext)
-    if model is None:
-        d = np.zeros_like(x_ext)
-        d[free] = np.linalg.lstsq(lin.J_k[:, free], -r, rcond=None)[0]
-    else:
-        d = _kkt_step(model[0], lin.J_k, free, model[1], r)[0]
+    d = _kkt_step(B, lin.J_k, free, g, r)[0]
     i, alpha_max, bound_i = _ratio_test(x_ext, d, lo, hi)
     x_new = np.minimum(np.maximum(x_ext + min(1.0, alpha_max) * d, lo), hi)
     if alpha_max <= 1.0:
@@ -336,18 +330,19 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
     The kernel starts from the warm start's point, the previous major's
-    candidate, else from the base point.  At the base point it first takes
-    one step toward the linearized rows (see _step_to_rows): at the first
-    major a least-squares step, and after an acceptance the minimizer on
-    the rows of the model with the start matrix's x_ext block and the
+    candidate, else from the base point.  At the base point of a subproblem
+    with nonlinear rows it first takes one step toward the linearized rows
+    (see _step_to_rows): the minimizer on the rows of the model with the
+    start matrix's x_ext block, or the identity at the first major, and the
     objective's gradient at the base point, read from the base record.  A
-    warm start elsewhere, the candidate of a rejected major, already meets
-    this linearization.  The elastics start at their cheapest values for the
-    nonlinear rows' linearized residual left there, taking residuals at
-    rounding level as zero, so the rows hold from the start on.  The kernel
-    also starts from the warm start's BFGS matrix, plus (rho_k - rho)
-    J_k^T J_k on the x_ext block when the penalty has risen from the rho
-    that matrix was built for.
+    subproblem with linear rows only starts at its base point, which the
+    proximal start placed on them, and a warm start elsewhere, the
+    candidate of a rejected major, already meets this linearization.  The
+    elastics start at their cheapest values for the nonlinear rows'
+    linearized residual left there, taking residuals at rounding level as
+    zero, so the rows hold from the start on.  The kernel also starts from
+    the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
+    block when the penalty has risen from the rho that matrix was built for.
     When the start's x_ext is, bit for bit, the point of the record it came
     from (the base point's, when the step left it in place, or the warm
     start's candidate's), the kernel starts from that record, so its values
@@ -361,10 +356,10 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             hess = hess.copy()
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
-    if np.array_equal(x0, lin.x_k):
-        model = None if hess is None else (
-            hess[:n_ext, :n_ext], aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))
-        x0, r, rounding = _step_to_rows(lin, x0, model)
+    if sub.m_c and np.array_equal(x0, lin.x_k):
+        B = np.identity(n_ext) if hess is None else hess[:n_ext, :n_ext]
+        x0, r, rounding = _step_to_rows(
+            lin, x0, B, aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))
     else:
         r, rounding = lin.cbar(x0), _row_rounding(lin, x0)
     r[np.abs(r) <= rounding] = 0.0

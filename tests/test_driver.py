@@ -1,7 +1,9 @@
 """Tests for the outer loop: schedules, branch logic, modes, and statuses."""
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,15 @@ from slcl.innersolve import CONVERGED, ITERATION_LIMIT, UNBOUNDED, SubproblemSol
 from slcl.linearize import ElasticSubproblem, linearize_constraints
 from slcl.merit import kkt_residual
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
+
+
+def _identity_tool():
+    """tools/identity.py, loaded from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
@@ -422,17 +433,40 @@ class TestDegenerateInputs:
         np.testing.assert_allclose(rep.x, [0.4, np.sqrt(0.84)], atol=1e-6)
 
 
+def _sphere_and_plane():
+    """min |x - (2, -1, -1)|^2 over x >= 0 on x.x = 1 and x1 + x2 + x3 = 1,
+    from (1/3, 1/3, 1/3), where the linearized sphere is parallel to the
+    plane: major 0's start step keeps the base point (the linear-row
+    fallback), and the kernel's one step from there meets x2 = 0 and
+    x3 = 0 together, so it moves the second onto its bound after
+    evaluating the point."""
+    t = np.array([2.0, -1.0, -1.0])
+    return NlpProblem(
+        n=3, m_c=1, m_A=1, eval_f=lambda x: float((x - t) @ (x - t)),
+        eval_g=lambda x: 2.0 * (x - t), eval_c=lambda x: np.array([x @ x]),
+        eval_J=lambda x: 2.0 * x.reshape(1, 3), A=np.ones((1, 3)),
+        bounds_x=(np.zeros(3), np.full(3, INF)), bounds_c=(np.ones(1), np.ones(1)),
+        bounds_A=(np.ones(1), np.ones(1)), x_tilde=np.full(3, 1.0 / 3.0))
+
+
 class TestSolve:
     def test_circle_proj_defaults(self):
+        """The report's minors are its majors' kernel iterations.  From
+        circle-proj's own start each start step, from the identity at major
+        0 and from the carried matrix after, solves its subproblem, so the
+        kernels take none; from (1, 1) they take some."""
         entry = catalog_get("circle-proj")
         rep = solve(entry.problem)
         assert rep.status == "Optimal"
         assert abs(rep.final_objective - (np.sqrt(5.0) - 1.0) ** 2) <= 1e-6
         assert rep.majors <= 40
-        assert rep.minors > 0
+        assert rep.minors == sum(t.inner_iterations for t in rep.trace) == 0
         assert (rep.f_evals, rep.g_evals, rep.c_evals, rep.J_evals) == (
             entry.problem.n_feval, entry.problem.n_geval,
             entry.problem.n_ceval, entry.problem.n_jeval)
+        rep = solve(entry.problem, x_start=[1.0, 1.0])
+        assert rep.status == "Optimal"
+        assert rep.minors == sum(t.inner_iterations for t in rep.trace) > 0
 
     def test_fixed_variable(self):
         """x1 fixed at 0.4 leaves the circle point (0.4, sqrt(0.84))."""
@@ -621,19 +655,22 @@ class TestSolve:
         assert rep.majors <= 5
 
     def test_local_major_converges_at_its_start(self, spy_calls):
-        """saddle-channel from near its solution: the second major's kernel
-        starts at the minimizer of its carried model on the linearized
-        row, which solves the subproblem, so it takes no minor and the solve
-        calls g 4 times; a least-squares start there took one more minor
-        and a fifth g."""
-        entry = catalog_get("saddle-channel")
-        calls = spy_calls(entry.problem)
-        rep = solve(entry.problem, x_start=entry.known_x + 1e-2,
-                    y_start=entry.known_y + 1e-2)
-        assert rep.status == "Optimal" and rep.majors == 2
-        assert all(t.accepted for t in rep.trace)
-        assert rep.trace[1].inner_iterations == 0
-        assert rep.g_evals == sum(kind == "g" for kind, _ in calls) == 4
+        """saddle-channel from near its solution: each kernel starts at the
+        minimizer of its model on the linearized row, the identity's at
+        major 0 and the carried matrix's after.  From 1e-3 off, that solves
+        the second major's subproblem, so its kernel takes no minor, and
+        the solve calls g 4 times.  From 1e-2 off the two majors take one
+        minor each, and the solve calls g 5 times."""
+        known = catalog_get("saddle-channel")
+        for offset, minors, g_calls in ((1e-3, [1, 0], 4), (1e-2, [1, 1], 5)):
+            problem = catalog_get("saddle-channel").problem
+            calls = spy_calls(problem)
+            rep = solve(problem, x_start=known.known_x + offset,
+                        y_start=known.known_y + offset)
+            assert rep.status == "Optimal" and rep.majors == 2
+            assert all(t.accepted for t in rep.trace)
+            assert [t.inner_iterations for t in rep.trace] == minors
+            assert rep.g_evals == sum(kind == "g" for kind, _ in calls) == g_calls
 
     def test_rejection_reuses_the_residual(self, monkeypatch):
         """A rejected major leaves x, y and z alone, so the KKT residual is
@@ -722,14 +759,15 @@ class TestSolve:
         kernel gives a gradient, and every candidate.  A kernel starts at a
         point already evaluated, as sphere-min-sum's rejected major and
         infeas-affine's later ones do, and the derivative check probes x0
-        on these problems, so without the problem's memory of its last calls
-        these lists would repeat points.  A candidate the kernel moved
-        onto a bound after evaluating it (infeas-affine's first) gets c, g
-        and J there once, which a KKT residual reads.  There is one record
-        at the start and one per major, and every subproblem's base record
-        is one of them.  The report's residual is the loop's, equal to a
-        fresh one.  No problem here has linear rows, so every kernel call is
-        a subproblem."""
+        on these problems, so without the problem's memory of its last
+        calls these lists would repeat points.  A candidate the kernel moved
+        onto a bound after evaluating it (the sphere-and-plane problem's
+        first) gets c, g and J there once, which a KKT residual reads.
+        There is one record at the start and one per major, and every
+        subproblem's base record is one of them.  The report's residual is
+        the loop's, equal to a fresh one.  The spies see the subproblems'
+        kernels only, not the proximal start's projection onto the
+        sphere-and-plane problem's linear row, which calls no callback."""
         probes, check = [], driver.check_derivatives
 
         def spied_check(p, x):
@@ -741,17 +779,20 @@ class TestSolve:
         monkeypatch.setattr(driver, "check_derivatives", spied_check)
         evaluated, gradients, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
-        for name, status in (("two-circles", "Optimal"), ("sphere-min-sum", "Optimal"),
-                             ("infeas-affine", "Infeasible")):
-            problem = catalog_get(name).problem
+        for name, status, problem in (
+                ("two-circles", "Optimal", catalog_get("two-circles").problem),
+                ("sphere-min-sum", "Optimal", catalog_get("sphere-min-sum").problem),
+                ("infeas-affine", "Infeasible", catalog_get("infeas-affine").problem),
+                ("sphere-and-plane", "Optimal", _sphere_and_plane())):
             seen = spy_calls(problem)
             for spied in (probes, evaluated, gradients, snapped, built, from_kernel,
                           bases):
                 spied.clear()
             rep = solve(problem)
             assert rep.status == status and rep.majors > 1
-            assert name == "two-circles" or not all(t.accepted for t in rep.trace)
-            assert sum(snapped) == (name == "infeas-affine")
+            rejects = name in ("sphere-min-sum", "infeas-affine")
+            assert rejects == (not all(t.accepted for t in rep.trace))
+            assert sum(snapped) == (name == "sphere-and-plane")
             (probe, first), last = probes
             x0 = built[0].x_k[:problem.n].tobytes()
             assert probe == x0
@@ -767,7 +808,7 @@ class TestSolve:
             for kind in "gJ":
                 assert called(kind, seen) == sorted(set(gradients) | {x0} | candidates)
             assert len(set(seen)) == len(seen), name
-            assert name == "two-circles" or len(evaluated) > len(set(evaluated))
+            assert not rejects or len(evaluated) > len(set(evaluated))
             assert rep.final_objective == float(problem.eval_f(rep.x))
             assert len(built) == 1 and len(built + from_kernel) == rep.majors + 1
             assert all(any(base is rec for rec in built + from_kernel) for base in bases)
@@ -779,18 +820,18 @@ class TestSolve:
     def test_every_record_equals_a_fresh_one(self, monkeypatch):
         """Each record the driver reads, the start's, the kernel's at a
         candidate, a new one at a candidate the kernel moved onto a bound
-        after evaluating it (infeas-affine's, and box-quadratic's, whose
-        move is onto a bound the point already sits on, so the new record
-        reads values the problem remembers), and each subproblem's base,
-        holds what a fresh record of the same scaled form gives, bit for
-        bit, when the problem remembers no call."""
+        after evaluating it (box-quadratic's, whose move is onto a bound
+        the point already sits on, so the new record reads values the
+        problem remembers, and the sphere-and-plane problem's), and each
+        subproblem's base, holds what a fresh record of the same scaled
+        form gives, bit for bit, when the problem remembers no call."""
         _, _, snapped = self._spy_kernel(monkeypatch)
         built, from_kernel, bases = self._spy_records(monkeypatch)
         moved = []
-        for name in catalog_names():
+        problems = [(name, catalog_get(name).problem) for name in catalog_names()]
+        for name, problem in problems + [("sphere-and-plane", _sphere_and_plane())]:
             for spied in (snapped, built, from_kernel, bases):
                 spied.clear()
-            problem = catalog_get(name).problem
             solve(problem)
             assert built, name
             moved += [name] * sum(snapped)
@@ -801,7 +842,7 @@ class TestSolve:
                     assert np.array_equal(getattr(rec, field),
                                           getattr(fresh, field)), (name, field)
                 assert rec.f == fresh.f, name
-        assert moved == ["infeas-affine", "box-quadratic"]
+        assert moved == ["box-quadratic", "sphere-and-plane"]
 
     def test_solving_twice_gives_equal_counts(self):
         """A second solve of the same problem instance calls every callback
@@ -845,6 +886,18 @@ class TestSolve:
             seen = spy_calls(problem)
             solve(problem, x_start=x_start, y_start=y_start)
             assert len(set(seen)) == len(seen), (name, x_start)
+
+    @pytest.mark.parametrize("mode", [BCL, CANONICAL])
+    def test_other_modes_repeat_no_callback_at_a_point(self, mode):
+        """bcl and canonical call each callback at most once at any point
+        too, on every catalog entry from its own start, counted with the
+        identity tool's spy as it counts repeats."""
+        spy = _identity_tool().spy_calls
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            calls = spy(problem)
+            solve(problem, OuterOptions(mode=mode))
+            assert calls and len(set(calls)) == len(calls), name
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

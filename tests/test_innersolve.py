@@ -429,15 +429,15 @@ class TestSolveLc:
 
     def test_kernel_started_at_the_base_point_calls_nothing_there(self, monkeypatch,
                                                                   spy_calls):
-        """The step toward the rows leaves this feasible base point in place,
-        so the kernel starts there and reads the base record: once the
-        driver has read it, the solve calls no callback at the base point,
-        and before that it calls f and g there once each (the embedding
-        called c there, and building the subproblem read J)."""
+        """Where the start step keeps the base point, as the linear-row
+        fallback does here, the kernel starts there and reads the base
+        record: once the driver has read it, the solve calls no callback at
+        the base point, and before that it calls f and g there once each
+        (the embedding called c there, and building the subproblem read J)."""
         starts = _recorded_starts(monkeypatch)
         for read_first, calls_there in ((True, []), (False, ["f", "g"])):
-            sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-            lin = sub.lin
+            sub = _base_kept_subproblem()
+            lin, sf = sub.lin, sub.lin.sf
             if read_first:
                 lin.c_k, lin.f, lin.g, lin.J_x
             calls = spy_calls(sf.nlp)
@@ -467,14 +467,13 @@ class TestSolveLc:
 
     def test_cycles_reuse_their_end_point(self, monkeypatch, spy_calls):
         """A kernel start at a record the caller holds calls no callback
-        there: the base record, which the step toward the rows leaves in
-        place at this feasible start and which is read first as the
-        driver's start reads it, and the candidate a re-solve at a raised
-        penalty starts from.  Each kernel call then calls f and c once per
-        line-search trial and g and J once per accepted step, with no call
-        at its start or at its end."""
-        sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
-        lin = sub.lin
+        there: the base record, which the linear-row fallback keeps as the
+        start and which is read first as the driver's start reads it, and
+        the candidate a re-solve at a raised penalty starts from.  Each
+        kernel call then calls f and c once per line-search trial and g and
+        J once per accepted step, with no call at its start or at its end."""
+        sub = _base_kept_subproblem()
+        lin, sf = sub.lin, sub.lin.sf
         lin.c_k, lin.f, lin.g, lin.J_x
         kernel, results = innersolve.bound_solve, []
 
@@ -670,8 +669,8 @@ class TestSubproblemStart:
 
     def test_row_parallel_to_a_linear_row_keeps_it_met(self, monkeypatch):
         """x1^2 + x2^2 = 1 linearized at (0.5, 0.5) has gradient (1, 1), the
-        linear row x1 + x2 = 1.  No step meets both, so the least-squares
-        step would break the linear row; the start keeps it and the
+        linear row x1 + x2 = 1.  No step meets both, so the identity
+        model's step would break the linear row; the start keeps it and the
         nonlinear row's elastic takes up the 0.5 left over."""
         p = NlpProblem(
             n=2, m_c=1, m_A=1,
@@ -696,30 +695,69 @@ class TestSubproblemStart:
                                    atol=1e-12)
 
     def test_accepted_major_starts_at_its_model_s_minimizer(self, monkeypatch):
-        """After an accepted major the base point has moved and the start
-        carries the last kernel's BFGS matrix.  The kernel starts at the
-        minimizer of that matrix's model on the linearized rows: with B its
-        x_ext block, g the objective's gradient at the base point x_k and F
-        the free coordinates, B_FF (x0 - x_k)_F + g_F = J_F^T y for some y,
-        and J_k x0 + offset = 0."""
+        """A kernel at a new base point starts at the minimizer of a
+        quadratic model on the linearized rows: at major 0, which carries no
+        matrix, of the identity's, and after an accepted major, of the last
+        kernel's BFGS matrix.  With B that matrix's x_ext block, g the
+        objective's gradient at the base point x_k and F the free
+        coordinates, B_FF (x0 - x_k)_F + g_F = J_F^T y for some y, and
+        J_k x0 + offset = 0.  Major 0 is circle-proj's, solved from its own
+        start."""
+        subs, assemble = [], driver.assemble_elastic
+
+        def spied_assemble(*args):
+            subs.append(assemble(*args))
+            return subs[-1]
+
+        monkeypatch.setattr(driver, "assemble_elastic", spied_assemble)
+        starts = _recorded_starts(monkeypatch)
+        assert solve(catalog_get("circle-proj").problem).status == "Optimal"
+        major_0 = subs[0], starts[0][0], np.identity(subs[0].n_ext)
+        assert starts[0][1] is None
+
         sf, sub0 = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
         sol0 = solve_lc(sub0, 1e-6)
         sub = assemble_elastic(linearize_constraints(sf, sol0.point.x_k),
                                sol0.delta_y, 10.0, 100.0)
-        starts = _recorded_starts(monkeypatch)
         sol = solve_lc(sub, 1e-6, warm_start=sol0)
-        (u0, hess), = starts
-        lin, n_ext = sub.lin, sub.n_ext
-        x0 = u0[:n_ext]
-        free = np.flatnonzero((sf.lo < lin.x_k) & (lin.x_k < sf.hi))
-        assert free.size == 2 and np.abs(x0 - lin.x_k).max() > 0.1
-        model_grad = (hess[:n_ext, :n_ext] @ (x0 - lin.x_k)
-                      + aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))[free]
-        J_F = lin.J_k[:, free]
-        y = np.linalg.lstsq(J_F.T, model_grad, rcond=None)[0]
-        assert np.abs(J_F.T @ y - model_grad).max() <= 1e-12
-        assert np.abs(lin.cbar(x0)).max() <= 1e-12
+        (u0, hess) = starts[-1]
         assert sol.status == CONVERGED
+        for s, start, B in (major_0, (sub, u0, hess[:sub.n_ext, :sub.n_ext])):
+            lin, x0 = s.lin, start[:s.n_ext]
+            free = np.flatnonzero((lin.sf.lo < lin.x_k) & (lin.x_k < lin.sf.hi))
+            assert free.size == 2 and np.abs(x0 - lin.x_k).max() > 0.1
+            model_grad = (B @ (x0 - lin.x_k)
+                          + aug_lagrangian_grad(lin, s.y_k, s.rho_k))[free]
+            J_F = lin.J_k[:, free]
+            y = np.linalg.lstsq(J_F.T, model_grad, rcond=None)[0]
+            assert np.abs(J_F.T @ y - model_grad).max() <= 1e-12
+            assert np.abs(lin.cbar(x0)).max() <= 1e-12
+
+    def test_linear_only_subproblem_starts_at_its_base_point(self, monkeypatch,
+                                                             spy_calls):
+        """A subproblem with no nonlinear rows takes no start step: the
+        proximal start already placed its base point on the linear rows.
+        scaled-quads' kernel starts at its base point bit for bit and reads
+        the base record, so near that point the solve calls g once, for the
+        start's multipliers, and f once, at the kernel's start, and nothing
+        else."""
+        problem = catalog_get("scaled-quads").problem
+        bases, assemble = [], driver.assemble_elastic
+
+        def spied_assemble(lin, *args):
+            bases.append(lin)
+            return assemble(lin, *args)
+
+        monkeypatch.setattr(driver, "assemble_elastic", spied_assemble)
+        starts = _recorded_starts(monkeypatch)
+        calls = spy_calls(problem)
+        rep = solve(problem)
+        (base,) = bases
+        assert problem.m_c == 0 and rep.status == "Optimal" and rep.minors > 0
+        assert starts[-1][0].tobytes() == base.x_k.tobytes()
+        near = [kind for kind, x in calls
+                if np.abs(np.frombuffer(x) - base.x_k[:problem.n]).max() <= 1e-12]
+        assert sorted(near) == ["f", "g"]
 
     def test_model_step_parallel_to_a_linear_row_keeps_it_met(self, monkeypatch):
         """The row-parallel case above with a carried matrix: the model's
@@ -777,6 +815,18 @@ def _circle_and_plane_subproblem(f, g, x_tilde):
     sf = build_slack_form(p)
     return assemble_elastic(linearize_constraints(sf, sf.embed(p.x_tilde)),
                             np.zeros(2), 10.0, 100.0)
+
+
+def _base_kept_subproblem():
+    """The circle-and-plane subproblem at (0.5, 0.5), where the linearized
+    x.x = 1 is parallel to the linear row x1 + x2 = 1, with y = 0.3 and
+    sigma = 5: no step meets both rows, so the start step keeps the base
+    point (the linear-row fallback).  Its f, (x1 - 0.9)^2 + (x2 - 0.6)^2,
+    takes the kernel a few steps along the linear row from there."""
+    sub = _circle_and_plane_subproblem(
+        lambda x: float((x[0] - 0.9) ** 2 + (x[1] - 0.6) ** 2),
+        lambda x: np.array([2.0 * (x[0] - 0.9), 2.0 * (x[1] - 0.6)]), [0.5, 0.5])
+    return assemble_elastic(sub.lin, np.full(2, 0.3), 10.0, 5.0)
 
 
 def _carried_at_base(sub):
