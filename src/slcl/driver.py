@@ -7,12 +7,13 @@ candidate and refreshes the multiplier estimates, anything else keeps the
 current estimates, raises the penalty, and tightens the elastic price.  Every
 test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
-the kernel's of its last point.  Where a new record is of a point visited
-before (the start, which the proximal start embedded and the derivative
-check probed if it lies two of the check's steps inside its bounds, or a
-kernel's start at the last kernel's candidate), the problem returns the
-values of its last calls (see model.NlpProblem), so a solve calls each
-callback at most once at any point.  The elastic weight sigma makes the
+the kernel's of its last point.  A kernel that starts at the last
+kernel's candidate or start reads that record (see innersolve.solve_lc).
+Where a new record is of a point visited before (the start, which the
+proximal start embedded and the derivative check probed if it lies two of
+the check's steps inside its bounds), the problem returns the values of its
+last calls (see model.NlpProblem), so a solve calls each callback at most
+once at any point.  The elastic weight sigma makes the
 method degrade gracefully between the two classical extremes, which are
 also available directly as modes:
 
@@ -30,6 +31,11 @@ Every mode solves the problem as the slack form scales it at the start
 gradients of about unit size.  The targets omega_0 and omega_star are
 mapped into those units, and the optimality test and the report are in the
 problem's own.
+
+Subproblems are solved only as well as the outer KKT measure F warrants,
+as an inexact Newton method chooses its forcing terms: the first
+tolerance is F^2 at the start, capped by omega_0 and floored at
+omega_star, and next_omega tightens it toward F^2 after each major.
 
 Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
@@ -75,9 +81,13 @@ RHO_FLOOR = 1.0 + 1e-3  # least penalty; eta tightens only while rho > 1
 
 @dataclass
 class OuterOptions:
+    """omega_star and eta_star are the targets; omega_0 caps the first
+    subproblem tolerance, which is otherwise the square of the start's KKT
+    measure floored at omega_star (an omega_0 below omega_star is kept)."""
+
     omega_star: float = 1e-6
     eta_star: float = 1e-6
-    omega_0: float = 1e-3
+    omega_0: float = 1e-1
     max_major: int = 500
     mode: str = STABILIZED
 
@@ -156,7 +166,8 @@ def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
     """Subproblem tolerance for the next iteration.
 
     Tightens toward the square of the current optimality measure, halves as a
-    safeguard, and never drops below omega_star.
+    safeguard, and never drops below omega_star.  solve applies the same
+    square at the start, capped by omega_0, without the halving.
     """
     om = min(omega_k, f_norm * f_norm)
     return max(0.5 * om, omega_star)
@@ -296,7 +307,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
 
     state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
-                       eta=ETA_0, omega=opts.omega_0 * sf.f_scale)
+                       eta=ETA_0, omega=min(opts.omega_0 * sf.f_scale,
+                                            max(f_norm * f_norm, omega_star)))
     minors = 0
     sol: SubproblemSolution | None = None
     stalls_at_floor = 0

@@ -17,10 +17,9 @@ Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
 subproblem, the point's record, holding its residual and f), and the
 gradient at an accepted point takes that instead of computing it again.
-A subproblem started at the base point reads the base record; one started
-at the point the previous kernel evaluated last finds its values
-remembered by the problem (see model.NlpProblem), so nothing is evaluated
-there again.
+A subproblem started at the base point reads the base record, and one
+started at the previous kernel's candidate or start reads that record,
+which each solution carries, so nothing is evaluated there again.
 On success the subproblem triple satisfies its relaxed optimality
 conditions: bounds hold, rows hold to roundoff, z is the reduced gradient
 at delta_y, complementarity is within omega, and the elastic-row
@@ -74,6 +73,8 @@ class SubproblemSolution:
     # the kernel's last BFGS matrix and the penalty it was built for
     hess: Matrix
     rho: float
+    # the record of the kernel's start point
+    start: Linearization
 
 
 @dataclass
@@ -289,7 +290,8 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     return SubproblemSolution(
         point=point, delta_y=delta_y, z_star=z,
         v_star=np.array(v), w_star=np.array(w), status=res.status,
-        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k)
+        inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k,
+        start=sub.start)
 
 
 def _row_rounding(lin: Linearization, x_ext: Vector) -> Vector:
@@ -343,10 +345,11 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     zero, so the rows hold from the start on.  The kernel also starts from
     the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
     block when the penalty has risen from the rho that matrix was built for.
-    When the start's x_ext is, bit for bit, the point of the record it came
-    from (the base point's, when the step left it in place, or the warm
-    start's candidate's), the kernel starts from that record, so its values
-    there are not evaluated again.
+    When the start's x_ext is, bit for bit, the point of a record held
+    here (the base point's, the warm start's candidate's, or the warm
+    start's own start's, where a step from another base point lands again),
+    the kernel starts from that record, so its values there are not
+    evaluated again; the solution carries the start record as start.
     """
     lin, n_ext = sub.lin, sub.n_ext
     x0, hess = lin.x_k, None
@@ -362,6 +365,10 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             lin, x0, B, aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))
     else:
         r, rounding = lin.cbar(x0), _row_rounding(lin, x0)
+    held = (lin,) if warm_start is None else (lin, warm_start.point, warm_start.start)
+    key = x0.tobytes()
+    sub.start = next((p for p in held if p.x_k.tobytes() == key),
+                     None) or Linearization(lin.sf, x0)
     r[np.abs(r) <= rounding] = 0.0
     v0, w0 = optimal_elastics(r[:sub.m_c])
     u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)

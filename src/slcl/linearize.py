@@ -94,7 +94,8 @@ class ElasticSubproblem:
     """Lifted elastic subproblem over u = (x_ext, v, w), v and w of size m_c.
 
     Its rows are R u + offset with R = [J_k, E, -E], held densely in rows
-    for the kernel; row_residual applies R by blocks.
+    for the kernel; row_residual applies R by blocks.  start is the record
+    of the kernel's start point, lin until the caller sets another.
     """
 
     lin: Linearization
@@ -106,6 +107,7 @@ class ElasticSubproblem:
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
     rows: Matrix = field(init=False)
+    start: Linearization = field(init=False)
 
     def __post_init__(self) -> None:
         sf = self.lin.sf
@@ -120,6 +122,7 @@ class ElasticSubproblem:
         # column-major: R's memory order sets how the kernel's products sum,
         # and with it the iterates in their last bits
         self.rows = np.asfortranarray(np.hstack([self.lin.J_k, E, -E]))
+        self.start = self.lin
 
     def split(self, u: Vector) -> tuple[Vector, Vector, Vector]:
         n_ext, m_c = self.n_ext, self.m_c
@@ -127,12 +130,14 @@ class ElasticSubproblem:
 
     def evaluate(self, u: Vector) -> tuple[float, Linearization]:
         """Objective at u, with the record of its x_ext that it read c and f
-        from: the base record lin at the base point, else a new one.
+        from: lin or start at their points, bit for bit, else a new one.
         gradient at u reads g and J from the same record, and the kernel's
         last one is the candidate's record."""
         x_ext, v, w = self.split(u)
-        same = x_ext.tobytes() == self.lin.x_k.tobytes()
-        point = self.lin if same else Linearization(self.lin.sf, x_ext)
+        key = x_ext.tobytes()
+        point = (self.lin if key == self.lin.x_k.tobytes()
+                 else self.start if key == self.start.x_k.tobytes()
+                 else Linearization(self.lin.sf, x_ext))
         val = aug_lagrangian(point, self.y_k, self.rho_k)
         return val + self.sigma_k * float(v.sum() + w.sum()), point
 

@@ -39,7 +39,7 @@ def _solution(delta_y, n_ext=3):
     return SubproblemSolution(
         point=None, delta_y=delta_y, z_star=np.zeros(n_ext),
         v_star=np.zeros(len(delta_y)), w_star=np.zeros(len(delta_y)),
-        status=CONVERGED, inner_iterations=1, hess=None, rho=0.0)
+        status=CONVERGED, inner_iterations=1, hess=None, rho=0.0, start=None)
 
 
 def _circles(x0, k=32, seed=0):
@@ -182,6 +182,54 @@ class TestNextOmega:
     def test_floor_reached(self):
         assert next_omega(2e-6, 10.0, 1e-6) == 1e-6
         assert next_omega(1e-6, 1e-9, 1e-6) == 1e-6
+
+
+class TestFirstTolerance:
+    """The first subproblem tolerance is the square of the start's KKT
+    measure F0, capped by omega_0 and floored at omega_star, as next_omega
+    sets the later ones; the trace reads it in the problem's units."""
+
+    @staticmethod
+    def _near(r, **kwargs):
+        """saddle-channel from r off its solution in x and y, as the
+        warm-start workload starts it; both scale factors are 1 there, so
+        F0 reads the same in the scaled units and in the problem's."""
+        entry = catalog_get("saddle-channel")
+        rep = solve(entry.problem, OuterOptions(**kwargs),
+                    x_start=entry.known_x + r, y_start=entry.known_y + r)
+        assert rep.f_scale == 1.0 and (rep.row_scale == 1.0).all()
+        return rep
+
+    def test_far_start_takes_the_cap(self):
+        rep = solve(catalog_get("circle-proj").problem)
+        assert rep.f_norm_0 == 3.0
+        assert rep.trace[0].omega == OuterOptions().omega_0 == 0.1
+
+    @pytest.mark.parametrize("r", [1e-2, 1e-3, 0.0])
+    def test_near_start_takes_the_square_of_its_measure(self, r):
+        rep = self._near(r)
+        assert rep.trace[0].omega == max(rep.f_norm_0 ** 2, 1e-6) < 1e-3
+        assert rep.status == "Optimal"
+
+    @pytest.mark.parametrize("r", [1e-2, 0.5])
+    def test_cap_below_omega_star_is_kept(self, r):
+        """Criterion 7 solves its first major at omega_0 = 1e-8; the next
+        major returns to omega_star."""
+        rep = self._near(r, omega_0=1e-8)
+        assert rep.trace[0].omega == 1e-8
+        assert rep.majors > 1 and rep.trace[1].omega == 1e-6
+
+    def test_circles_from_the_benchmark_start_in_few_minors(self):
+        """The benchmark's circles start (x = 0.5) is far, so its first
+        subproblem is solved only to omega_0: 107 minors over seeds 0-4,
+        where the fixed first tolerance of 1e-3 took 163."""
+        minors = 0
+        for seed in range(5):
+            _, p = _circles(0.5, 32, seed)
+            rep = solve(p)
+            assert rep.status == "Optimal", seed
+            minors += rep.minors
+        assert minors <= 125, minors
 
 
 class TestDetectors:

@@ -450,8 +450,8 @@ class TestSolveLc:
     def test_kernel_started_at_the_last_kernel_s_point_calls_nothing_there(
             self, monkeypatch, spy_calls):
         """A re-solve at a raised penalty starts at the candidate, the point
-        the kernel before it evaluated last: the problem remembers f, c, g
-        and J there, so the re-solve calls none of them at that point."""
+        the kernel before it evaluated last: it reads the candidate's
+        record, so the re-solve calls none of f, c, g and J at that point."""
         sf, sub = _subproblem("two-circles", [1.0, 0.5], 0.3, 10.0, 5.0)
         calls = spy_calls(sf.nlp)
         sol = solve_lc(sub, 1e-6)
@@ -464,6 +464,26 @@ class TestSolveLc:
         assert sol_warm.status == CONVERGED and sol_warm.inner_iterations > 0
         np.testing.assert_array_equal(starts[0][0][:sub.n_ext], sol.point.x_k)
         assert calls and all(x != last for _, x in calls)
+
+    def test_kernel_started_where_the_last_kernel_started_reads_its_record(
+            self, spy_calls):
+        """A solution carries its kernel's start record, and a later kernel
+        that starts at that point, bit for bit, reads it: here a re-solve
+        at the same base point with no carried matrix takes the same
+        identity-model step, and calls nothing at the start the problem no
+        longer remembers."""
+        sf, sub = _subproblem("circle-proj", [0.5, 0.5], 0.0, 10.0, 100.0)
+        calls = spy_calls(sf.nlp)
+        sol = solve_lc(sub, 1e-6)
+        start = sol.start.x_k[:sf.n].tobytes()
+        assert sol.inner_iterations > 0 and sol.start is not sub.lin
+        assert sorted(kind for kind, x in calls if x == start) == list("Jcfg")
+        calls.clear()
+        again = solve_lc(assemble_elastic(sub.lin, sub.y_k, sub.rho_k, sub.sigma_k),
+                         1e-6, warm_start=dataclasses.replace(sol, point=sub.lin,
+                                                               hess=None))
+        assert again.start is sol.start
+        assert calls and all(x != start for _, x in calls)
 
     def test_cycles_reuse_their_end_point(self, monkeypatch, spy_calls):
         """A kernel start at a record the caller holds calls no callback

@@ -116,7 +116,8 @@ class TestUnits:
                 continue
             base = solve(problem)
             rep = solve(rescaled(catalog_get(name).problem, a, 1.0),
-                        OuterOptions(omega_star=1e-6 * a, omega_0=1e-3 * a))
+                        OuterOptions(omega_star=1e-6 * a,
+                                     omega_0=OuterOptions().omega_0 * a))
             assert rep.f_scale == base.f_scale / a, name
             assert (rep.status, rep.majors, rep.minors) == (
                 base.status, base.majors, base.minors), name
