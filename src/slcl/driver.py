@@ -35,13 +35,21 @@ problem's own.
 Subproblems are solved only as well as the outer KKT measure F warrants,
 as an inexact Newton method chooses its forcing terms: the first
 tolerance is F^2 at the start, capped by omega_0 and floored at
-omega_star, and next_omega tightens it toward F^2 after each major.
+omega_star, and next_omega tightens it toward F^2 after each major.  F^2
+forcing is for the linearization's error, so a problem with no nonlinear
+rows, whose linearization is exact and whose first subproblem is the whole
+problem, starts at omega_star; it takes the same loop as any other.
 
 Infeasible problems surface when the penalty climbs past RHO_BAR while the
 nonlinear rows still violate their bounds; the point returned then is a
-first-order stationary point of the squared-residual minimization.  A
-subproblem still Unbounded past RHO_BAR from a point that violates the
-nonlinear rows ends the run CannotImprove.
+first-order stationary point of the squared-residual minimization.
+CannotImprove ends a run on any of four rules: a subproblem still
+Unbounded past RHO_BAR from a point that violates the nonlinear rows; in
+the canonical mode, a kernel at its limit or an accepted candidate that
+needs its elastics; and two stalls in a row at the omega floor, where a
+major stalls when its kernel ends IterationLimit or converges at its base
+point (the candidate is the base record).  An Optimal candidate ends the
+run Optimal all the same.  IterationLimit means max_major majors ran.
 """
 
 from __future__ import annotations
@@ -83,7 +91,8 @@ RHO_FLOOR = 1.0 + 1e-3  # least penalty; eta tightens only while rho > 1
 class OuterOptions:
     """omega_star and eta_star are the targets; omega_0 caps the first
     subproblem tolerance, which is otherwise the square of the start's KKT
-    measure floored at omega_star (an omega_0 below omega_star is kept)."""
+    measure floored at omega_star (an omega_0 below omega_star is kept).
+    Without nonlinear rows the first tolerance is omega_star."""
 
     omega_star: float = 1e-6
     eta_star: float = 1e-6
@@ -167,7 +176,9 @@ def next_omega(omega_k: float, f_norm: float, omega_star: float) -> float:
 
     Tightens toward the square of the current optimality measure, halves as a
     safeguard, and never drops below omega_star.  solve applies the same
-    square at the start, capped by omega_0, without the halving.
+    square at the start, capped by omega_0, without the halving (omega_star
+    without nonlinear rows).  Two majors in a row that stall at the floor
+    end the run (see solve).
     """
     om = min(omega_k, f_norm * f_norm)
     return max(0.5 * om, omega_star)
@@ -249,22 +260,6 @@ def _make_report(status: str, lin: Linearization, y: Vector, z: Vector,
                        row_scale=np.array(sf.row_scale))
 
 
-def _solve_linear_only(lin: Linearization, y0: Vector, opts: OuterOptions,
-                       counts0: list[int], f_norm_0: float) -> SolveReport:
-    """Problems with no nonlinear rows need a single subproblem at sigma = 0."""
-    sub = assemble_elastic(lin, y0, 0.0, 0.0)
-    sol = solve_lc(sub, opts.omega_star * lin.sf.f_scale)
-    y = y0 + sol.delta_y
-    z = np.array(sol.z_star)
-    status = OPTIMAL if sol.status == CONVERGED else sol.status
-    cand = sol.point
-    res, _ = kkt_residual(cand, y, z)
-    if status == OPTIMAL and not is_optimal(res, opts.omega_star, opts.eta_star):
-        status = CANNOT_IMPROVE
-    return _make_report(status, cand, y, z, res, minors=sol.inner_iterations,
-                        counts0=counts0, trace=[], f_norm_0=f_norm_0)
-
-
 def solve(problem: NlpProblem, opts: OuterOptions | None = None,
           x_start: Vector | None = None,
           y_start: Vector | None = None) -> SolveReport:
@@ -302,13 +297,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     res, f_norm = kkt_residual(lin, y, z)
     f_norm_0 = res.f_norm
 
-    if sf.m_c == 0:
-        return _solve_linear_only(lin, y, opts, counts0, f_norm_0)
-
+    # without nonlinear rows the linearization is exact: solve to the target
+    omega = (omega_star if sf.m_c == 0
+             else min(opts.omega_0 * sf.f_scale, max(f_norm * f_norm, omega_star)))
     state = OuterState(y=y, z=z,
                        rho=_initial_rho(opts, sf.m_c), sigma=_initial_sigma(opts, y),
-                       eta=ETA_0, omega=min(opts.omega_0 * sf.f_scale,
-                                            max(f_norm * f_norm, omega_star)))
+                       eta=ETA_0, omega=omega)
     minors = 0
     sol: SubproblemSolution | None = None
     stalls_at_floor = 0
@@ -326,7 +320,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))
                        + float(np.abs(sol.w_star).max(initial=0.0)))
 
-        exit_status: str | None = None
+        # a major at the omega floor stalls when its kernel hits its limit or
+        # ends where it started; two in a row end the run
+        stalled = omega_k <= omega_star * (1.0 + 1e-12) and (
+            sol.status == ITERATION_LIMIT or (sol.status == CONVERGED and cand is lin))
+        stalls_at_floor = stalls_at_floor + 1 if stalled else 0
+        exit_status = CANNOT_IMPROVE if stalls_at_floor >= 2 else None
         if sol.status == UNBOUNDED:
             accepted = False
             # unboundedness is certified only from a nonlinearly feasible
@@ -341,12 +340,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             if opts.mode == CANONICAL:
                 # with a fixed penalty nothing about the subproblem will change
                 exit_status = CANNOT_IMPROVE
-            elif omega_k <= omega_star * (1.0 + 1e-12):
-                stalls_at_floor += 1
-                if stalls_at_floor >= 2:
-                    exit_status = CANNOT_IMPROVE
         else:
-            stalls_at_floor = 0
             accepted = opts.mode == CANONICAL or c_norm <= eta_target
 
         if accepted:

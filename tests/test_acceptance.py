@@ -119,14 +119,14 @@ def test_criterion_4_l1_exactness(stab_reports, mode_reports):
     Once the elastic price dominates the latest multiplier step, the final
     accepted subproblem takes the step an unrelaxed one would: the elastics
     vanish.  Runs with a zero price (bcl) and runs with no nonlinear rows
-    (empty trace) have no priced subproblem to check.
+    (no row factors) have no priced subproblem to check.
     """
     runs = [(n, r) for n, r in stab_reports.items()]
     runs += [(f"{mode}:{n}", r) for (mode, n), r in mode_reports.items()
              if mode == "canonical"]
     checked = 0
     for label, rep in runs:
-        if rep.status != "Optimal" or not rep.trace:
+        if rep.status != "Optimal" or rep.row_scale.size == 0:
             continue
         last = [t for t in rep.trace if t.accepted][-1]
         assert last.delta_y_norm < last.sigma, (

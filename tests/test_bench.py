@@ -136,6 +136,16 @@ class TestCli:
         # circle-proj's start (0.5, 0.5) has g = (-3, -1) and J = (1, 1)
         assert "scaling: f_scale 0.25  row_scale [1]" in out.splitlines()
 
+    def test_trace_of_a_linear_only_problem_has_its_major(self, capsys):
+        """A problem with no nonlinear rows runs the same loop: its one
+        subproblem is one schedule row, solved at omega_star."""
+        assert main(["solve", "scaled-quads", "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["k", "acc"]
+        row = lines[1].split()
+        assert row[:2] == ["0", "S"] and float(row[6]) == 1e-6
+        assert lines[2] == "scaling: f_scale 0.25  row_scale []"
+
     def test_suite_trace_prints_each_problem_s_schedule(self, capsys):
         """Each problem's schedule table comes before its result and
         residuals lines, and the totals end the run."""

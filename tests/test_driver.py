@@ -2,6 +2,8 @@
 
 import importlib.util
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,10 +22,12 @@ from slcl.merit import kkt_residual
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
 
+IDENTITY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+
+
 def _identity_tool():
     """tools/identity.py, loaded from this checkout."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
-    spec = importlib.util.spec_from_file_location("identity", path)
+    spec = importlib.util.spec_from_file_location("identity", IDENTITY_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -382,11 +386,13 @@ class TestCannotImprove:
         assert t.accepted and t.inner_status == CONVERGED
         assert t.elastic_inf == pytest.approx(1.0)
 
-    def test_linear_only_solve_converged_but_not_optimal(self, monkeypatch):
-        """A linear-only subproblem that converges to a point the KKT test
-        at omega_star and eta_star rejects ends the run CannotImprove.  The
-        shift is in the scaled units of the subproblem, and the report's
-        residual in the problem's."""
+    def test_two_kernels_ending_where_they_started(self, monkeypatch):
+        """A linear-only subproblem converges to a point the KKT test at
+        omega_star and eta_star rejects; it is accepted, and each later
+        major at the floor converges where it started, its candidate the
+        base record.  The second such stall ends the run CannotImprove.
+        The shift is in the scaled units of the subproblem, and the
+        report's residual in the problem's."""
         def shift(sol):
             sol.z_star = sol.z_star + 1e-3
 
@@ -394,7 +400,9 @@ class TestCannotImprove:
         assert solve(problem).status == "Optimal"
         _fake_solve_lc(monkeypatch, shift)
         rep = solve(problem)
-        assert rep.status == "CannotImprove" and rep.majors == 0
+        assert rep.status == "CannotImprove" and rep.majors == 3
+        assert all(t.accepted and t.inner_status == CONVERGED for t in rep.trace)
+        assert [t.inner_iterations for t in rep.trace][1:] == [0, 0]
         assert rep.residual.dual_inf == pytest.approx(1e-3 / rep.f_scale)
 
 
@@ -635,16 +643,19 @@ class TestSolve:
         assert rep.majors == 0
         assert rep.f_norm_0 == rep.residual.f_norm
 
-    def test_linear_only_problem_skips_outer_loop(self):
+    def test_linear_only_problem_takes_one_major(self):
+        """Linear rows are their own linearization, so the first subproblem
+        is the whole problem: it is solved at omega_star and accepted."""
         entry = catalog_get("scaled-quads")
         rep = solve(entry.problem)
-        assert rep.status == "Optimal"
-        assert rep.majors == 0
+        assert rep.status == "Optimal" and rep.majors == 1
+        (t,) = rep.trace
+        assert t.accepted and t.omega == OuterOptions().omega_star
         assert abs(rep.final_objective - entry.known_objective) <= 1e-5
 
     def test_start_measure_is_defined_on_every_exit(self):
         """f_norm_0, F at the start, is a finite float on every exit of the
-        catalog's runs, the linear-only path and Infeasible included."""
+        catalog's runs, Infeasible before the loop included."""
         statuses = set()
         for name in catalog_names():
             rep = solve(catalog_get(name).problem)
@@ -946,6 +957,15 @@ class TestSolve:
             calls = spy(problem)
             solve(problem, OuterOptions(mode=mode))
             assert calls and len(set(calls)) == len(calls), name
+
+    def test_identity_tool_exits_quietly_when_stdout_closes(self):
+        """As when `--per-case | head` stops reading: exit 1, no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, str(IDENTITY_TOOL), "--workload", "catalog", "--per-case"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.communicate()[1]
+        assert proc.returncode == 1 and err == b""
 
     def test_iteration_cap_is_honest(self):
         rep = solve(catalog_get("circle-proj").problem,

@@ -79,8 +79,9 @@ class TestUnits:
         with f or c multiplied by 10^-3 or 10^3, the targets in the same
         units: Optimal at f* on at least 53 of the 55.  The two misses keep
         a row factor of 1: quarter-ellipse with c x 10^-3, whose row
-        gradient is already below 1, and rosenbrock-ball with c x 10^3,
-        whose row gradient is 0 at its start.  Without scaling 47 of 55."""
+        gradient is already below 1, ends CannotImprove at the omega floor
+        (see the next test), and rosenbrock-ball with c x 10^3, whose row
+        gradient is 0 at its start.  Without scaling 47 of 55."""
         assert len(ROW_NAMES) == 11
         misses = []
         for name in ROW_NAMES:
@@ -94,6 +95,17 @@ class TestUnits:
                         <= 1e-5 * (1.0 + abs(f_star))):
                     misses.append((name, a, b, rep.status))
         assert len(misses) <= 2, misses
+
+    def test_quarter_ellipse_with_small_rows_stops_at_the_floor(self, rescaled):
+        """With c x 10^-3 quarter-ellipse reaches (0, 0), where J = 0, in
+        major 0, and every later major converges where it started.  The
+        second such major at the omega floor ends the run, which used to
+        accept majors that changed nothing until max_major."""
+        entry = catalog_get("quarter-ellipse")
+        rep = solve(rescaled(entry.problem, 1.0, 1e-3),
+                    OuterOptions(omega_star=1e-6, eta_star=1e-9, max_major=100))
+        assert rep.status == "CannotImprove" and rep.majors <= 10
+        assert all(t.inner_iterations == 0 for t in rep.trace[1:])
 
     def test_quarter_ellipse_with_a_large_objective(self, rescaled):
         """With f x 10^3 the unscaled schedule rejected every major and ended

@@ -108,4 +108,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+    except BrokenPipeError:
+        # stdout closed early, as `--per-case | head` closes it: point it at
+        # devnull so the exit's flush is quiet too, and exit 1 as for EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
