@@ -7,12 +7,12 @@ system of the free variables and the rows with a dense BFGS matrix, which
 gives the step and the row multipliers together; a ratio test stops the
 step at the first bound it hits, and that bound joins the working set; once
 the free variables are stationary, a bound whose multiplier has the wrong
-sign leaves it.  The elastic subproblem is one kernel call, started on its
+sign leaves it, and the line search tests the reduced slope, as MINOS's
+does.  Every elastic subproblem is one kernel call, started on its
 linearized rows where one step reaches them and from the BFGS matrix the
 previous subproblem ended with; the step is the minimizer of that
 matrix's quadratic model on the rows, as SNOPT's QP step is, with the
-identity at the first major, which has no matrix.
-The proximal start is at most two calls.
+identity at the first major.  The proximal start is at most two calls.
 Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
 subproblem, the point's record, holding its residual and f), and the
@@ -156,8 +156,9 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     identity without one, takes Powell-damped updates and resets to the
     identity when a search fails or B has become singular along a step; a
     failed search from the identity ends the solve.  The rows must hold at
-    the start; each step also cancels their rounding drift.  Without rows
-    this is a box-constrained quasi-Newton method.
+    the start; each step also cancels their rounding drift, which is no
+    decrease, so the search tests the reduced slope (g - R^T y).d.  Without
+    rows this is a box-constrained quasi-Newton method.
 
     Converged means the two-sided complementarity of g - R^T y against the
     box (see merit.comp_measure) is at most tol.  Unbounded means an
@@ -211,7 +212,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
             continue
 
         step = None
-        gtd = float(g @ d)
+        gtd = float(z @ d)
         # a decrease below the precision of the value cannot be seen, so a
         # step predicted to make one passes when the value holds level
         noise = _F_PRECISION * (1.0 + abs(f))
@@ -332,24 +333,23 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     """Solve the lifted elastic subproblem to the relaxed conditions.
 
     The kernel starts from the warm start's point, the previous major's
-    candidate, else from the base point.  At the base point of a subproblem
-    with nonlinear rows it first takes one step toward the linearized rows
+    candidate, else from the base point.  At the base point, with linear
+    rows only or not, it first takes one step toward the linearized rows
     (see _step_to_rows): the minimizer on the rows of the model with the
     start matrix's x_ext block, or the identity at the first major, and the
     objective's gradient at the base point, read from the base record.  A
-    subproblem with linear rows only starts at its base point, which the
-    proximal start placed on them, and a warm start elsewhere, the
-    candidate of a rejected major, already meets this linearization.  The
-    elastics start at their cheapest values for the nonlinear rows'
-    linearized residual left there, taking residuals at rounding level as
-    zero, so the rows hold from the start on.  The kernel also starts from
-    the warm start's BFGS matrix, plus (rho_k - rho) J_k^T J_k on the x_ext
-    block when the penalty has risen from the rho that matrix was built for.
-    When the start's x_ext is, bit for bit, the point of a record held
-    here (the base point's, the warm start's candidate's, or the warm
-    start's own start's, where a step from another base point lands again),
-    the kernel starts from that record, so its values there are not
-    evaluated again; the solution carries the start record as start.
+    warm start elsewhere, the candidate of a rejected major, already meets
+    this linearization.  The elastics start at their cheapest values for
+    the nonlinear rows' linearized residual left there, taking residuals at
+    rounding level as zero, so the rows hold from the start on.  The kernel
+    also starts from the warm start's BFGS matrix, plus (rho_k - rho)
+    J_k^T J_k on the x_ext block when the penalty has risen from the rho
+    that matrix was built for.  When the start's x_ext is, bit for bit, the
+    point of a record held here (the base point's, the warm start's
+    candidate's, or the warm start's own start's, where a step from another
+    base point lands again), the kernel starts from that record, so its
+    values there are not evaluated again; the solution carries the start
+    record as start.
     """
     lin, n_ext = sub.lin, sub.n_ext
     x0, hess = lin.x_k, None
@@ -359,7 +359,7 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             hess = hess.copy()
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
-    if sub.m_c and np.array_equal(x0, lin.x_k):
+    if np.array_equal(x0, lin.x_k):
         B = np.identity(n_ext) if hess is None else hess[:n_ext, :n_ext]
         x0, r, rounding = _step_to_rows(
             lin, x0, B, aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))
@@ -371,7 +371,7 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
                      None) or Linearization(lin.sf, x0)
     r[np.abs(r) <= rounding] = 0.0
     v0, w0 = optimal_elastics(r[:sub.m_c])
-    u = np.clip(np.concatenate([x0, v0, w0]), sub.lo, sub.hi)
+    u = np.concatenate([x0, v0, w0])
     res = bound_solve(sub.evaluate, sub.gradient, sub.lo, sub.hi, u, omega,
                       rows=sub.rows, offset=lin.offset, hess=hess)
     return _finalize(sub, res, omega)

@@ -360,10 +360,9 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
         e[j] = step[j]
         fp, fm = problem.f(x + e), problem.f(x - e)
         err_g[j] = abs((fp - fm) / (2 * step[j]) - g[j]) / (1.0 + abs(g[j]))
-        if problem.m_c > 0:
-            cp, cm = problem.c(x + e), problem.c(x - e)
-            col = (cp - cm) / (2 * step[j])
-            err_J[:, j] = np.abs(col - Jmat[:, j]) / (1.0 + np.abs(Jmat[:, j]))
+        cp, cm = problem.c(x + e), problem.c(x - e)
+        col = (cp - cm) / (2 * step[j])
+        err_J[:, j] = np.abs(col - Jmat[:, j]) / (1.0 + np.abs(Jmat[:, j]))
 
     max_g = float(err_g.max(initial=0.0))
     max_J = float(err_J.max(initial=0.0))

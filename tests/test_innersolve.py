@@ -753,31 +753,38 @@ class TestSubproblemStart:
             assert np.abs(J_F.T @ y - model_grad).max() <= 1e-12
             assert np.abs(lin.cbar(x0)).max() <= 1e-12
 
-    def test_linear_only_subproblem_starts_at_its_base_point(self, monkeypatch,
-                                                             spy_calls):
-        """A subproblem with no nonlinear rows takes no start step: the
-        proximal start already placed its base point on the linear rows.
-        scaled-quads' kernel starts at its base point bit for bit and reads
-        the base record, so near that point the solve calls g once, for the
-        start's multipliers, and f once, at the kernel's start, and nothing
-        else."""
-        problem = catalog_get("scaled-quads").problem
-        bases, assemble = [], driver.assemble_elastic
+    def test_linear_only_subproblem_starts_at_its_model_step(self, monkeypatch):
+        """A subproblem with no nonlinear rows starts as every other one does:
+        at the minimizer of its model on its rows, the identity's at major 0,
+        which meets the conditions of
+        test_accepted_major_starts_at_its_model_s_minimizer.  scaled-quads'
+        start moves off its base point; box-quadratic's identity model is
+        its objective up to a constant, so its kernel starts at the solution
+        and takes no iteration."""
+        subs, assemble = [], driver.assemble_elastic
 
-        def spied_assemble(lin, *args):
-            bases.append(lin)
-            return assemble(lin, *args)
+        def spied_assemble(*args):
+            subs.append(assemble(*args))
+            return subs[-1]
 
         monkeypatch.setattr(driver, "assemble_elastic", spied_assemble)
         starts = _recorded_starts(monkeypatch)
-        calls = spy_calls(problem)
-        rep = solve(problem)
-        (base,) = bases
-        assert problem.m_c == 0 and rep.status == "Optimal" and rep.minors > 0
-        assert starts[-1][0].tobytes() == base.x_k.tobytes()
-        near = [kind for kind, x in calls
-                if np.abs(np.frombuffer(x) - base.x_k[:problem.n]).max() <= 1e-12]
-        assert sorted(near) == ["f", "g"]
+        for name in ("scaled-quads", "box-quadratic"):
+            subs.clear()
+            rep = solve(catalog_get(name).problem)
+            (s,), (u0, hess) = subs, starts[-1]
+            assert s.m_c == 0 and hess is None
+            assert rep.status == "Optimal", name
+            if name == "box-quadratic":
+                assert rep.minors == 0
+            lin, x0 = s.lin, u0[:s.n_ext]
+            free = np.flatnonzero((lin.sf.lo < lin.x_k) & (lin.x_k < lin.sf.hi))
+            assert np.abs(x0 - lin.x_k).max() > 0.1
+            model_grad = (x0 - lin.x_k + aug_lagrangian_grad(lin, s.y_k, s.rho_k))[free]
+            J_F = lin.J_k[:, free]
+            y = np.linalg.lstsq(J_F.T, model_grad, rcond=None)[0]
+            assert np.abs(J_F.T @ y - model_grad).max() <= 1e-12
+            assert np.abs(lin.cbar(x0)).max() <= 1e-12
 
     def test_model_step_parallel_to_a_linear_row_keeps_it_met(self, monkeypatch):
         """The row-parallel case above with a carried matrix: the model's
