@@ -111,16 +111,21 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
     nf = free.size
     size = nf + R.shape[0]
     RF = R.take(free, axis=1)
-    K = np.zeros((size, size))
-    K[:nf, :nf] = B.take(free, axis=0).take(free, axis=1)
+    K = np.empty((size, size))
+    # a free set that leads the coordinates is a slice of B, not a gather
+    K[:nf, :nf] = (B[:nf, :nf] if nf == 0 or free[-1] == nf - 1
+                   else B.take(free, axis=0).take(free, axis=1))
     K[:nf, nf:] = RF.T
     K[nf:, :nf] = RF
-    rhs = np.concatenate([-g[free], -r])
+    K[nf:, nf:] = 0.0
+    rhs = np.empty(size)
+    np.negative(g[free], out=rhs[:nf])
+    np.negative(r, out=rhs[nf:])
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    d = np.zeros_like(g)
+    d = np.zeros(g.size)
     d[free] = sol[:nf]
     return d, -sol[nf:]
 
@@ -152,13 +157,14 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     predicted decrease is below the precision of the value, eps^0.8 (1 + |f|),
     passes when the value rises by no more than that.  Once the free
     coordinates are stationary, the working bound whose multiplier g - R^T y
-    has the worst wrong sign is released.  B starts as hess, or as the
-    identity without one, takes Powell-damped updates and resets to the
-    identity when a search fails or B has become singular along a step; a
-    failed search from the identity ends the solve.  The rows must hold at
-    the start; each step also cancels their rounding drift, which is no
-    decrease, so the search tests the reduced slope (g - R^T y).d.  Without
-    rows this is a box-constrained quasi-Newton method.
+    has the worst wrong sign is released.  B starts as a copy of hess, which
+    is never written, or as the identity without one, takes Powell-damped
+    updates in place and resets to the identity when a search fails or B
+    has become singular along a step; a failed search from the identity
+    ends the solve.  The rows must hold at the start; each step also
+    cancels their rounding drift, which is no decrease, so the search tests
+    the reduced slope (g - R^T y).d.  Without rows this is a box-constrained
+    quasi-Newton method.
 
     Converged means the two-sided complementarity of g - R^T y against the
     box (see merit.comp_measure) is at most tol.  Unbounded means an
@@ -185,8 +191,9 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     movable = lo < hi
     at_lo = x == lo
     at_hi = (x == hi) & ~at_lo
-    identity = np.identity(x.size)
-    B = identity if hess is None else hess
+    at_identity = hess is None
+    B = np.identity(x.size) if at_identity else np.array(hess, dtype=float)
+    outer = np.empty_like(B)
     status = ITERATION_LIMIT
 
     for _ in range(_MAX_INNER_ITERS):
@@ -234,9 +241,9 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
             if alpha < _LAM_MIN:
                 break
         if step is None:
-            if B is identity:
+            if at_identity:
                 break
-            B = identity
+            B, at_identity = np.identity(x.size), True
             continue
 
         x_new, f_new, aux_new, hit = step
@@ -255,7 +262,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         sBs = float(s @ Bs)
         if not sBs > _ROUNDOFF * B.diagonal().max() * float(s @ s):
             # B is singular along s to working precision
-            B = identity
+            B, at_identity = np.identity(x.size), True
             continue
         sdg = float(s @ dg)
         if sdg < 0.2 * sBs:
@@ -265,8 +272,10 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
             theta = 0.8 * sBs / (sBs - sdg)
             dg = theta * dg + (1.0 - theta) * Bs
             sdg = 0.2 * sBs
+        # through a buffer kept for the call: no n-by-n array per update
         U = np.array([dg, Bs])
-        B = B + (U.T * np.array([1.0 / sdg, -1.0 / sBs])) @ U
+        B += np.matmul(U.T * np.array([1.0 / sdg, -1.0 / sBs]), U, out=outer)
+        at_identity = False
 
     return BoundSolveResult(x, f, status, accepted, n_evals, g, y, B, aux)
 
@@ -397,7 +406,12 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
     lA, uA = nlp.bounds_A
     lo = np.concatenate([lx, lA])
     hi = np.concatenate([ux, uA])
-    rows = np.hstack([nlp.A, -np.identity(m)])
+    # [A, -I] and the first phase's [A, -I, I, -I], built by index
+    i = np.arange(m)
+    wide = np.zeros((m, n + 3 * m))
+    wide[:, :n] = nlp.A
+    wide[i, n + i], wide[i, n + m + i], wide[i, n + 2 * m + i] = -1.0, 1.0, -1.0
+    rows = wide[:, :n + m].copy()
     u = np.concatenate([x_tilde, np.clip(nlp.A @ x_tilde, lA, uA)])
     r = rows @ u
     if r.any():
@@ -408,7 +422,7 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
                           np.concatenate([lo, np.zeros(2 * m)]),
                           np.concatenate([hi, np.full(2 * m, np.inf)]),
                           np.concatenate([u, v, w]), _PP_OMEGA,
-                          rows=np.hstack([rows, np.identity(m), -np.identity(m)]))
+                          rows=wide)
         u = res.x[:n + m]
         if res.f > _ROUNDOFF * (1.0 + float(np.sum(np.abs(rows) @ np.abs(u)))):
             raise PpInfeasible(

@@ -118,10 +118,12 @@ class ElasticSubproblem:
             raise ValueError("sigma and rho must be nonnegative")
         self.lo = np.concatenate([sf.lo, np.zeros(2 * m_c)])
         self.hi = np.concatenate([sf.hi, np.full(2 * m_c, np.inf)])
-        E = np.eye(sf.m, m_c)
         # column-major: R's memory order sets how the kernel's products sum,
         # and with it the iterates in their last bits
-        self.rows = np.asfortranarray(np.hstack([self.lin.J_k, E, -E]))
+        R = self.rows = np.zeros((sf.m, self.n_ext + 2 * m_c), order="F")
+        R[:, :self.n_ext] = self.lin.J_k
+        i = np.arange(m_c)
+        R[i, self.n_ext + i], R[i, self.n_ext + m_c + i] = 1.0, -1.0
         self.start = self.lin
 
     def split(self, u: Vector) -> tuple[Vector, Vector, Vector]:

@@ -228,12 +228,12 @@ class SlackForm:
 
     def jacobian(self, J_x: Matrix) -> Matrix:
         """Dense Jacobian of the residual from J_x = J(x), built once per record."""
-        m_c, m_A, n = self.m_c, self.m_A, self.n
-        Jt = np.zeros((m_c + m_A, self.n_ext))
+        m_c, n = self.m_c, self.n
+        Jt = np.zeros((self.m, self.n_ext))
         Jt[:m_c, :n] = J_x
         Jt[m_c:, :n] = self.nlp.A
-        Jt[:m_c, n:n + m_c] = -np.eye(m_c)
-        Jt[m_c:, n + m_c:] = -np.eye(m_A)
+        i = np.arange(self.m)
+        Jt[i, n + i] = -1.0
         return Jt
 
     def embed(self, x: Vector) -> Vector:

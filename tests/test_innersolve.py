@@ -183,6 +183,22 @@ class TestBoundSolve:
         np.testing.assert_allclose(res.x, [0.5, 0.8], atol=1e-10)
         np.testing.assert_array_equal(seen[1], np.identity(2))
 
+    @pytest.mark.parametrize("H", [np.diag([2.0, 3.0]), -np.identity(2)],
+                             ids=["updated", "reset"])
+    def test_carried_matrix_is_never_written(self, H):
+        """The kernel updates its own copy of hess: after a solve that
+        updates B, and after one that resets it to the identity (see
+        test_failed_search_resets_a_carried_matrix), hess holds its bits
+        and shares no memory with the matrix returned, which moved."""
+        evaluate, gradient = _quadratic(np.diag([1.0, 4.0]), np.array([0.5, 0.8]))
+        given = H.copy()
+        res = bound_solve(evaluate, gradient, np.full(2, -1.0), np.full(2, 1.0),
+                          np.zeros(2), tol=1e-10, hess=H)
+        assert res.status == CONVERGED and res.iterations >= 1
+        np.testing.assert_array_equal(H, given)
+        assert not np.shares_memory(res.hess, H)
+        assert not np.array_equal(res.hess, H)
+
     def test_step_lost_in_rounding_ends_the_solve(self):
         """The minimizer of (x - a)^2 is one unit in the last place away:
         the step cannot move x, so the solve ends without a trial."""
@@ -415,6 +431,23 @@ class TestSolveLc:
         warm = solve_lc(sub, 1e-6, warm_start=cold)
         assert warm.status == CONVERGED
         assert warm.inner_iterations <= cold.inner_iterations
+
+    @pytest.mark.parametrize("rho", [10.0, 40.0])
+    def test_chained_solutions_keep_their_matrices(self, rho):
+        """A subproblem warm-started from another, at the same penalty or a
+        higher one, updates its BFGS matrix without writing into the first
+        solution's."""
+        sf = build_slack_form(catalog_get("two-circles").problem)
+        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde + 0.3))
+        first = solve_lc(assemble_elastic(lin, np.zeros(sf.m), 10.0, 100.0), 1e-6)
+        kept = first.hess.copy()
+        lin = linearize_constraints(sf, first.point.x_k)
+        second = solve_lc(assemble_elastic(lin, np.full(sf.m, 0.5), rho, 100.0),
+                          1e-6, warm_start=first)
+        assert first.status == second.status == CONVERGED
+        assert second.inner_iterations >= 1
+        np.testing.assert_array_equal(first.hess, kept)
+        assert not np.shares_memory(second.hess, first.hess)
 
     def test_converged_triples_verify(self):
         rng = np.random.default_rng(67)

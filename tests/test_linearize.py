@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slcl.catalog import catalog_get
+from slcl.catalog import catalog_get, catalog_names
 from slcl.linearize import (assemble_elastic, linearize_constraints,
                             optimal_elastics)
 from slcl.merit import aug_lagrangian
@@ -136,22 +136,26 @@ class TestElasticSubproblem:
         assert sub.lo.size == sub.hi.size == 8
 
     def test_blockwise_rows_match_dense_matrix(self):
-        """The dense rows and the blockwise row residual agree with
-        [J_k, E, -E], E the nonlinear rows' columns of the identity; the
-        rows are column-major."""
-        sf = build_slack_form(catalog_get("circle-chord").problem)
-        lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
-        m = sf.m
-        sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
-        E = np.eye(m, sf.m_c)
-        R = np.hstack([lin.J_k, E, -E])
-        np.testing.assert_array_equal(sub.rows, R)
-        assert sub.rows.flags.f_contiguous
+        """On every catalog entry (m_c or m_A zero, or both, or neither) the
+        dense rows and the blockwise row residual agree with [J_k, E, -E],
+        E the nonlinear rows' columns of the identity; the rows are
+        column-major."""
         rng = np.random.default_rng(61)
-        for _ in range(20):
-            u = rng.standard_normal(sub.lo.size)
-            np.testing.assert_allclose(sub.row_residual(u), R @ u + lin.offset,
-                                       rtol=1e-14)
+        for name in catalog_names():
+            sf = build_slack_form(catalog_get(name).problem)
+            lin = linearize_constraints(sf, sf.embed(sf.nlp.x_tilde))
+            m = sf.m
+            sub = assemble_elastic(lin, np.zeros(m), 1.0, 1.0)
+            E = np.eye(m, sf.m_c)
+            R = np.hstack([lin.J_k, E, -E])
+            np.testing.assert_array_equal(sub.rows, R)
+            assert sub.rows.flags.f_contiguous, name
+            for _ in range(20):
+                u = rng.standard_normal(sub.lo.size)
+                # rows that cancel are compared at the rounding of their terms
+                terms = np.abs(R) @ np.abs(u) + np.abs(lin.offset)
+                np.testing.assert_allclose(sub.row_residual(u), R @ u + lin.offset,
+                                           rtol=1e-14, atol=1e-14 * terms.max(initial=0.0))
 
     def test_zero_sigma_reduces_to_merit(self):
         """With sigma = 0 the elastics drop out of value and gradient."""

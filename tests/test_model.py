@@ -147,14 +147,18 @@ class TestSlackForm:
             np.testing.assert_allclose(J[:, j], col, atol=1e-7)
 
     def test_blockwise_transpose_matches_dense_jacobian(self):
-        """J^T y by blocks equals the dense slack-form Jacobian's transpose."""
-        for name in ("circle-chord", "lin-eq-quadratic", "two-circles"):
+        """On every catalog entry (m_c or m_A zero, or both, or neither) the
+        dense slack-form Jacobian is [J(x), -I, 0; A, 0, -I], and J^T y by
+        blocks equals its transpose times y."""
+        for name in catalog_names():
             sf = build_slack_form(catalog_get(name).problem)
             rng = np.random.default_rng(11)
             for _ in range(10):
                 x_ext = rng.standard_normal(sf.n_ext)
                 y = rng.standard_normal(sf.m)
                 J_x = sf.nlp.J(x_ext[:sf.n])
+                dense = np.hstack([np.vstack([J_x, sf.nlp.A]), -np.eye(sf.m)])
+                np.testing.assert_array_equal(sf.jacobian(J_x), dense)
                 np.testing.assert_allclose(linearize_constraints(sf, x_ext).jacobian_t(y),
                                            sf.jacobian(J_x).T @ y,
                                            rtol=1e-14, atol=1e-15)
