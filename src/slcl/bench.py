@@ -10,7 +10,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .catalog import catalog_get, catalog_names
-from .driver import INFEASIBLE, OPTIMAL, OuterOptions, SolveReport, solve
+from .driver import (BCL, CANONICAL, INFEASIBLE, OPTIMAL, STABILIZED, OuterOptions,
+                     SolveReport, solve)
 from .innersolve import UNBOUNDED
 
 EVAL_KINDS = ["f_evals", "g_evals", "c_evals", "J_evals"]
@@ -110,13 +111,14 @@ def emit_report(report: SuiteReport, fmt: str, path) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=["stabilized", "canonical", "bcl"],
-                        default="stabilized")
-    parser.add_argument("--omega-star", type=float, default=1e-6,
+    defaults = OuterOptions()
+    parser.add_argument("--mode", choices=[STABILIZED, CANONICAL, BCL],
+                        default=defaults.mode)
+    parser.add_argument("--omega-star", type=float, default=defaults.omega_star,
                         help="dual and complementarity target")
-    parser.add_argument("--eta-star", type=float, default=1e-6,
+    parser.add_argument("--eta-star", type=float, default=defaults.eta_star,
                         help="feasibility target")
-    parser.add_argument("--max-major", type=int, default=500)
+    parser.add_argument("--max-major", type=int, default=defaults.max_major)
     parser.add_argument("--json", dest="json_path", metavar="PATH")
     parser.add_argument("--csv", dest="csv_path", metavar="PATH")
     parser.add_argument("--trace", action="store_true",

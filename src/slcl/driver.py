@@ -40,9 +40,11 @@ forcing is for the linearization's error, so a problem with no nonlinear
 rows, whose linearization is exact and whose first subproblem is the whole
 problem, starts at omega_star; it takes the same loop as any other.
 
-Infeasible problems surface when the penalty climbs past RHO_BAR while the
-nonlinear rows still violate their bounds; the point returned then is a
-first-order stationary point of the squared-residual minimization.
+Infeasible problems surface before the first major, at the proximal start's
+point of least elastic sum, when no point of the box meets the linear rows;
+or when the penalty climbs past RHO_BAR while the nonlinear rows still
+violate their bounds, at a first-order stationary point of the
+squared-residual minimization.
 CannotImprove ends a run on any of four rules: a subproblem still
 Unbounded past RHO_BAR from a point that violates the nonlinear rows; in
 the canonical mode, a kernel at its limit or an accepted candidate that
@@ -58,8 +60,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .innersolve import (CONVERGED, ITERATION_LIMIT, PpInfeasible, UNBOUNDED,
-                         SubproblemSolution, solve_lc, solve_proximal)
+from .innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED, SubproblemSolution,
+                         solve_lc, solve_proximal)
 from .linearize import Linearization, assemble_elastic, linearize_constraints
 from .merit import KktResidual, is_optimal, kkt_residual
 from .model import (NlpProblem, Vector, build_slack_form, check_derivatives,
@@ -278,15 +280,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             f"derivative check failed at the start point: worst {deriv.worst_index} "
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
 
-    try:
-        x0 = solve_proximal(sf, x_tilde)
-    except PpInfeasible:
-        lin = linearize_constraints(sf, sf.embed(np.clip(x_tilde, *problem.bounds_x)))
-        y, z = np.zeros(sf.m), np.zeros(sf.n_ext)
-        res, _ = kkt_residual(lin, y, z)
-        return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
-                            trace=[], f_norm_0=res.f_norm)
-
+    x0, meets_rows = solve_proximal(sf, x_tilde)
     lin = linearize_constraints(sf, sf.scale_at(x0))
     # multipliers and the schedule's targets in the slack form's units
     y = (np.zeros(sf.m) if y_start is None
@@ -296,6 +290,10 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     z = lin.g - lin.jacobian_t(y)
     res, f_norm = kkt_residual(lin, y, z)
     f_norm_0 = res.f_norm
+    if not meets_rows:
+        # x0 is the least elastic sum of the linear rows, the certificate
+        return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
+                            trace=[], f_norm_0=f_norm_0)
 
     # without nonlinear rows the linearization is exact: solve to the target
     omega = (omega_star if sf.m_c == 0

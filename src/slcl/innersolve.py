@@ -12,7 +12,8 @@ does.  Every elastic subproblem is one kernel call, started on its
 linearized rows where one step reaches them and from the BFGS matrix the
 previous subproblem ended with; the step is the minimizer of that
 matrix's quadratic model on the rows, as SNOPT's QP step is, with the
-identity at the first major.  The proximal start is at most two calls.
+identity at the first major.  The proximal start is at most two calls, and
+none from a clipped start that meets the linear rows.
 Like the user routine of MINOS and SNOPT, the kernel's evaluate returns a
 point's value together with what computing it left behind (for the elastic
 subproblem, the point's record, holding its residual and f), and the
@@ -52,10 +53,6 @@ _UNBOUNDED_NORM = 1e10
 # stationarity of both proximal phases: the elastic phase stops short of a
 # feasible point when a row scaling makes its reduced costs smaller than this
 _PP_OMEGA = 1e-9
-
-
-class PpInfeasible(Exception):
-    """The proximal start problem has no point satisfying bounds and linear rows."""
 
 
 @dataclass
@@ -386,21 +383,22 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     return _finalize(sub, res, omega)
 
 
-def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
-    """Project x_tilde onto the bounds and linear rows; return it embedded
-    (see SlackForm.embed).
+def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
+    """Project x_tilde onto the bounds and linear rows; return the point
+    embedded (see SlackForm.embed) and whether it meets the rows.
 
     Minimizes (1/2)||x - x_tilde||^2 over u = (x, s_A) in the box subject to
-    the rows A x - s_A = 0.  When the clipped start violates a row, a first
-    kernel call minimizes the elastic sum of v + w on the rows
-    A x - s_A + v - w = 0 to find a feasible point, and raises PpInfeasible
-    when that sum stays above the rounding of the rows.
+    the rows A x - s_A = 0.  A clipped start that meets every row is its
+    own projection.  Otherwise a first kernel call minimizes the elastic
+    sum of v + w on the rows A x - s_A + v - w = 0 to find a feasible point;
+    when that sum stays above the rounding of the rows, no point meets them
+    and its point of least elastic sum comes back with False.
     """
     nlp = sf.nlp
     lx, ux = nlp.bounds_x
     x_tilde = np.clip(np.asarray(x_tilde, dtype=float).reshape(nlp.n), lx, ux)
     if nlp.m_A == 0:
-        return sf.embed(x_tilde)
+        return sf.embed(x_tilde), True
 
     n, m = nlp.n, nlp.m_A
     lA, uA = nlp.bounds_A
@@ -414,20 +412,20 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
     rows = wide[:, :n + m].copy()
     u = np.concatenate([x_tilde, np.clip(nlp.A @ x_tilde, lA, uA)])
     r = rows @ u
-    if r.any():
-        v, w = optimal_elastics(r)
-        cost = np.concatenate([np.zeros(n + m), np.ones(2 * m)])
-        res = bound_solve(lambda q: (float(cost @ q), None),
-                          lambda q, _: cost,
-                          np.concatenate([lo, np.zeros(2 * m)]),
-                          np.concatenate([hi, np.full(2 * m, np.inf)]),
-                          np.concatenate([u, v, w]), _PP_OMEGA,
-                          rows=wide)
-        u = res.x[:n + m]
-        if res.f > _ROUNDOFF * (1.0 + float(np.sum(np.abs(rows) @ np.abs(u)))):
-            raise PpInfeasible(
-                f"no point satisfies the bounds and linear rows "
-                f"(least elastic sum {res.f:.3e})")
+    if not r.any():
+        return sf.embed(x_tilde), True
+
+    v, w = optimal_elastics(r)
+    cost = np.concatenate([np.zeros(n + m), np.ones(2 * m)])
+    res = bound_solve(lambda q: (float(cost @ q), None),
+                      lambda q, _: cost,
+                      np.concatenate([lo, np.zeros(2 * m)]),
+                      np.concatenate([hi, np.full(2 * m, np.inf)]),
+                      np.concatenate([u, v, w]), _PP_OMEGA,
+                      rows=wide)
+    u = res.x[:n + m]
+    if res.f > _ROUNDOFF * (1.0 + float(np.sum(np.abs(rows) @ np.abs(u)))):
+        return sf.embed(u[:n]), False
 
     def evaluate(q: Vector) -> tuple[float, Vector]:
         d = q[:n] - x_tilde
@@ -435,4 +433,4 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> Vector:
 
     res = bound_solve(evaluate, lambda q, d: np.concatenate([d, np.zeros(m)]),
                       lo, hi, u, _PP_OMEGA, rows=rows)
-    return sf.embed(np.clip(res.x[:n], lx, ux))
+    return sf.embed(res.x[:n]), True

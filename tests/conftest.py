@@ -1,8 +1,18 @@
-"""Shared test helpers."""
+"""Shared test helpers.
+
+BLAS runs on one thread, set before NumPy is first imported, as in
+perfbench/run.py and tools/identity.py: above a few dozen variables the
+kernel's LU solve rounds differently on more threads, so the tests would
+otherwise follow other bits on other machines.
+"""
 
 import dataclasses
+import os
 
 import pytest
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 @pytest.fixture

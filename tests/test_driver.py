@@ -18,7 +18,7 @@ from slcl.driver import (ALPHA, BCL, BETA, CANONICAL, ETA_0, RHO_FLOOR, SIGMA_HI
                          update_on_success)
 from slcl.innersolve import CONVERGED, ITERATION_LIMIT, UNBOUNDED, SubproblemSolution
 from slcl.linearize import ElasticSubproblem, linearize_constraints
-from slcl.merit import kkt_residual
+from slcl.merit import kkt_residual, min_norm_stationarity
 from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
 
@@ -630,18 +630,34 @@ class TestSolve:
         assert rep.minors <= 100
 
     def test_infeasible_rows_surface_before_the_loop(self):
-        p = NlpProblem(
-            n=2, m_c=0, m_A=1,
-            eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
-            eval_c=None, eval_J=None, A=np.array([[1.0, 1.0]]),
-            bounds_x=(np.zeros(2), np.ones(2)),
-            bounds_c=(np.zeros(0), np.zeros(0)),
-            bounds_A=(np.array([10.0]), np.array([10.0])),
-            x_tilde=np.array([0.5, 0.5]))
-        rep = solve(p)
+        """Linear rows that no point of the box meets end the run before
+        any major, at the proximal start's point of least elastic sum:
+        (1, 1) for x1 + x2 = 10 on [0, 1]^2, where the row misses by 8, and
+        for x1 + x2 >= 3 from (0.2, 0.1), where the squared residual is
+        stationary.  The clipped start itself misses by 9 and by 2.7."""
+        def rows_on_the_unit_box(lA, uA, x_tilde):
+            return NlpProblem(
+                n=2, m_c=0, m_A=1,
+                eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
+                eval_c=None, eval_J=None, A=np.array([[1.0, 1.0]]),
+                bounds_x=(np.zeros(2), np.ones(2)),
+                bounds_c=(np.zeros(0), np.zeros(0)),
+                bounds_A=(np.array([lA]), np.array([uA])),
+                x_tilde=np.array(x_tilde))
+
+        rep = solve(rows_on_the_unit_box(10.0, 10.0, [0.5, 0.5]))
         assert rep.status == "Infeasible"
         assert rep.majors == 0
         assert rep.f_norm_0 == rep.residual.f_norm
+        np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-12)
+        assert rep.residual.primal_inf == pytest.approx(8.0, abs=1e-12)
+
+        p = rows_on_the_unit_box(3.0, INF, [0.2, 0.1])
+        rep = solve(p)
+        assert rep.status == "Infeasible" and rep.majors == 0
+        np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-12)
+        lin = linearize_constraints(build_slack_form(p), rep.x_ext)
+        assert min_norm_stationarity(lin) <= 1e-12
 
     def test_linear_only_problem_takes_one_major(self):
         """Linear rows are their own linearization, so the first subproblem
@@ -923,6 +939,25 @@ class TestSolve:
                 assert getattr(first, field) == getattr(second, field), field
             np.testing.assert_array_equal(first.x_ext, second.x_ext)
         np.testing.assert_array_equal(first.x, at_minimizer.x_tilde)
+
+    def test_large_multiplier_starts_keep_every_status(self):
+        """Every catalog entry with rows, from y_start = 1e4 on each row,
+        ends at the status of its classification with no RuntimeWarning.
+        This stops holding from about 3e6: quarter-ellipse ends Infeasible
+        there, and at 1e8 eleven of the seventeen entries end wrong."""
+        expected = {SOLVABLE: "Optimal", "infeasible": "Infeasible",
+                    "unbounded": "Unbounded"}
+        runs = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for name in catalog_names():
+                entry = catalog_get(name)
+                m = entry.problem.m_c + entry.problem.m_A
+                if m:
+                    rep = solve(entry.problem, y_start=np.full(m, 1e4))
+                    assert rep.status == expected[entry.classification], name
+                    runs += 1
+        assert runs == 17
 
     def test_no_callback_repeats_a_point(self, spy_calls):
         """Within one solve each callback is called at most once at any x,

@@ -10,8 +10,8 @@ from slcl import driver, innersolve
 from slcl.catalog import catalog_get
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import (CONVERGED, ITERATION_LIMIT, UNBOUNDED,
-                             PpInfeasible, SubproblemSolution, bound_solve,
-                             solve_lc, solve_proximal)
+                             SubproblemSolution, bound_solve, solve_lc,
+                             solve_proximal)
 from slcl.linearize import (ElasticSubproblem, assemble_elastic,
                             linearize_constraints)
 from slcl.merit import aug_lagrangian_grad, comp_measure
@@ -930,19 +930,29 @@ class TestVerifyRelaxedKkt:
 class TestSolveProximal:
     def test_projects_onto_box(self):
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([-1.0, 5.0]))
+        x0, meets_rows = solve_proximal(sf, np.array([-1.0, 5.0]))
+        assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 2.0], atol=1e-8)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
-    def test_feasible_guess_is_kept(self):
+    def test_feasible_guess_is_kept(self, monkeypatch):
+        """A clipped start that meets its rows is its own projection: it
+        comes back as its embedding, bit for bit, with no kernel call."""
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(innersolve, "bound_solve", no_kernel)
         sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(x0[:2], [1.0, 1.0], atol=1e-4)
-        np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
+        x_tilde = np.array([1.0, 1.0])
+        x0, meets_rows = solve_proximal(sf, x_tilde)
+        assert meets_rows
+        assert x0.tobytes() == sf.embed(x_tilde).tobytes()
+        np.testing.assert_array_equal(sf.residual(x0), 0.0)
 
     def test_equality_rows_are_met(self):
         sf = build_slack_form(catalog_get("lin-eq-quadratic").problem)
-        x0 = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        x0, meets_rows = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        assert meets_rows
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
         x = x0[:3]
         assert abs(x[0] + x[1] + x[2] - 4.0) <= 1e-6
@@ -963,7 +973,8 @@ class TestSolveProximal:
             bounds_A=(np.array([-INF]), np.array([1.0])),
             x_tilde=np.array([0.3, 2.0]))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
@@ -978,7 +989,8 @@ class TestSolveProximal:
             bounds_A=(np.array([3.0]), np.array([3.0])),
             x_tilde=np.zeros(2))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        assert meets_rows
         assert abs(x0[0] + 2.0 * x0[1] - 3.0) <= 1e-12
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
         np.testing.assert_allclose(x0[:2], [0.6, 1.2], atol=1e-5)
@@ -998,12 +1010,14 @@ class TestSolveProximal:
             bounds_A=(np.array([1.0]), np.array([1.0])),
             x_tilde=np.zeros(1))
         sf = build_slack_form(p)
-        x0 = solve_proximal(sf, p.x_tilde)
+        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        assert meets_rows
         np.testing.assert_allclose(x0[0], 1e7, rtol=1e-12)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
 
-    def test_impossible_rows_raise(self):
-        """x1 + x2 = 10 cannot hold inside [0, 1]^2."""
+    def test_impossible_rows_give_least_elastic_sum(self):
+        """x1 + x2 = 10 cannot hold inside [0, 1]^2; the point of least
+        elastic sum is (1, 1)."""
         p = NlpProblem(
             n=2, m_c=0, m_A=1,
             eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
@@ -1013,10 +1027,12 @@ class TestSolveProximal:
             bounds_A=(np.array([10.0]), np.array([10.0])),
             x_tilde=np.array([0.5, 0.5]))
         sf = build_slack_form(p)
-        with pytest.raises(PpInfeasible):
-            solve_proximal(sf, p.x_tilde)
+        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        assert not meets_rows
+        np.testing.assert_allclose(x0, [1.0, 1.0, 10.0], atol=1e-12)
 
     def test_no_linear_rows_is_plain_embedding(self):
         sf = build_slack_form(catalog_get("circle-proj").problem)
-        x0 = solve_proximal(sf, np.array([-2.0, 0.5]))
+        x0, meets_rows = solve_proximal(sf, np.array([-2.0, 0.5]))
+        assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 0.5])

@@ -31,7 +31,7 @@ UNITS = [(1.0, 1.0), (1e-3, 1.0), (1e3, 1.0), (1.0, 1e-3), (1.0, 1e3)]
 def _start_gradient_norm(problem) -> float:
     """||g||_inf at the start the solve scales at: x_tilde projected onto
     the bounds and linear rows."""
-    x0 = solve_proximal(build_slack_form(problem), problem.x_tilde)[:problem.n]
+    x0 = solve_proximal(build_slack_form(problem), problem.x_tilde)[0][:problem.n]
     return float(np.abs(problem.eval_g(x0)).max())
 
 
@@ -175,7 +175,7 @@ class TestReportUnits:
         at the scaled start with multipliers off the solution."""
         problem = catalog_get(name).problem
         sf = build_slack_form(problem)
-        x_ext = sf.scale_at(solve_proximal(sf, problem.x_tilde))
+        x_ext = sf.scale_at(solve_proximal(sf, problem.x_tilde)[0])
         assert sf.f_scale < 1.0 and (sf.row_scale < 1.0).all()
         rng = np.random.default_rng(3)
         y, z = rng.standard_normal(sf.m), rng.standard_normal(sf.n_ext)
