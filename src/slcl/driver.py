@@ -41,8 +41,8 @@ rows, whose linearization is exact and whose first subproblem is the whole
 problem, starts at omega_star; it takes the same loop as any other.
 
 Infeasible problems surface before the first major, at the proximal start's
-point of least elastic sum, when no point of the box meets the linear rows;
-or when the penalty climbs past RHO_BAR while the nonlinear rows still
+point of least squared residual, when no point of the box meets the linear
+rows; or when the penalty climbs past RHO_BAR while the nonlinear rows still
 violate their bounds, at a first-order stationary point of the
 squared-residual minimization.
 CannotImprove ends a run on any of four rules: a subproblem still
@@ -199,7 +199,7 @@ def update_on_success(state: OuterState, sol: SubproblemSolution, c_val: Vector,
     y_star = state.y + sol.delta_y
     # the canonical mode takes the subproblem multipliers directly
     state.y = y_star if opts.mode == CANONICAL else y_star - state.rho * c_val
-    state.z = np.array(sol.z_star)
+    state.z = sol.z_star
     if opts.mode == STABILIZED:
         dy_norm = float(np.abs(sol.delta_y[:m_c]).max(initial=0.0))
         state.sigma = max(SIGMA_LO, min(dy_norm, SIGMA_HI))
@@ -291,7 +291,7 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
     res, f_norm = kkt_residual(lin, y, z)
     f_norm_0 = res.f_norm
     if not meets_rows:
-        # x0 is the least elastic sum of the linear rows, the certificate
+        # x0 minimizes the linear rows' squared residual: the certificate
         return _make_report(INFEASIBLE, lin, y, z, res, minors=0, counts0=counts0,
                             trace=[], f_norm_0=f_norm_0)
 
@@ -315,8 +315,8 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         cand = sol.point
         c_norm = float(np.abs(cand.c_k).max(initial=0.0))
         dy_norm = float(np.abs(sol.delta_y[:sf.m_c]).max(initial=0.0))
-        elastic_inf = (float(np.abs(sol.v_star).max(initial=0.0))
-                       + float(np.abs(sol.w_star).max(initial=0.0)))
+        # the elastics are nonnegative
+        elastic_inf = float(sol.v_star.max(initial=0.0) + sol.w_star.max(initial=0.0))
 
         # a major at the omega floor stalls when its kernel hits its limit or
         # ends where it started; two in a row end the run

@@ -29,6 +29,7 @@ multipliers obey the sigma + omega box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +51,7 @@ _F_PRECISION = np.finfo(float).eps ** 0.8
 _MAX_INNER_ITERS = 5000
 _UNBOUNDED_OBJECTIVE = -1e15
 _UNBOUNDED_NORM = 1e10
-# stationarity of both proximal phases: the elastic phase stops short of a
+# stationarity of every proximal phase: the elastic phase stops short of a
 # feasible point when a row scaling makes its reduced costs smaller than this
 _PP_OMEGA = 1e-9
 
@@ -92,10 +93,9 @@ class BoundSolveResult:
     aux: object
 
 
-def _check_finite(where: str, x: Vector, *values) -> None:
-    for v in values:
-        if not np.isfinite(v).all():
-            raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
+def _check_finite(where: str, x: Vector, g: Vector, f: float = 0.0) -> None:
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        raise ValueError(f"non-finite value or gradient at the {where} point x={x!r}")
 
 
 def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
@@ -177,12 +177,12 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     ValueError.  n_evals counts the points evaluated (the start and every
     trial), iterations the accepted points.
     """
-    x = np.clip(np.array(start, dtype=float), lo, hi)
+    x = np.minimum(np.maximum(start, lo), hi)
     R = np.zeros((0, x.size)) if rows is None else rows
     offset = np.zeros(R.shape[0]) if offset is None else offset
     f, aux = evaluate(x)
     g = gradient(x, aux)
-    _check_finite("start", x, f, g)
+    _check_finite("start", x, g, f)
     n_evals = 1
     accepted = 0
     movable = lo < hi
@@ -197,7 +197,8 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         free = np.flatnonzero(~(at_lo | at_hi))
         d, y = _kkt_step(B, R, free, g, R @ x + offset)
         z = g - R.T @ y
-        if np.abs(comp_measure(x, z, lo, hi)).max(initial=0.0) <= tol:
+        # x is in the box, so the measure is nonnegative
+        if comp_measure(x, z, lo, hi).max(initial=0.0) <= tol:
             status = CONVERGED
             break
         if np.abs(z[free]).max(initial=0.0) <= tol:
@@ -290,13 +291,13 @@ def _finalize(sub: ElasticSubproblem, res: BoundSolveResult,
     # elastic-row multipliers must respect the sigma + omega box; clip the
     # rare numerical overshoot and recompute z so the triple stays consistent
     cap = sub.sigma_k + omega
-    delta_y[:sub.m_c] = np.clip(delta_y[:sub.m_c], -cap, cap)
+    delta_y[:sub.m_c] = np.minimum(np.maximum(delta_y[:sub.m_c], -cap), cap)
     z = res.g[:sub.n_ext] - sub.lin.J_k.T @ delta_y
     # a new record only if the kernel moved x onto a bound after evaluating it
     point = res.aux if res.aux is not None else Linearization(sub.lin.sf, np.array(x_ext))
     return SubproblemSolution(
         point=point, delta_y=delta_y, z_star=z,
-        v_star=np.array(v), w_star=np.array(w), status=res.status,
+        v_star=v, w_star=w, status=res.status,
         inner_iterations=res.iterations, hess=res.hess, rho=sub.rho_k,
         start=sub.start)
 
@@ -365,7 +366,7 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
             hess = hess.copy()
             hess[:n_ext, :n_ext] += ((sub.rho_k - warm_start.rho)
                                      * (lin.J_k.T @ lin.J_k))
-    if np.array_equal(x0, lin.x_k):
+    if x0 is lin.x_k or np.array_equal(x0, lin.x_k):
         B = np.identity(n_ext) if hess is None else hess[:n_ext, :n_ext]
         x0, r, rounding = _step_to_rows(
             lin, x0, B, aug_lagrangian_grad(lin, sub.y_k, sub.rho_k))
@@ -391,8 +392,9 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
     the rows A x - s_A = 0.  A clipped start that meets every row is its
     own projection.  Otherwise a first kernel call minimizes the elastic
     sum of v + w on the rows A x - s_A + v - w = 0 to find a feasible point;
-    when that sum stays above the rounding of the rows, no point meets them
-    and its point of least elastic sum comes back with False.
+    when that sum stays above the rounding of the rows, no point meets them,
+    and the point a second call reaches from there by minimizing
+    (1/2)||A x - s_A||^2 over the box comes back with False.
     """
     nlp = sf.nlp
     lx, ux = nlp.bounds_x
@@ -425,7 +427,14 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
                       rows=wide)
     u = res.x[:n + m]
     if res.f > _ROUNDOFF * (1.0 + float(np.sum(np.abs(rows) @ np.abs(u)))):
-        return sf.embed(u[:n]), False
+        # with several rows the least elastic sum need not be stationary for
+        # (1/2)||r||^2, the certificate's measure
+        def half_square(q: Vector) -> tuple[float, Vector]:
+            r = rows @ q
+            return 0.5 * float(r @ r), r
+
+        res = bound_solve(half_square, lambda q, r: rows.T @ r, lo, hi, u, _PP_OMEGA)
+        return sf.embed(res.x[:n]), False
 
     def evaluate(q: Vector) -> tuple[float, Vector]:
         d = q[:n] - x_tilde

@@ -59,7 +59,9 @@ class Linearization:
     @_once
     def g(self) -> Vector:
         sf = self.sf
-        return np.concatenate([sf.f_scale * sf.nlp.g(self.x_k[:sf.n]), np.zeros(sf.m)])
+        out = np.zeros(sf.n_ext)
+        np.multiply(sf.f_scale, sf.nlp.g(self.x_k[:sf.n]), out=out[:sf.n])
+        return out
 
     @_once
     def J_x(self) -> Matrix:
@@ -79,9 +81,12 @@ class Linearization:
 
     def jacobian_t(self, y: Vector) -> Vector:
         """J_k^T y by blocks: J_k is [J(x), -I, 0; A, 0, -I], so the product
-        is (J(x)^T y_c + A^T y_A; -y_c; -y_A) without forming the slack blocks."""
-        y_c, y_A = y[:self.sf.m_c], y[self.sf.m_c:]
-        return np.concatenate([self.J_x.T @ y_c + self.sf.nlp.A.T @ y_A, -y_c, -y_A])
+        is (J(x)^T y_c + A^T y_A; -y) without forming the slack blocks."""
+        sf = self.sf
+        out = np.empty(sf.n_ext)
+        np.negative(y, out=out[sf.n:])
+        out[:sf.n] = self.J_x.T @ y[:sf.m_c] + sf.nlp.A.T @ y[sf.m_c:]
+        return out
 
 
 def linearize_constraints(sf: SlackForm, x_ext: Vector) -> Linearization:
@@ -116,8 +121,7 @@ class ElasticSubproblem:
         self.y_k = np.asarray(self.y_k, dtype=float).reshape(sf.m)
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")
-        self.lo = np.concatenate([sf.lo, np.zeros(2 * m_c)])
-        self.hi = np.concatenate([sf.hi, np.full(2 * m_c, np.inf)])
+        self.lo, self.hi = sf.lifted_lo, sf.lifted_hi
         # column-major: R's memory order sets how the kernel's products sum,
         # and with it the iterates in their last bits
         R = self.rows = np.zeros((sf.m, self.n_ext + 2 * m_c), order="F")

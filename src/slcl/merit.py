@@ -79,9 +79,9 @@ def kkt_residual(lin: Linearization, y: Vector,
     sf, x, r = lin.sf, lin.x_k, lin.c_k
     dual_vec = lin.g - lin.jacobian_t(y) - z
     f_norm = _measures(x, r, z, dual_vec, sf.lo, sf.hi).f_norm
-    d, to_user = sf.col_scale, sf.col_scale / sf.f_scale
+    d, to_user = sf.col_scale, sf.to_user
     return _measures(x / d, r / d[sf.n:], z * to_user, dual_vec * to_user,
-                     sf.lo / d, sf.hi / d), f_norm
+                     sf.user_lo, sf.user_hi), f_norm
 
 
 def is_optimal(res: KktResidual, omega_star: float, eta_star: float) -> bool:

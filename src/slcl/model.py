@@ -46,9 +46,7 @@ def scale_factors(norms):
 
 def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
     """Infinity-norm distance of x from the box [lo, hi]; 0 for empty x."""
-    low = np.maximum(lo - x, 0.0)
-    high = np.maximum(x - hi, 0.0)
-    return float(max(low.max(initial=0.0), high.max(initial=0.0)))
+    return float(np.maximum(np.maximum(lo - x, x - hi), 0.0).max(initial=0.0))
 
 
 def _shaped(value, shape, what: str) -> np.ndarray:
@@ -193,7 +191,10 @@ class SlackForm:
     original problem, and vice versa.  The factors are powers of two, so
     moving between units is exact: a point of the form is col_scale times
     the problem's point, and its multipliers y and z are those of the
-    problem times f_scale / col_scale.  They are 1 until scale_at sets them.
+    problem times f_scale / col_scale.  They are 1 until scale_at sets them,
+    with the arrays that follow from them and are never written: the box
+    lifted by elastic pairs in [0, inf), to_user = col_scale / f_scale and
+    the box in the problem's units.
     """
 
     nlp: NlpProblem
@@ -204,6 +205,18 @@ class SlackForm:
     f_scale: float
     row_scale: Vector  # one factor per nonlinear row
     col_scale: Vector  # (1 for x, row_scale, 1 for s_A)
+    lifted_lo: Vector = field(init=False, repr=False)
+    lifted_hi: Vector = field(init=False, repr=False)
+    to_user: Vector = field(init=False, repr=False)
+    user_lo: Vector = field(init=False, repr=False)
+    user_hi: Vector = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pad = 2 * self.m_c
+        self.lifted_lo = np.concatenate([self.lo, np.zeros(pad)])
+        self.lifted_hi = np.concatenate([self.hi, np.full(pad, INF)])
+        self.to_user = self.col_scale / self.f_scale
+        self.user_lo, self.user_hi = self.lo / self.col_scale, self.hi / self.col_scale
 
     @property
     def n(self) -> int:
@@ -257,7 +270,8 @@ class SlackForm:
         the problem's units, and return x_ext in the form's units.
 
         f_scale comes from ||g||_inf and each row's factor from the
-        infinity norm of its row of J (see scale_factors).  Called once, on
+        infinity norm of its row of J (see scale_factors); the arrays that
+        follow from the factors are set again after them.  Called once, on
         a form with unit factors, before any record of it is built.
         """
         x = x_ext[:self.n]
@@ -266,13 +280,13 @@ class SlackForm:
         self.col_scale = np.concatenate([np.ones(self.n), self.row_scale,
                                          np.ones(self.m_A)])
         self.lo, self.hi = self.lo * self.col_scale, self.hi * self.col_scale
+        self.__post_init__()
         return x_ext * self.col_scale
 
     def unscaled(self, x_ext: Vector, y: Vector,
                  z: Vector) -> tuple[Vector, Vector, Vector]:
         """A point of the form with its multipliers, in the problem's units."""
-        to_user = self.col_scale / self.f_scale
-        return x_ext / self.col_scale, y * to_user[self.n:], z * to_user
+        return x_ext / self.col_scale, y * self.to_user[self.n:], z * self.to_user
 
 
 def build_slack_form(problem: NlpProblem) -> SlackForm:

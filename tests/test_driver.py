@@ -357,12 +357,14 @@ class TestCannotImprove:
     def test_two_kernel_stalls_at_the_omega_floor(self, monkeypatch):
         """A kernel that stops at its limit is rejected; the run ends at the
         second such major whose omega is at omega_star, however many came
-        before it above the floor."""
+        before it above the floor.  The second run starts one decade above
+        the floor, so it reaches the floor before the rejections raise rho
+        to where the real kernels take thousands of minors."""
         _fake_solve_lc(monkeypatch, self._stall)
         problem = catalog_get("circle-proj").problem
         rep = solve(problem, OuterOptions(omega_0=1e-6, omega_star=1e-6))
         assert rep.status == "CannotImprove" and rep.majors == 2
-        rep = solve(problem)
+        rep = solve(problem, OuterOptions(omega_0=1e-5))
         omegas = [t.omega for t in rep.trace]
         assert rep.status == "CannotImprove" and rep.majors > 3
         assert omegas[-2] == omegas[-1] == 1e-6 < omegas[-3]
@@ -631,9 +633,9 @@ class TestSolve:
 
     def test_infeasible_rows_surface_before_the_loop(self):
         """Linear rows that no point of the box meets end the run before
-        any major, at the proximal start's point of least elastic sum:
-        (1, 1) for x1 + x2 = 10 on [0, 1]^2, where the row misses by 8, and
-        for x1 + x2 >= 3 from (0.2, 0.1), where the squared residual is
+        any major, at the proximal start's least-squares point: (1, 1) for
+        x1 + x2 = 10 on [0, 1]^2, where the row misses by 8, and for
+        x1 + x2 >= 3 from (0.2, 0.1), where the squared residual is
         stationary.  The clipped start itself misses by 9 and by 2.7."""
         def rows_on_the_unit_box(lA, uA, x_tilde):
             return NlpProblem(
@@ -658,6 +660,25 @@ class TestSolve:
         np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-12)
         lin = linearize_constraints(build_slack_form(p), rep.x_ext)
         assert min_norm_stationarity(lin) <= 1e-12
+
+    def test_several_infeasible_rows_give_a_stationary_certificate(self):
+        """x1 >= 2 and x1 + x2 <= -1 on [0, 1]^2: the points of least
+        elastic sum form a segment, on which phase 1 stops at (2/3, 0), where
+        the squared residual's measure is 1/3; the report is the point where
+        that measure is 0, (1/2, 0)."""
+        p = NlpProblem(
+            n=2, m_c=0, m_A=2,
+            eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),
+            eval_c=None, eval_J=None, A=np.array([[1.0, 0.0], [1.0, 1.0]]),
+            bounds_x=(np.zeros(2), np.ones(2)),
+            bounds_c=(np.zeros(0), np.zeros(0)),
+            bounds_A=(np.array([2.0, -INF]), np.array([INF, -1.0])),
+            x_tilde=np.array([0.5, 0.5]))
+        rep = solve(p)
+        assert rep.status == "Infeasible" and rep.majors == 0
+        lin = linearize_constraints(build_slack_form(p), rep.x_ext)
+        assert min_norm_stationarity(lin) <= 1e-8
+        np.testing.assert_allclose(rep.x, [0.5, 0.0], atol=1e-8)
 
     def test_linear_only_problem_takes_one_major(self):
         """Linear rows are their own linearization, so the first subproblem

@@ -1017,7 +1017,7 @@ class TestSolveProximal:
 
     def test_impossible_rows_give_least_elastic_sum(self):
         """x1 + x2 = 10 cannot hold inside [0, 1]^2; the point of least
-        elastic sum is (1, 1)."""
+        elastic sum, (1, 1), also has the least squared residual."""
         p = NlpProblem(
             n=2, m_c=0, m_A=1,
             eval_f=lambda x: 0.0, eval_g=lambda x: np.zeros(2),

@@ -16,9 +16,9 @@ import pytest
 from slcl.catalog import SOLVABLE, catalog_get, catalog_names
 from slcl.driver import OuterOptions, solve
 from slcl.innersolve import solve_proximal
-from slcl.linearize import linearize_constraints
-from slcl.merit import kkt_residual
-from slcl.model import build_slack_form, scale_factors
+from slcl.linearize import ElasticSubproblem, linearize_constraints
+from slcl.merit import _measures, kkt_residual
+from slcl.model import INF, build_slack_form, scale_factors
 
 # the solvable entries with nonlinear rows, whose rows the scaling touches
 ROW_NAMES = [n for n in catalog_names()
@@ -71,6 +71,46 @@ class TestFactorRule:
             assert factors.shape == (catalog_get(name).problem.m_c + 1,)
             mantissa, _ = np.frexp(factors)
             assert (mantissa == 0.5).all() and (factors <= 1.0).all(), name
+
+
+class TestFormArrays:
+    def test_arrays_follow_the_factors(self):
+        """The lifted box an ElasticSubproblem reads and kkt_residual's
+        result equal, bit for bit, the expressions the form's held arrays
+        stand for, on every catalog entry as built and after scale_at, at
+        the proximal start and at a point moved off it: an array that is
+        unset, stale or computed before the factors fails here."""
+        rng = np.random.default_rng(3)
+        scaled = 0
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            sf = build_slack_form(problem)
+            x_ext = solve_proximal(sf, problem.x_tilde)[0]
+            for stage in ("built", "scaled"):
+                if stage == "scaled":
+                    x_ext = sf.scale_at(x_ext)
+                    scaled += sf.f_scale != 1.0 or (sf.col_scale != 1.0).any()
+                pad = 2 * sf.m_c
+                moved = np.clip(x_ext + 0.1 * rng.standard_normal(sf.n_ext), sf.lo, sf.hi)
+                for x in (x_ext, moved):
+                    lin = linearize_constraints(sf, x)
+                    sub = ElasticSubproblem(lin=lin, y_k=np.zeros(sf.m), rho_k=1.0,
+                                            sigma_k=1.0)
+                    assert sub.lo.tobytes() == np.concatenate(
+                        [sf.lo, np.zeros(pad)]).tobytes(), (name, stage)
+                    assert sub.hi.tobytes() == np.concatenate(
+                        [sf.hi, np.full(pad, INF)]).tobytes(), (name, stage)
+                    y = rng.standard_normal(sf.m)
+                    z = 10.0 * rng.standard_normal(sf.n_ext)
+                    r, d = lin.c_k, sf.col_scale
+                    dual_vec = lin.g - lin.jacobian_t(y) - z
+                    to_user = d / sf.f_scale
+                    expected = (
+                        _measures(x / d, r / d[sf.n:], z * to_user, dual_vec * to_user,
+                                  sf.lo / d, sf.hi / d),
+                        _measures(x, r, z, dual_vec, sf.lo, sf.hi).f_norm)
+                    assert kkt_residual(lin, y, z) == expected, (name, stage)
+        assert scaled == 13
 
 
 class TestUnits:
