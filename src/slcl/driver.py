@@ -9,13 +9,14 @@ test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
 the kernel's of its last point.  A kernel that starts at the last
 kernel's candidate or start reads that record (see innersolve.solve_lc).
-Where a new record is of a point visited before (the start, which the
-proximal start embedded and the derivative check probed if it lies two of
-the check's steps inside its bounds), the problem returns the values of its
-last calls (see model.NlpProblem), so a solve calls each callback at most
-once at any point.  The elastic weight sigma makes the
-method degrade gracefully between the two classical extremes, which are
-also available directly as modes:
+Where a new record is of a point visited before (the start, whose g and J
+the slack form's factors read, whose c its embedding read, and which the
+derivative check probed if it lies two of the check's steps inside its
+bounds), the problem returns the values of its last calls (see
+model.NlpProblem), so a solve calls each callback at most once at any
+point.  The elastic weight sigma makes the method degrade gracefully
+between the two classical extremes, which are also available directly as
+modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -26,11 +27,11 @@ also available directly as modes:
 
 canonical and bcl start the penalty at 10^2.5 / m_c for m_c nonlinear rows.
 
-Every mode solves the problem as the slack form scales it at the start
-(see model.SlackForm.scale_at), so the schedule's fixed constants meet
-gradients of about unit size.  The targets omega_0 and omega_star are
-mapped into those units, and the optimality test and the report are in the
-problem's own.
+Every mode solves the problem as the slack form scales it at the proximal
+start, where the form is built (see model.build_slack_form), so the
+schedule's fixed constants meet gradients of about unit size.  The targets
+omega_0 and omega_star are mapped into those units, and the optimality test
+and the report are in the problem's own.
 
 Subproblems are solved only as well as the outer KKT measure F warrants,
 as an inexact Newton method chooses its forcing terms: the first
@@ -267,11 +268,13 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
           y_start: Vector | None = None) -> SolveReport:
     """Run the outer loop on a problem and return the full report."""
     opts = opts if opts is not None else OuterOptions()
-    sf = build_slack_form(problem)
+    # afresh, on inputs checked again: they may have been reassigned
+    problem._last.clear()
+    problem.check_inputs()
     x_tilde = (problem.x_tilde if x_start is None
                else finite_array(x_start, problem.n, "x_start"))
     if y_start is not None:
-        y_start = finite_array(y_start, sf.m, "y_start")
+        y_start = finite_array(y_start, problem.m_c + problem.m_A, "y_start")
     counts0 = _eval_counts(problem)
 
     deriv = check_derivatives(problem, x_tilde)
@@ -280,8 +283,9 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
             f"derivative check failed at the start point: worst {deriv.worst_index} "
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
 
-    x0, meets_rows = solve_proximal(sf, x_tilde)
-    lin = linearize_constraints(sf, sf.scale_at(x0))
+    x0, meets_rows = solve_proximal(problem, x_tilde)
+    sf = build_slack_form(problem, x0)
+    lin = linearize_constraints(sf, sf.embed(x0))
     # multipliers and the schedule's targets in the slack form's units
     y = (np.zeros(sf.m) if y_start is None
          else y_start * sf.f_scale / sf.col_scale[sf.n:])

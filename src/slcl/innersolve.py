@@ -37,7 +37,7 @@ import numpy as np
 
 from .linearize import ElasticSubproblem, Linearization, optimal_elastics
 from .merit import aug_lagrangian_grad, comp_measure
-from .model import Matrix, SlackForm, Vector
+from .model import Matrix, NlpProblem, Vector
 
 CONVERGED = "Converged"
 UNBOUNDED = "Unbounded"
@@ -154,14 +154,14 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     predicted decrease is below the precision of the value, eps^0.8 (1 + |f|),
     passes when the value rises by no more than that.  Once the free
     coordinates are stationary, the working bound whose multiplier g - R^T y
-    has the worst wrong sign is released.  B starts as a copy of hess, which
-    is never written, or as the identity without one, takes Powell-damped
-    updates in place and resets to the identity when a search fails or B
-    has become singular along a step; a failed search from the identity
-    ends the solve.  The rows must hold at the start; each step also
-    cancels their rounding drift, which is no decrease, so the search tests
-    the reduced slope (g - R^T y).d.  Without rows this is a box-constrained
-    quasi-Newton method.
+    has the worst wrong sign is released.  B starts as hess, or as the
+    identity without one, takes Powell-damped updates in place, on a copy
+    made at the first so that hess is never written, and resets to the
+    identity when a search fails or B has become singular along a step; a
+    failed search from the identity ends the solve.  The rows must hold at
+    the start; each step also cancels their rounding drift, which is no
+    decrease, so the search tests the reduced slope (g - R^T y).d.  Without
+    rows this is a box-constrained quasi-Newton method.
 
     Converged means the two-sided complementarity of g - R^T y against the
     box (see merit.comp_measure) is at most tol.  Unbounded means an
@@ -189,12 +189,12 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
     at_lo = x == lo
     at_hi = (x == hi) & ~at_lo
     at_identity = hess is None
-    B = np.identity(x.size) if at_identity else np.array(hess, dtype=float)
+    B = np.identity(x.size) if at_identity else hess
     outer = np.empty_like(B)
     status = ITERATION_LIMIT
 
     for _ in range(_MAX_INNER_ITERS):
-        free = np.flatnonzero(~(at_lo | at_hi))
+        free = (~(at_lo | at_hi)).nonzero()[0]
         d, y = _kkt_step(B, R, free, g, R @ x + offset)
         z = g - R.T @ y
         # x is in the box, so the measure is nonnegative
@@ -270,6 +270,8 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
             theta = 0.8 * sBs / (sBs - sdg)
             dg = theta * dg + (1.0 - theta) * Bs
             sdg = 0.2 * sBs
+        if B is hess:
+            B = hess.copy()
         # through a buffer kept for the call: no n-by-n array per update
         U = np.array([dg, Bs])
         B += np.matmul(U.T * np.array([1.0 / sdg, -1.0 / sBs]), U, out=outer)
@@ -321,7 +323,7 @@ def _step_to_rows(lin: Linearization, x_ext: Vector, B: Matrix,
     free columns of deficient rank can.
     """
     lo, hi = lin.sf.lo, lin.sf.hi
-    free = np.flatnonzero((lo < x_ext) & (x_ext < hi))
+    free = ((lo < x_ext) & (x_ext < hi)).nonzero()[0]
     r = lin.cbar(x_ext)
     d = _kkt_step(B, lin.J_k, free, g, r)[0]
     i, alpha_max, bound_i = _ratio_test(x_ext, d, lo, hi)
@@ -330,7 +332,8 @@ def _step_to_rows(lin: Linearization, x_ext: Vector, B: Matrix,
         x_new[i] = bound_i
     m_c = lin.sf.m_c
     r_new, rounding = lin.cbar(x_new), _row_rounding(lin, x_new)
-    if (np.abs(r_new[m_c:]) > np.maximum(np.abs(r[m_c:]), rounding[m_c:])).any():
+    if lin.sf.m_A and (np.abs(r_new[m_c:])
+                       > np.maximum(np.abs(r[m_c:]), rounding[m_c:])).any():
         return x_ext, r, _row_rounding(lin, x_ext)
     return x_new, r_new, rounding
 
@@ -384,9 +387,9 @@ def solve_lc(sub: ElasticSubproblem, omega: float,
     return _finalize(sub, res, omega)
 
 
-def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
-    """Project x_tilde onto the bounds and linear rows; return the point
-    embedded (see SlackForm.embed) and whether it meets the rows.
+def solve_proximal(problem: NlpProblem, x_tilde: Vector) -> tuple[Vector, bool]:
+    """Project x_tilde onto the bounds and linear rows; return the projected
+    x, in the problem's units, and whether it meets the rows.
 
     Minimizes (1/2)||x - x_tilde||^2 over u = (x, s_A) in the box subject to
     the rows A x - s_A = 0.  A clipped start that meets every row is its
@@ -396,26 +399,26 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
     and the point a second call reaches from there by minimizing
     (1/2)||A x - s_A||^2 over the box comes back with False.
     """
-    nlp = sf.nlp
-    lx, ux = nlp.bounds_x
-    x_tilde = np.clip(np.asarray(x_tilde, dtype=float).reshape(nlp.n), lx, ux)
-    if nlp.m_A == 0:
-        return sf.embed(x_tilde), True
+    lx, ux = problem.bounds_x
+    x_tilde = np.minimum(np.maximum(
+        np.asarray(x_tilde, dtype=float).reshape(problem.n), lx), ux)
+    if problem.m_A == 0:
+        return x_tilde, True
 
-    n, m = nlp.n, nlp.m_A
-    lA, uA = nlp.bounds_A
+    n, m = problem.n, problem.m_A
+    lA, uA = problem.bounds_A
     lo = np.concatenate([lx, lA])
     hi = np.concatenate([ux, uA])
     # [A, -I] and the first phase's [A, -I, I, -I], built by index
     i = np.arange(m)
     wide = np.zeros((m, n + 3 * m))
-    wide[:, :n] = nlp.A
+    wide[:, :n] = problem.A
     wide[i, n + i], wide[i, n + m + i], wide[i, n + 2 * m + i] = -1.0, 1.0, -1.0
     rows = wide[:, :n + m].copy()
-    u = np.concatenate([x_tilde, np.clip(nlp.A @ x_tilde, lA, uA)])
+    u = np.concatenate([x_tilde, np.minimum(np.maximum(problem.A @ x_tilde, lA), uA)])
     r = rows @ u
     if not r.any():
-        return sf.embed(x_tilde), True
+        return x_tilde, True
 
     v, w = optimal_elastics(r)
     cost = np.concatenate([np.zeros(n + m), np.ones(2 * m)])
@@ -434,7 +437,7 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
             return 0.5 * float(r @ r), r
 
         res = bound_solve(half_square, lambda q, r: rows.T @ r, lo, hi, u, _PP_OMEGA)
-        return sf.embed(res.x[:n]), False
+        return res.x[:n], False
 
     def evaluate(q: Vector) -> tuple[float, Vector]:
         d = q[:n] - x_tilde
@@ -442,4 +445,4 @@ def solve_proximal(sf: SlackForm, x_tilde: Vector) -> tuple[Vector, bool]:
 
     res = bound_solve(evaluate, lambda q, d: np.concatenate([d, np.zeros(m)]),
                       lo, hi, u, _PP_OMEGA, rows=rows)
-    return sf.embed(res.x[:n]), True
+    return res.x[:n], True

@@ -99,8 +99,9 @@ class ElasticSubproblem:
     """Lifted elastic subproblem over u = (x_ext, v, w), v and w of size m_c.
 
     Its rows are R u + offset with R = [J_k, E, -E], held densely in rows
-    for the kernel; row_residual applies R by blocks.  start is the record
-    of the kernel's start point, lin until the caller sets another.
+    for the kernel (the form's blocks with J(x) written in); row_residual
+    applies R by blocks.  price is the gradient's elastic block, sigma_k.
+    start is the kernel's start record, lin until the caller sets another.
     """
 
     lin: Linearization
@@ -112,6 +113,7 @@ class ElasticSubproblem:
     lo: Vector = field(init=False)
     hi: Vector = field(init=False)
     rows: Matrix = field(init=False)
+    price: Vector = field(init=False, repr=False)
     start: Linearization = field(init=False)
 
     def __post_init__(self) -> None:
@@ -122,12 +124,11 @@ class ElasticSubproblem:
         if self.sigma_k < 0 or self.rho_k < 0:
             raise ValueError("sigma and rho must be nonnegative")
         self.lo, self.hi = sf.lifted_lo, sf.lifted_hi
-        # column-major: R's memory order sets how the kernel's products sum,
-        # and with it the iterates in their last bits
-        R = self.rows = np.zeros((sf.m, self.n_ext + 2 * m_c), order="F")
-        R[:, :self.n_ext] = self.lin.J_k
-        i = np.arange(m_c)
-        R[i, self.n_ext + i], R[i, self.n_ext + m_c + i] = 1.0, -1.0
+        # a copy keeps the blocks' column-major order, which sets how the
+        # kernel's products sum, and with it the iterates in their last bits
+        self.rows = sf.elastic_blocks.copy(order="F")
+        self.rows[:m_c, :sf.n] = self.lin.J_x
+        self.price = np.full(2 * m_c, self.sigma_k)
         self.start = self.lin
 
     def split(self, u: Vector) -> tuple[Vector, Vector, Vector]:
@@ -150,7 +151,7 @@ class ElasticSubproblem:
     def gradient(self, u: Vector, point: Linearization) -> Vector:
         """Objective gradient at u; point is the record evaluate(u) returned."""
         gl = aug_lagrangian_grad(point, self.y_k, self.rho_k)
-        return np.concatenate([gl, np.full(2 * self.m_c, self.sigma_k)])
+        return np.concatenate([gl, self.price])
 
     def row_residual(self, u: Vector) -> Vector:
         x_ext, v, w = self.split(u)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Vector, bound_violation
+from .model import Vector
 
 if TYPE_CHECKING:
     from .linearize import Linearization
@@ -51,16 +51,22 @@ def comp_measure(x: Vector, z: Vector, lo: Vector, hi: Vector) -> Vector:
     with infinite bounds dropping their distance term; a variable free on both
     sides contributes |z|, and a variable fixed by equal bounds contributes 0.
     """
-    lower = np.minimum(x - lo, np.maximum(z, 0.0))
-    upper = np.minimum(hi - x, np.maximum(-z, 0.0))
-    return np.maximum(lower, upper)
+    return _comp(x - lo, hi - x, z)
+
+
+def _comp(above_lo: Vector, below_hi: Vector, z: Vector) -> Vector:
+    return np.maximum(np.minimum(above_lo, np.maximum(z, 0.0)),
+                      np.minimum(below_hi, np.maximum(-z, 0.0)))
 
 
 def _measures(x: Vector, r: Vector, z: Vector, dual_vec: Vector, lo: Vector,
               hi: Vector) -> KktResidual:
-    primal = max(float(np.abs(r).max(initial=0.0)), bound_violation(x, lo, hi))
+    # x - lo and hi - x once, for the bound violation and the complementarity
+    above_lo, below_hi = x - lo, hi - x
+    violation = float(np.maximum(-np.minimum(above_lo, below_hi), 0.0).max(initial=0.0))
+    primal = max(float(np.abs(r).max(initial=0.0)), violation)
     dual = float(np.abs(dual_vec).max(initial=0.0))
-    comp = float(np.abs(comp_measure(x, z, lo, hi)).max(initial=0.0))
+    comp = float(np.abs(_comp(above_lo, below_hi, z)).max(initial=0.0))
     return KktResidual(primal_inf=primal, dual_inf=dual, comp=comp)
 
 

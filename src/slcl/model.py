@@ -10,8 +10,8 @@ slack variable, so the only inequalities left are simple bounds:
 
     minimize f(x)  subject to  (c(x); A x) - s = 0,  (x; s) in box.
 
-The slack form also scales the problem once per solve, at its start (see
-SlackForm.scale_at): f by a power of two and each nonlinear row, with its
+The slack form also scales the problem, once per solve, at its start (see
+build_slack_form): f by a power of two and each nonlinear row, with its
 slack, by another, so that the solver's fixed constants meet gradients of
 about unit size whatever the units f and c are given in.
 """
@@ -49,12 +49,19 @@ def bound_violation(x: Vector, lo: Vector, hi: Vector) -> float:
     return float(np.maximum(np.maximum(lo - x, x - hi), 0.0).max(initial=0.0))
 
 
-def _shaped(value, shape, what: str) -> np.ndarray:
+def _shaped(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     out = np.asarray(value, dtype=float)
+    if out.shape == shape:
+        return out
     try:
         return out.reshape(shape)
     except ValueError:
-        raise ValueError(f"{what} has shape {out.shape}, not {np.zeros(shape).shape}") from None
+        raise ValueError(f"{what} has shape {out.shape}, not {shape}") from None
+
+
+def _in_box(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """lo <= hi, no lower bound of +inf and no upper of -inf; NaN fails."""
+    return bool(((lo <= hi) & (lo < INF) & (hi > -INF)).all())
 
 
 def _callback_value(value, shape: tuple[int, ...], message: str) -> np.ndarray:
@@ -82,21 +89,12 @@ def _remembered(method):
     return recall
 
 
-def finite_array(value, shape, what: str) -> np.ndarray:
-    """value as a float array of the given shape, which must be finite."""
-    out = _shaped(value, shape, what)
+def finite_array(value, size: int, what: str) -> np.ndarray:
+    """value as a float vector of the given size, which must be finite."""
+    out = _shaped(value, (size,), what)
     if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite")
     return out
-
-
-def _bounds_pair(pair, size: int, what: str) -> tuple[Vector, Vector]:
-    lo, hi = _shaped(pair[0], size, what), _shaped(pair[1], size, what)
-    # one pass, as problems are built by the hundred: a NaN fails every test
-    if not ((lo <= hi) & (lo < INF) & (hi > -INF)).all():
-        raise ValueError(f"{what}: need lower <= upper, no NaN, no lower bound "
-                         "of +inf and no upper bound of -inf")
-    return lo, hi
 
 
 @dataclass
@@ -138,12 +136,26 @@ class NlpProblem:
         self.check_inputs()
 
     def check_inputs(self) -> None:
-        """Check A, the bounds and x_tilde, which may be reassigned, as arrays."""
-        self.A = finite_array(self.A, (self.m_A, self.n), "A")
-        self.bounds_x = _bounds_pair(self.bounds_x, self.n, "bounds_x")
-        self.bounds_c = _bounds_pair(self.bounds_c, self.m_c, "bounds_c")
-        self.bounds_A = _bounds_pair(self.bounds_A, self.m_A, "bounds_A")
-        self.x_tilde = finite_array(self.x_tilde, self.n, "x_tilde")
+        """Check A, the bounds and x_tilde, which may be reassigned, as arrays,
+        in one pass: A and x_tilde join the bounds' box as pairs [a, a], and
+        the input that failed is looked up only then, to name it."""
+        n, m_A = self.n, self.m_A
+        A = _shaped(self.A, (m_A, n), "A")
+        box = {"A": (A.ravel(),) * 2}
+        for what, size in (("bounds_x", n), ("bounds_c", self.m_c), ("bounds_A", m_A)):
+            pair = getattr(self, what)
+            box[what] = _shaped(pair[0], (size,), what), _shaped(pair[1], (size,), what)
+        x = _shaped(self.x_tilde, (n,), "x_tilde")
+        box["x_tilde"] = x, x
+        los, his = zip(*box.values())
+        if not _in_box(np.concatenate(los), np.concatenate(his)):
+            what = next(what for what, pair in box.items() if not _in_box(*pair))
+            raise ValueError(f"{what} must be finite" if what in ("A", "x_tilde") else
+                             f"{what}: need lower <= upper, no NaN, no lower bound "
+                             "of +inf and no upper bound of -inf")
+        self.A, self.x_tilde = A, x
+        self.bounds_x, self.bounds_c, self.bounds_A = (
+            box["bounds_x"], box["bounds_c"], box["bounds_A"])
 
     # Counted evaluation wrappers.  All solver code goes through these.  They
     # remember their last call (_remembered), check the shape of what each
@@ -191,10 +203,11 @@ class SlackForm:
     original problem, and vice versa.  The factors are powers of two, so
     moving between units is exact: a point of the form is col_scale times
     the problem's point, and its multipliers y and z are those of the
-    problem times f_scale / col_scale.  They are 1 until scale_at sets them,
-    with the arrays that follow from them and are never written: the box
-    lifted by elastic pairs in [0, inf), to_user = col_scale / f_scale and
-    the box in the problem's units.
+    problem times f_scale / col_scale.  The factors are set at construction
+    (see build_slack_form) with the arrays that follow from them, none
+    written after: the box lifted by elastic pairs in [0, inf), to_user =
+    col_scale / f_scale, the box in the problem's units, and the Jacobian
+    and the elastic rows [J_k, E, -E] with J(x)'s block zero.
     """
 
     nlp: NlpProblem
@@ -205,30 +218,30 @@ class SlackForm:
     f_scale: float
     row_scale: Vector  # one factor per nonlinear row
     col_scale: Vector  # (1 for x, row_scale, 1 for s_A)
+    n: int = field(init=False)
+    m_c: int = field(init=False)
+    m_A: int = field(init=False)
     lifted_lo: Vector = field(init=False, repr=False)
     lifted_hi: Vector = field(init=False, repr=False)
     to_user: Vector = field(init=False, repr=False)
     user_lo: Vector = field(init=False, repr=False)
     user_hi: Vector = field(init=False, repr=False)
+    jacobian_blocks: Matrix = field(init=False, repr=False)
+    elastic_blocks: Matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pad = 2 * self.m_c
-        self.lifted_lo = np.concatenate([self.lo, np.zeros(pad)])
-        self.lifted_hi = np.concatenate([self.hi, np.full(pad, INF)])
+        self.n, self.m_c, self.m_A = self.nlp.n, self.nlp.m_c, self.nlp.m_A
+        n, m_c, m, n_ext = self.n, self.m_c, self.m, self.n_ext
+        self.lifted_lo = np.concatenate([self.lo, np.zeros(2 * m_c)])
+        self.lifted_hi = np.concatenate([self.hi, np.full(2 * m_c, INF)])
         self.to_user = self.col_scale / self.f_scale
         self.user_lo, self.user_hi = self.lo / self.col_scale, self.hi / self.col_scale
-
-    @property
-    def n(self) -> int:
-        return self.nlp.n
-
-    @property
-    def m_c(self) -> int:
-        return self.nlp.m_c
-
-    @property
-    def m_A(self) -> int:
-        return self.nlp.m_A
+        i, j = np.arange(m), np.arange(m_c)
+        J = self.jacobian_blocks = np.zeros((m, n_ext))
+        J[m_c:, :n], J[i, n + i] = self.nlp.A, -1.0
+        # column-major, as linearize.ElasticSubproblem holds its rows
+        R = self.elastic_blocks = np.zeros((m, n_ext + 2 * m_c), order="F")
+        R[:, :n_ext], R[j, n_ext + j], R[j, n_ext + m_c + j] = J, 1.0, -1.0
 
     def split(self, x_ext: Vector) -> tuple[Vector, Vector, Vector]:
         n, m_c = self.n, self.m_c
@@ -241,12 +254,8 @@ class SlackForm:
 
     def jacobian(self, J_x: Matrix) -> Matrix:
         """Dense Jacobian of the residual from J_x = J(x), built once per record."""
-        m_c, n = self.m_c, self.n
-        Jt = np.zeros((self.m, self.n_ext))
-        Jt[:m_c, :n] = J_x
-        Jt[m_c:, :n] = self.nlp.A
-        i = np.arange(self.m)
-        Jt[i, n + i] = -1.0
+        Jt = self.jacobian_blocks.copy()
+        Jt[:self.m_c, :self.n] = J_x
         return Jt
 
     def embed(self, x: Vector) -> Vector:
@@ -255,9 +264,9 @@ class SlackForm:
         The residual there is zero exactly when x satisfies the row
         constraints, so this is the canonical feasible embedding.
         """
-        x = np.asarray(x, dtype=float)
+        x, n = np.asarray(x, dtype=float), self.n
         rows = np.concatenate([self.row_scale * self.nlp.c(x), self.nlp.A @ x])
-        return np.concatenate([x, np.clip(rows, self.lo[self.n:], self.hi[self.n:])])
+        return np.concatenate([x, np.minimum(np.maximum(rows, self.lo[n:]), self.hi[n:])])
 
     def nonlinear_bound_violation(self, x_ext: Vector, r: Vector) -> float:
         """Infinity-norm violation of the nonlinear row bounds at x_ext, in
@@ -265,41 +274,27 @@ class SlackForm:
         c = r[:self.m_c] + self.split(x_ext)[1]  # r is row_scale c(x) - s_c there
         return bound_violation(c / self.row_scale, *self.nlp.bounds_c)
 
-    def scale_at(self, x_ext: Vector) -> Vector:
-        """Set the factors from g and J at x_ext, the start of a solve in
-        the problem's units, and return x_ext in the form's units.
-
-        f_scale comes from ||g||_inf and each row's factor from the
-        infinity norm of its row of J (see scale_factors); the arrays that
-        follow from the factors are set again after them.  Called once, on
-        a form with unit factors, before any record of it is built.
-        """
-        x = x_ext[:self.n]
-        self.f_scale = float(scale_factors(np.abs(self.nlp.g(x)).max(initial=0.0)))
-        self.row_scale = scale_factors(np.abs(self.nlp.J(x)).max(axis=1, initial=0.0))
-        self.col_scale = np.concatenate([np.ones(self.n), self.row_scale,
-                                         np.ones(self.m_A)])
-        self.lo, self.hi = self.lo * self.col_scale, self.hi * self.col_scale
-        self.__post_init__()
-        return x_ext * self.col_scale
-
     def unscaled(self, x_ext: Vector, y: Vector,
                  z: Vector) -> tuple[Vector, Vector, Vector]:
         """A point of the form with its multipliers, in the problem's units."""
         return x_ext / self.col_scale, y * self.to_user[self.n:], z * self.to_user
 
 
-def build_slack_form(problem: NlpProblem) -> SlackForm:
-    """Construct the slack form with unit factors, checking the inputs and
-    forgetting the problem's last calls; the callbacks' shapes are checked
-    at their first calls, which the derivative check makes."""
-    problem.check_inputs()
-    problem._last.clear()
-    lo = np.concatenate([problem.bounds_x[0], problem.bounds_c[0], problem.bounds_A[0]])
-    hi = np.concatenate([problem.bounds_x[1], problem.bounds_c[1], problem.bounds_A[1]])
-    n_ext = problem.n + problem.m_c + problem.m_A
-    return SlackForm(nlp=problem, n_ext=n_ext, m=problem.m_c + problem.m_A, lo=lo, hi=hi,
-                     f_scale=1.0, row_scale=np.ones(problem.m_c), col_scale=np.ones(n_ext))
+def build_slack_form(problem: NlpProblem, x: Vector | None = None) -> SlackForm:
+    """The slack form scaled at x, a point of the problem: f_scale from
+    ||g(x)||_inf and each row's factor from its row of J(x) (see
+    scale_factors), or 1 without x.  The inputs are taken as checked (solve
+    checks them) and the problem's last calls are kept."""
+    n, m_c, m_A = problem.n, problem.m_c, problem.m_A
+    f_scale, row_scale = 1.0, np.ones(m_c)
+    if x is not None:
+        f_scale = float(scale_factors(np.abs(problem.g(x)).max(initial=0.0)))
+        row_scale = scale_factors(np.abs(problem.J(x)).max(axis=1, initial=0.0))
+    col_scale = np.concatenate([np.ones(n), row_scale, np.ones(m_A)])
+    lo, hi = (np.concatenate(b) * col_scale
+              for b in zip(problem.bounds_x, problem.bounds_c, problem.bounds_A))
+    return SlackForm(nlp=problem, n_ext=n + m_c + m_A, m=m_c + m_A, lo=lo, hi=hi,
+                     f_scale=f_scale, row_scale=row_scale, col_scale=col_scale)
 
 
 @dataclass
@@ -337,10 +332,10 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     coordinates (lo == hi) are not perturbed and go unchecked.
     """
     lx, ux = problem.bounds_x
-    x = np.clip(np.asarray(x, dtype=float).reshape(problem.n), lx, ux)
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float).reshape(problem.n), lx), ux)
     h = _DERIV_STEP * np.maximum(1.0, np.abs(x))
     margin = np.minimum(2 * h, 0.5 * (ux - lx))  # 0 where fixed
-    x = np.clip(x, lx + margin, ux - margin)
+    x = np.minimum(np.maximum(x, lx + margin), ux - margin)
     free = lx < ux
     step = np.minimum(h, 0.2 * (ux - lx))
 
@@ -369,7 +364,7 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     # the directional test failed: locate the worst entry
     err_g = np.zeros(problem.n)
     err_J = np.zeros((problem.m_c, problem.n))
-    for j in np.flatnonzero(free):
+    for j in free.nonzero()[0]:
         e = np.zeros(problem.n)
         e[j] = step[j]
         fp, fm = problem.f(x + e), problem.f(x - e)

@@ -483,6 +483,46 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match=rf"\b{what}\b"):
             solve(p)
 
+    @pytest.mark.parametrize("what, value, message", [
+        pytest.param(what, value, message, id=f"{what}-{case}")
+        for what, lo, hi in [("bounds_x", [0.0, 0.0], [INF, INF]),
+                             ("bounds_c", [-INF], [1.0]),
+                             ("bounds_A", [-INF], [10.0])]
+        for case, value, message in [
+            ("shape", (lo + [0.0], hi + [1.0]), "has shape"),
+            ("nan", ([np.nan] + lo[1:], hi), "need lower <= upper"),
+            ("crossed", ([2.0] + lo[1:], [1.0] + hi[1:]), "need lower <= upper"),
+            ("lower-inf", ([INF] + lo[1:], [INF] + hi[1:]), "need lower <= upper"),
+            ("upper-minus-inf", ([-INF] + lo[1:], [-INF] + hi[1:]),
+             "need lower <= upper")]
+    ] + [
+        pytest.param(what, value, message, id=f"{what}-{case}")
+        for what, case, value, message in [
+            ("A", "shape", [[1.0, 1.0, 1.0]], "has shape"),
+            ("A", "nan", [[np.nan, 1.0]], "must be finite"),
+            ("A", "inf", [[1.0, INF]], "must be finite"),
+            ("x_tilde", "shape", [0.5, 0.5, 0.5], "has shape"),
+            ("x_tilde", "nan", [np.nan, 0.5], "must be finite"),
+            ("x_tilde", "inf", [0.5, INF], "must be finite"),
+            ("x_tilde", "minus-inf", [-INF, 0.5], "must be finite")]
+    ])
+    def test_each_bad_input_is_named(self, spy_calls, what, value, message):
+        """One pass checks every input; each bad one on its own raises the
+        ValueError naming it, at construction and when reassigned before
+        solve, before any callback call."""
+        row = {"m_A": 1, "A": np.array([[1.0, 1.0]]),
+               "bounds_A": (np.array([-INF]), np.array([10.0]))}
+        match = rf"^{what}\b.*{message}"
+        with pytest.raises(ValueError, match=match):
+            _disc(**{**row, what: value})
+        p = _disc(**row)
+        calls = spy_calls(p)
+        setattr(p, what, value)
+        with pytest.raises(ValueError, match=match):
+            solve(p)
+        assert calls == []
+        assert (p.n_feval, p.n_geval, p.n_ceval, p.n_jeval) == (0, 0, 0, 0)
+
     def test_bounds_reassigned_as_lists_are_used(self):
         p = _disc()
         p.bounds_x = ([0.4, 0.0], [0.4, INF])

@@ -199,6 +199,19 @@ class TestBoundSolve:
         assert not np.shares_memory(res.hess, H)
         assert not np.array_equal(res.hess, H)
 
+    def test_a_kernel_that_takes_no_step_returns_hess_itself(self):
+        """Started at its minimizer, the kernel converges before any step
+        and returns the matrix it was given, unwritten: the kernel copies
+        hess at its first update, not at entry."""
+        evaluate, gradient = _quadratic(np.diag([1.0, 4.0]), np.array([0.5, 0.8]))
+        H = np.diag([2.0, 3.0])
+        given = H.copy()
+        res = bound_solve(evaluate, gradient, np.full(2, -1.0), np.full(2, 1.0),
+                          np.array([0.5, 0.8]), tol=1e-10, hess=H)
+        assert res.status == CONVERGED and res.iterations == 0
+        assert res.hess is H
+        assert H.tobytes() == given.tobytes()
+
     def test_step_lost_in_rounding_ends_the_solve(self):
         """The minimizer of (x - a)^2 is one unit in the last place away:
         the step cannot move x, so the solve ends without a trial."""
@@ -927,31 +940,39 @@ class TestVerifyRelaxedKkt:
         assert not verify_relaxed_kkt(sub, sol, 1e-6, 1e-6)
 
 
+def _projected(problem, x_tilde):
+    """The unit form, solve_proximal's point embedded in it, and whether
+    the point meets the rows."""
+    x, meets_rows = solve_proximal(problem, x_tilde)
+    sf = build_slack_form(problem)
+    return sf, sf.embed(x), meets_rows
+
+
 class TestSolveProximal:
     def test_projects_onto_box(self):
-        sf = build_slack_form(catalog_get("box-quadratic").problem)
-        x0, meets_rows = solve_proximal(sf, np.array([-1.0, 5.0]))
+        sf, x0, meets_rows = _projected(catalog_get("box-quadratic").problem,
+                                        np.array([-1.0, 5.0]))
         assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 2.0], atol=1e-8)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
 
     def test_feasible_guess_is_kept(self, monkeypatch):
         """A clipped start that meets its rows is its own projection: it
-        comes back as its embedding, bit for bit, with no kernel call."""
+        comes back bit for bit, with no kernel call."""
         def no_kernel(*args, **kwargs):
             raise AssertionError("the kernel was called")
 
         monkeypatch.setattr(innersolve, "bound_solve", no_kernel)
-        sf = build_slack_form(catalog_get("box-quadratic").problem)
         x_tilde = np.array([1.0, 1.0])
-        x0, meets_rows = solve_proximal(sf, x_tilde)
+        sf, x0, meets_rows = _projected(catalog_get("box-quadratic").problem, x_tilde)
         assert meets_rows
+        assert solve_proximal(sf.nlp, x_tilde)[0].tobytes() == x_tilde.tobytes()
         assert x0.tobytes() == sf.embed(x_tilde).tobytes()
         np.testing.assert_array_equal(sf.residual(x0), 0.0)
 
     def test_equality_rows_are_met(self):
-        sf = build_slack_form(catalog_get("lin-eq-quadratic").problem)
-        x0, meets_rows = solve_proximal(sf, np.array([5.0, 0.0, 0.0]))
+        sf, x0, meets_rows = _projected(catalog_get("lin-eq-quadratic").problem,
+                                        np.array([5.0, 0.0, 0.0]))
         assert meets_rows
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
         x = x0[:3]
@@ -972,8 +993,7 @@ class TestSolveProximal:
             bounds_c=(np.zeros(0), np.zeros(0)),
             bounds_A=(np.array([-INF]), np.array([1.0])),
             x_tilde=np.array([0.3, 2.0]))
-        sf = build_slack_form(p)
-        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        sf, x0, meets_rows = _projected(p, p.x_tilde)
         assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 1.0], atol=1e-5)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-6)
@@ -988,8 +1008,7 @@ class TestSolveProximal:
             bounds_c=(np.zeros(0), np.zeros(0)),
             bounds_A=(np.array([3.0]), np.array([3.0])),
             x_tilde=np.zeros(2))
-        sf = build_slack_form(p)
-        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        sf, x0, meets_rows = _projected(p, p.x_tilde)
         assert meets_rows
         assert abs(x0[0] + 2.0 * x0[1] - 3.0) <= 1e-12
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
@@ -1009,8 +1028,7 @@ class TestSolveProximal:
             bounds_c=(np.zeros(0), np.zeros(0)),
             bounds_A=(np.array([1.0]), np.array([1.0])),
             x_tilde=np.zeros(1))
-        sf = build_slack_form(p)
-        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        sf, x0, meets_rows = _projected(p, p.x_tilde)
         assert meets_rows
         np.testing.assert_allclose(x0[0], 1e7, rtol=1e-12)
         np.testing.assert_allclose(sf.residual(x0), 0.0, atol=1e-12)
@@ -1026,13 +1044,12 @@ class TestSolveProximal:
             bounds_c=(np.zeros(0), np.zeros(0)),
             bounds_A=(np.array([10.0]), np.array([10.0])),
             x_tilde=np.array([0.5, 0.5]))
-        sf = build_slack_form(p)
-        x0, meets_rows = solve_proximal(sf, p.x_tilde)
+        sf, x0, meets_rows = _projected(p, p.x_tilde)
         assert not meets_rows
         np.testing.assert_allclose(x0, [1.0, 1.0, 10.0], atol=1e-12)
 
     def test_no_linear_rows_is_plain_embedding(self):
-        sf = build_slack_form(catalog_get("circle-proj").problem)
-        x0, meets_rows = solve_proximal(sf, np.array([-2.0, 0.5]))
+        sf, x0, meets_rows = _projected(catalog_get("circle-proj").problem,
+                                        np.array([-2.0, 0.5]))
         assert meets_rows
         np.testing.assert_allclose(x0[:2], [0.0, 0.5])

@@ -3,11 +3,12 @@
 import numpy as np
 
 from slcl.catalog import catalog_get, catalog_names
+from slcl.innersolve import solve_proximal
 from slcl.linearize import linearize_constraints
 from slcl.merit import (KktResidual, aug_lagrangian, aug_lagrangian_grad,
-                        bound_violation, comp_measure, is_optimal,
-                        kkt_residual, min_norm_stationarity)
-from slcl.model import INF, NlpProblem, build_slack_form
+                        comp_measure, is_optimal, kkt_residual,
+                        min_norm_stationarity)
+from slcl.model import INF, NlpProblem, bound_violation, build_slack_form
 
 
 def _linear_as_nl_form():
@@ -207,6 +208,41 @@ class TestKktResidual:
         res, _ = kkt_residual(linearize_constraints(sf, x_ext), np.zeros(1),
                               np.zeros(3))
         assert res.primal_inf >= 0.5
+
+
+    def test_one_pass_matches_the_two_pass_expressions(self):
+        """kkt_residual forms x - lo and hi - x once for the bound violation
+        and the complementarity; at seeded points inside and outside the
+        box of every entry's scaled form, with random multipliers, it gives
+        the bits of the separate expressions in both units."""
+        def two_pass(x, r, z, dual_vec, lo, hi):
+            violation = np.maximum(np.maximum(lo - x, x - hi), 0.0).max(initial=0.0)
+            comp = np.maximum(np.minimum(x - lo, np.maximum(z, 0.0)),
+                              np.minimum(hi - x, np.maximum(-z, 0.0)))
+            return KktResidual(primal_inf=max(float(np.abs(r).max(initial=0.0)),
+                                              float(violation)),
+                               dual_inf=float(np.abs(dual_vec).max(initial=0.0)),
+                               comp=float(np.abs(comp).max(initial=0.0)))
+
+        rng = np.random.default_rng(29)
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            x0 = solve_proximal(problem, problem.x_tilde)[0]
+            sf = build_slack_form(problem, x0)
+            base, d = sf.embed(x0), sf.col_scale
+            for k in range(60):
+                x = base + 0.5 * rng.standard_normal(sf.n_ext)
+                if k % 2:
+                    x = np.minimum(np.maximum(x, sf.lo), sf.hi)
+                lin = linearize_constraints(sf, x)
+                y = rng.standard_normal(sf.m)
+                z = 3.0 * rng.standard_normal(sf.n_ext)
+                r, to_user = lin.c_k, d / sf.f_scale
+                dual_vec = lin.g - lin.jacobian_t(y) - z
+                expected = (two_pass(x / d, r / d[sf.n:], z * to_user, dual_vec * to_user,
+                                     sf.lo / d, sf.hi / d),
+                            two_pass(x, r, z, dual_vec, sf.lo, sf.hi).f_norm)
+                assert repr(kkt_residual(lin, y, z)) == repr(expected), name
 
 
 class TestIsOptimal:

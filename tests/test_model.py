@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slcl.catalog import catalog_get, catalog_names
+from slcl.driver import solve
 from slcl.linearize import linearize_constraints
 from slcl.model import (_DERIV_STEP, INF, NlpProblem, build_slack_form,
                         check_derivatives)
@@ -443,13 +444,18 @@ class TestCatalog:
             p.g(inside)
         assert p.n_geval == 2
 
-    def test_building_the_slack_form_forgets_the_last_calls(self):
+    def test_a_solve_forgets_the_last_calls(self, spy_calls):
+        """A solve starts afresh: calls made before it at its start point
+        are made again inside it, where the derivative check probes the
+        start (an unbounded box) and the embedding reads c there."""
         p = _circle_problem()
         x = p.x_tilde
         p.f(x), p.g(x), p.c(x), p.J(x)
-        build_slack_form(p)
-        p.f(x), p.g(x), p.c(x), p.J(x)
-        assert (p.n_feval, p.n_geval, p.n_ceval, p.n_jeval) == (2, 2, 2, 2)
+        calls = spy_calls(p)
+        rep = solve(p)
+        assert {("g", x.tobytes()), ("c", x.tobytes()), ("J", x.tobytes())} <= set(calls)
+        assert (p.n_feval, p.n_geval, p.n_ceval, p.n_jeval) == (
+            1 + rep.f_evals, 1 + rep.g_evals, 1 + rep.c_evals, 1 + rep.J_evals)
 
     def test_fresh_entries_per_lookup(self):
         a = catalog_get("circle-proj").problem

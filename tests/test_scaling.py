@@ -18,7 +18,7 @@ from slcl.driver import OuterOptions, solve
 from slcl.innersolve import solve_proximal
 from slcl.linearize import ElasticSubproblem, linearize_constraints
 from slcl.merit import _measures, kkt_residual
-from slcl.model import INF, build_slack_form, scale_factors
+from slcl.model import INF, SlackForm, build_slack_form, scale_factors
 
 # the solvable entries with nonlinear rows, whose rows the scaling touches
 ROW_NAMES = [n for n in catalog_names()
@@ -31,7 +31,7 @@ UNITS = [(1.0, 1.0), (1e-3, 1.0), (1e3, 1.0), (1.0, 1e-3), (1.0, 1e3)]
 def _start_gradient_norm(problem) -> float:
     """||g||_inf at the start the solve scales at: x_tilde projected onto
     the bounds and linear rows."""
-    x0 = solve_proximal(build_slack_form(problem), problem.x_tilde)[0][:problem.n]
+    x0 = solve_proximal(problem, problem.x_tilde)[0]
     return float(np.abs(problem.eval_g(x0)).max())
 
 
@@ -77,18 +77,19 @@ class TestFormArrays:
     def test_arrays_follow_the_factors(self):
         """The lifted box an ElasticSubproblem reads and kkt_residual's
         result equal, bit for bit, the expressions the form's held arrays
-        stand for, on every catalog entry as built and after scale_at, at
-        the proximal start and at a point moved off it: an array that is
-        unset, stale or computed before the factors fails here."""
+        stand for, on every catalog entry with unit factors and scaled at
+        the proximal start, at that start and at a point moved off it: an
+        array that is unset, stale or computed before the factors fails
+        here."""
         rng = np.random.default_rng(3)
         scaled = 0
         for name in catalog_names():
             problem = catalog_get(name).problem
-            sf = build_slack_form(problem)
-            x_ext = solve_proximal(sf, problem.x_tilde)[0]
+            x0 = solve_proximal(problem, problem.x_tilde)[0]
             for stage in ("built", "scaled"):
+                sf = build_slack_form(problem, x0 if stage == "scaled" else None)
+                x_ext = sf.embed(x0)
                 if stage == "scaled":
-                    x_ext = sf.scale_at(x_ext)
                     scaled += sf.f_scale != 1.0 or (sf.col_scale != 1.0).any()
                 pad = 2 * sf.m_c
                 moved = np.clip(x_ext + 0.1 * rng.standard_normal(sf.n_ext), sf.lo, sf.hi)
@@ -111,6 +112,75 @@ class TestFormArrays:
                         _measures(x, r, z, dual_vec, sf.lo, sf.hi).f_norm)
                     assert kkt_residual(lin, y, z) == expected, (name, stage)
         assert scaled == 13
+
+
+def _rescaled_unit_form(problem, x):
+    """What the solve's one scaled form at x replaces, written out: the unit
+    form, its embedding of x (the rows clipped into the unit box), the
+    factors from g and J at x, then the box and the embedding multiplied by
+    col_scale, with the arrays that follow."""
+    unit = build_slack_form(problem)
+    n = problem.n
+    rows = np.concatenate([problem.c(x), problem.A @ x])
+    x_ext = np.concatenate([x, np.clip(rows, unit.lo[n:], unit.hi[n:])])
+    f_scale = float(scale_factors(np.abs(problem.g(x)).max(initial=0.0)))
+    row_scale = scale_factors(np.abs(problem.J(x)).max(axis=1, initial=0.0))
+    d = np.concatenate([np.ones(n), row_scale, np.ones(problem.m_A)])
+    lo, hi, pad = unit.lo * d, unit.hi * d, 2 * problem.m_c
+    return dict(
+        f_scale=f_scale, row_scale=row_scale, col_scale=d, lo=lo, hi=hi,
+        lifted_lo=np.concatenate([lo, np.zeros(pad)]),
+        lifted_hi=np.concatenate([hi, np.full(pad, INF)]),
+        to_user=d / f_scale, user_lo=lo / d, user_hi=hi / d), x_ext * d
+
+
+class TestOneForm:
+    def test_the_scaled_form_is_the_rescaled_unit_form(self):
+        """On all 18 entries, from their own starts and from a shifted one,
+        the form built scaled at the proximal point has the factors, box,
+        held arrays and embedded start of the unit form rescaled, bit for
+        bit, and its Jacobian and elastic rows are the dense blocks built
+        whole, in the same memory order."""
+        rng = np.random.default_rng(5)
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            for shift in (0.0, 0.3, 2.0):
+                x_tilde = problem.x_tilde + shift * rng.standard_normal(problem.n)
+                x0 = solve_proximal(problem, x_tilde)[0]
+                sf = build_slack_form(problem, x0)
+                expected, x_ext = _rescaled_unit_form(problem, x0)
+                assert sf.f_scale == expected.pop("f_scale"), name
+                for attr, value in expected.items():
+                    assert getattr(sf, attr).tobytes() == value.tobytes(), (name, attr)
+                assert sf.embed(x0).tobytes() == x_ext.tobytes(), name
+                n, m, m_c = sf.n, sf.m, sf.m_c
+                lin = linearize_constraints(sf, x_ext)
+                jac = np.zeros((m, sf.n_ext))
+                jac[:m_c, :n], jac[m_c:, :n] = lin.J_x, problem.A
+                jac[np.arange(m), n + np.arange(m)] = -1.0
+                assert lin.J_k.tobytes() == jac.tobytes(), name
+                rows = np.zeros((m, sf.n_ext + 2 * m_c), order="F")
+                rows[:, :sf.n_ext] = jac
+                i = np.arange(m_c)
+                rows[i, sf.n_ext + i], rows[i, sf.n_ext + m_c + i] = 1.0, -1.0
+                sub = ElasticSubproblem(lin=lin, y_k=np.zeros(m), rho_k=1.0, sigma_k=2.0)
+                assert sub.rows.flags.f_contiguous, name
+                assert sub.rows.tobytes(order="A") == rows.tobytes(order="A"), name
+
+    def test_a_solve_builds_one_form(self, monkeypatch):
+        """Every catalog solve constructs exactly one SlackForm."""
+        built = []
+        post_init = SlackForm.__post_init__
+
+        def counted(sf):
+            built.append(sf)
+            post_init(sf)
+
+        monkeypatch.setattr(SlackForm, "__post_init__", counted)
+        for name in catalog_names():
+            del built[:]
+            solve(catalog_get(name).problem)
+            assert len(built) == 1, name
 
 
 class TestUnits:
@@ -214,8 +284,9 @@ class TestReportUnits:
         of the raw callbacks times f_scale, row_scale and col_scale, here
         at the scaled start with multipliers off the solution."""
         problem = catalog_get(name).problem
-        sf = build_slack_form(problem)
-        x_ext = sf.scale_at(solve_proximal(sf, problem.x_tilde)[0])
+        x0 = solve_proximal(problem, problem.x_tilde)[0]
+        sf = build_slack_form(problem, x0)
+        x_ext = sf.embed(x0)
         assert sf.f_scale < 1.0 and (sf.row_scale < 1.0).all()
         rng = np.random.default_rng(3)
         y, z = rng.standard_normal(sf.m), rng.standard_normal(sf.n_ext)
