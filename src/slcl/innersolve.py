@@ -107,14 +107,12 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
     """
     nf = free.size
     size = nf + R.shape[0]
-    RF = R.take(free, axis=1)
-    K = np.empty((size, size))
+    K = np.zeros((size, size))
     # a free set that leads the coordinates is a slice of B, not a gather
     K[:nf, :nf] = (B[:nf, :nf] if nf == 0 or free[-1] == nf - 1
                    else B.take(free, axis=0).take(free, axis=1))
+    RF = K[nf:, :nf] = R.take(free, axis=1)
     K[:nf, nf:] = RF.T
-    K[nf:, :nf] = RF
-    K[nf:, nf:] = 0.0
     rhs = np.empty(size)
     np.negative(g[free], out=rhs[:nf])
     np.negative(r, out=rhs[nf:])
@@ -130,9 +128,11 @@ def _kkt_step(B: Matrix, R: Matrix, free: np.ndarray, g: Vector,
 def _ratio_test(x: Vector, d: Vector, lo: Vector,
                 hi: Vector) -> tuple[int, float, float]:
     """First bound met along x + alpha d: its index, alpha and value."""
-    ratios = np.divide(lo - x, d, out=np.full(x.size, np.inf), where=d < 0.0)
+    ratios = np.empty(x.size)
+    ratios.fill(np.inf)
+    np.divide(lo - x, d, out=ratios, where=d < 0.0)
     np.divide(hi - x, d, out=ratios, where=d > 0.0)
-    i = int(np.argmin(ratios))
+    i = int(ratios.argmin())
     return i, float(ratios[i]), float(lo[i] if d[i] < 0.0 else hi[i])
 
 
@@ -204,7 +204,7 @@ def bound_solve(evaluate: Callable[[Vector], tuple[float, object]],
         if np.abs(z[free]).max(initial=0.0) <= tol:
             # stationary on this face: release the worst wrong-signed bound
             wrong = np.where(at_lo, -z, z) * ((at_lo | at_hi) & movable)
-            i = int(np.argmax(wrong))
+            i = int(wrong.argmax())
             at_lo[i] = at_hi[i] = False
             continue
 

@@ -85,7 +85,10 @@ class Linearization:
         sf = self.sf
         out = np.empty(sf.n_ext)
         np.negative(y, out=out[sf.n:])
-        out[:sf.n] = self.J_x.T @ y[:sf.m_c] + sf.nlp.A.T @ y[sf.m_c:]
+        # without linear rows +0.0 stands in for the empty A^T y_A: added all
+        # the same, it turns a -0.0 of J(x)^T y_c to +0.0, as the general sum does
+        np.add(self.J_x.T @ y[:sf.m_c], sf.nlp.A.T @ y[sf.m_c:] if sf.m_A else 0.0,
+               out=out[:sf.n])
         return out
 
 

@@ -61,9 +61,12 @@ def _comp(above_lo: Vector, below_hi: Vector, z: Vector) -> Vector:
 
 def _measures(x: Vector, r: Vector, z: Vector, dual_vec: Vector, lo: Vector,
               hi: Vector) -> KktResidual:
-    # x - lo and hi - x once, for the bound violation and the complementarity
+    """The three measures at x against [lo, hi].  x - lo and hi - x are
+    formed once, for the complementarity and for the bound violation, which
+    is max(0, -min) over both, read from their two minima."""
     above_lo, below_hi = x - lo, hi - x
-    violation = float(np.maximum(-np.minimum(above_lo, below_hi), 0.0).max(initial=0.0))
+    violation = max(0.0, -float(min(above_lo.min(initial=np.inf),
+                                    below_hi.min(initial=np.inf))))
     primal = max(float(np.abs(r).max(initial=0.0)), violation)
     dual = float(np.abs(dual_vec).max(initial=0.0))
     comp = float(np.abs(_comp(above_lo, below_hi, z)).max(initial=0.0))

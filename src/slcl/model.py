@@ -19,7 +19,7 @@ about unit size whatever the units f and c are given in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -206,8 +206,9 @@ class SlackForm:
     problem times f_scale / col_scale.  The factors are set at construction
     (see build_slack_form) with the arrays that follow from them, none
     written after: the box lifted by elastic pairs in [0, inf), to_user =
-    col_scale / f_scale, the box in the problem's units, and the Jacobian
-    and the elastic rows [J_k, E, -E] with J(x)'s block zero.
+    col_scale / f_scale, the box in the problem's units, and the elastic
+    rows [J_k, E, -E] with J(x)'s block zero, whose leading n_ext columns
+    are the Jacobian's constant blocks.
     """
 
     nlp: NlpProblem
@@ -226,7 +227,6 @@ class SlackForm:
     to_user: Vector = field(init=False, repr=False)
     user_lo: Vector = field(init=False, repr=False)
     user_hi: Vector = field(init=False, repr=False)
-    jacobian_blocks: Matrix = field(init=False, repr=False)
     elastic_blocks: Matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -237,11 +237,10 @@ class SlackForm:
         self.to_user = self.col_scale / self.f_scale
         self.user_lo, self.user_hi = self.lo / self.col_scale, self.hi / self.col_scale
         i, j = np.arange(m), np.arange(m_c)
-        J = self.jacobian_blocks = np.zeros((m, n_ext))
-        J[m_c:, :n], J[i, n + i] = self.nlp.A, -1.0
         # column-major, as linearize.ElasticSubproblem holds its rows
         R = self.elastic_blocks = np.zeros((m, n_ext + 2 * m_c), order="F")
-        R[:, :n_ext], R[j, n_ext + j], R[j, n_ext + m_c + j] = J, 1.0, -1.0
+        R[m_c:, :n], R[i, n + i], R[j, n_ext + j], R[j, n_ext + m_c + j] = (
+            self.nlp.A, -1.0, 1.0, -1.0)
 
     def split(self, x_ext: Vector) -> tuple[Vector, Vector, Vector]:
         n, m_c = self.n, self.m_c
@@ -249,12 +248,12 @@ class SlackForm:
 
     def residual(self, x_ext: Vector) -> Vector:
         x, s_c, s_A = self.split(x_ext)
-        return np.concatenate([self.row_scale * self.nlp.c(x) - s_c,
-                               self.nlp.A @ x - s_A])
+        r_c = self.row_scale * self.nlp.c(x) - s_c
+        return np.concatenate([r_c, self.nlp.A @ x - s_A]) if self.m_A else r_c
 
     def jacobian(self, J_x: Matrix) -> Matrix:
         """Dense Jacobian of the residual from J_x = J(x), built once per record."""
-        Jt = self.jacobian_blocks.copy()
+        Jt = self.elastic_blocks[:, :self.n_ext].copy()  # C-contiguous
         Jt[:self.m_c, :self.n] = J_x
         return Jt
 
@@ -288,8 +287,10 @@ def build_slack_form(problem: NlpProblem, x: Vector | None = None) -> SlackForm:
     n, m_c, m_A = problem.n, problem.m_c, problem.m_A
     f_scale, row_scale = 1.0, np.ones(m_c)
     if x is not None:
-        f_scale = float(scale_factors(np.abs(problem.g(x)).max(initial=0.0)))
-        row_scale = scale_factors(np.abs(problem.J(x)).max(axis=1, initial=0.0))
+        # one call on the stacked norms [||g||_inf, the row norms of J]
+        factors = scale_factors(np.abs(np.concatenate([problem.g(x)[None], problem.J(x)]))
+                                .max(axis=1, initial=0.0))
+        f_scale, row_scale = float(factors[0]), factors[1:]
     col_scale = np.concatenate([np.ones(n), row_scale, np.ones(m_A)])
     lo, hi = (np.concatenate(b) * col_scale
               for b in zip(problem.bounds_x, problem.bounds_c, problem.bounds_A))
@@ -307,11 +308,24 @@ class DerivReport:
     passed: bool
 
 
+@lru_cache(maxsize=64)
+def _direction(n: int) -> Vector:
+    """check_derivatives' signs times its weights, read-only: from the
+    fractional parts of j times two irrationals, so no two weights are equal
+    and a swapped pair of entries cannot cancel."""
+    k = np.arange(n)
+    out = (np.where(k * 1.4142135623730951 % 1.0 < 0.5, 1.0, -1.0)
+           * (0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)))
+    out.flags.writeable = False
+    return out
+
+
 def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     """Compare eval_g and eval_J against central differences of f and c at x.
 
     First along one fixed direction d, each free coordinate's step times a
-    sign and a weight in [0.5, 1), as SNOPT's cheap test does: the errors of
+    sign and a weight in [0.5, 1), as SNOPT's cheap test does (the signs and
+    weights depend on n alone and are built once per n): the errors of
     (f(x + d) - f(x - d)) / 2 against g.d, and of each row of c against
     J_i.d, scaled by min(step) and by 1 + ||g||_inf, or 1 + ||J_i||_inf.
     The smallest step keeps an error in a coordinate with a small step
@@ -333,38 +347,34 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
     """
     lx, ux = problem.bounds_x
     x = np.minimum(np.maximum(np.asarray(x, dtype=float).reshape(problem.n), lx), ux)
-    h = _DERIV_STEP * np.maximum(1.0, np.abs(x))
-    margin = np.minimum(2 * h, 0.5 * (ux - lx))  # 0 where fixed
+    h, width = _DERIV_STEP * np.maximum(1.0, np.abs(x)), ux - lx
+    margin = np.minimum(2 * h, 0.5 * width)  # 0 where fixed
     x = np.minimum(np.maximum(x, lx + margin), ux - margin)
-    free = lx < ux
-    step = np.minimum(h, 0.2 * (ux - lx))
+    free = (lx < ux).nonzero()[0]
+    step = np.minimum(h, 0.2 * width)
 
     g = problem.g(x)
     Jmat = problem.J(x)
-    if not free.any():
+    if not free.size:
         return DerivReport(0.0, 0.0, "g.d", passed=True)
-    # signs and weights from the fractional parts of j times two irrationals:
-    # no two weights are equal, so a swapped pair of entries cannot cancel,
-    # and the direction is the same on every run
-    k = np.arange(problem.n)
-    sign = np.where(k * 1.4142135623730951 % 1.0 < 0.5, 1.0, -1.0)
-    weight = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
-    d = np.where(free, step * sign * weight, 0.0)
+    d = np.zeros(problem.n)
+    d[free] = (step * _direction(problem.n))[free]
     scale = float(step[free].min())
     # without nonlinear rows problem.c and problem.J return empty arrays uncounted
-    slope_f = 0.5 * (problem.f(x + d) - problem.f(x - d))
-    slope_c = 0.5 * (problem.c(x + d) - problem.c(x - d))
+    x_plus, x_minus = x + d, x - d
+    slope_f = 0.5 * (problem.f(x_plus) - problem.f(x_minus))
+    slope_c = 0.5 * (problem.c(x_plus) - problem.c(x_minus))
     dir_g = abs(slope_f - g @ d) / scale / (1.0 + np.abs(g).max())
     dir_J = np.abs(slope_c - Jmat @ d) / scale / (1.0 + np.abs(Jmat).max(axis=1))
     max_g, max_J = float(dir_g), float(dir_J.max(initial=0.0))
     if max_g <= _DERIV_TOL and max_J <= _DERIV_TOL:
-        worst = "g.d" if max_g >= max_J else f"J[{int(np.argmax(dir_J))}].d"
+        worst = "g.d" if max_g >= max_J else f"J[{int(dir_J.argmax())}].d"
         return DerivReport(max_g, max_J, worst, passed=True)
 
     # the directional test failed: locate the worst entry
     err_g = np.zeros(problem.n)
     err_J = np.zeros((problem.m_c, problem.n))
-    for j in free.nonzero()[0]:
+    for j in free:
         e = np.zeros(problem.n)
         e[j] = step[j]
         fp, fm = problem.f(x + e), problem.f(x - e)

@@ -263,6 +263,77 @@ class TestBoundSolve:
         np.testing.assert_allclose(res.x, x, atol=1e-8)
 
 
+class TestStepAlgebra:
+    """_ratio_test and _kkt_step against the expressions they were written
+    with before their buffers were trimmed, bit for bit."""
+
+    def test_ratio_test_matches_the_full_expression(self):
+        """At seeded steps with zero entries, infinite bounds, points on
+        their bounds and tied ratios, the index, alpha and bound are those
+        of the np.full expression, signed zeros included."""
+        def reference(x, d, lo, hi):
+            ratios = np.divide(lo - x, d, out=np.full(x.size, np.inf), where=d < 0.0)
+            np.divide(hi - x, d, out=ratios, where=d > 0.0)
+            i = int(np.argmin(ratios))
+            return i, float(ratios[i]), float(lo[i] if d[i] < 0.0 else hi[i])
+
+        rng = np.random.default_rng(23)
+        for k in range(400):
+            n = 1 + k % 7
+            lo, hi = rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 2.0, n)
+            lo[rng.uniform(size=n) < 0.3] = -INF
+            hi[rng.uniform(size=n) < 0.3] = INF
+            x = np.clip(rng.uniform(-1.0, 1.0, n), lo, hi)
+            d = rng.standard_normal(n)
+            d[rng.uniform(size=n) < 0.3] = 0.0
+            if k % 4 == 1:
+                # every coordinate the same: ratios tie
+                lo, hi, x, d = (np.full(n, v[0]) for v in (lo, hi, x, d))
+            elif k % 4 == 2:
+                on = rng.uniform(size=n) < 0.5
+                x[on] = np.where(d[on] < 0.0, lo[on], hi[on])
+                x[~np.isfinite(x)] = 0.0
+            assert (repr(innersolve._ratio_test(x, d, lo, hi))
+                    == repr(reference(x, d, lo, hi))), k
+
+    def test_kkt_step_matches_the_block_assembly(self):
+        """At seeded systems, with a free set that leads the coordinates or
+        not, empty or full, and with dependent rows, which take the
+        least-squares solution, the step and multipliers are those of the
+        empty-matrix assembly with its zero block written."""
+        def reference(B, R, free, g, r):
+            nf = free.size
+            size = nf + R.shape[0]
+            RF = R.take(free, axis=1)
+            K = np.empty((size, size))
+            K[:nf, :nf] = B.take(free, axis=0).take(free, axis=1)
+            K[:nf, nf:], K[nf:, :nf], K[nf:, nf:] = RF.T, RF, 0.0
+            rhs = -np.concatenate([g[free], r])
+            try:
+                sol = np.linalg.solve(K, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            d = np.zeros(g.size)
+            d[free] = sol[:nf]
+            return d, -sol[nf:]
+
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            n, m = 2 + k % 6, k % 3
+            M = rng.standard_normal((n, n))
+            B = M @ M.T + np.identity(n)
+            R = np.asfortranarray(rng.standard_normal((m, n)))
+            if m == 2 and k % 2:
+                R[1] = R[0]
+            free = np.sort(rng.choice(n, size=(k // 3) % (n + 1), replace=False))
+            if k % 5 == 0:
+                free = np.arange((k // 5) % (n + 1))
+            g, r = rng.standard_normal(n), rng.standard_normal(m)
+            got, want = innersolve._kkt_step(B, R, free, g, r), reference(B, R, free, g, r)
+            assert got[0].tobytes() == want[0].tobytes(), k
+            assert got[1].tobytes() == want[1].tobytes(), k
+
+
 class TestLinearRows:
     """Degenerate inputs for the kernel's rows and working set."""
 

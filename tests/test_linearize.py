@@ -127,6 +127,36 @@ class TestLinearization:
             read(lin)
             assert (counts() - before).tolist() == [calls] * 4
 
+    def test_jacobian_t_is_the_general_block_expression(self):
+        """J_k^T y by blocks has the bytes of (J(x)^T y_c + A^T y_A; -y),
+        signed zeros included: on every catalog entry, and with and without
+        a linear row on c = (x1^2 + x2, x1 x2), whose J(x) has a zero third
+        column and, at x1 = 0, a zero first entry, for y of both signs.
+        Without linear rows the empty A^T y_A is not formed; its zeros'
+        place in the sum is kept, so an entry reads +0.0 as there."""
+        def ring(m_A):
+            return NlpProblem(
+                n=3, m_c=2, m_A=m_A, eval_f=lambda x: float(x @ x), eval_g=lambda x: 2.0 * x,
+                eval_c=lambda x: np.array([x[0] ** 2 + x[1], x[0] * x[1]]),
+                eval_J=lambda x: np.array([[2.0 * x[0], 1.0, 0.0], [x[1], x[0], 0.0]]),
+                A=np.ones((m_A, 3)), bounds_x=(np.full(3, -INF), np.full(3, INF)),
+                bounds_c=(np.zeros(2), np.zeros(2)),
+                bounds_A=(np.zeros(m_A), np.ones(m_A)), x_tilde=np.zeros(3))
+
+        rng = np.random.default_rng(41)
+        problems = [catalog_get(name).problem for name in catalog_names()] + [ring(0), ring(1)]
+        for problem in problems:
+            sf = build_slack_form(problem)
+            for k in range(12):
+                x_ext = rng.standard_normal(sf.n_ext)
+                x_ext[0] *= k % 2
+                y = rng.standard_normal(sf.m) * (-1.0) ** k
+                lin = linearize_constraints(sf, x_ext)
+                general = np.concatenate([lin.J_x.T @ y[:sf.m_c] + sf.nlp.A.T @ y[sf.m_c:],
+                                          -y])
+                assert lin.jacobian_t(y).tobytes() == general.tobytes(), problem.name
+
+
 class TestElasticSubproblem:
     def test_lifted_dimensions(self):
         sf = build_slack_form(catalog_get("two-circles").problem)

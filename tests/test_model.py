@@ -6,8 +6,9 @@ import pytest
 from slcl.catalog import catalog_get, catalog_names
 from slcl.driver import solve
 from slcl.linearize import linearize_constraints
-from slcl.model import (_DERIV_STEP, INF, NlpProblem, build_slack_form,
-                        check_derivatives)
+from slcl.model import (_DERIV_STEP, _DERIV_TOL, INF, DerivReport, NlpProblem,
+                        _direction, build_slack_form, check_derivatives,
+                        scale_factors)
 
 
 def _bilinear_problem(swap_gradient=False):
@@ -80,6 +81,54 @@ def _circles_problem(k=100, bad_g=None, bad_J=None):
         bounds_c=(np.ones(k), np.ones(k)),
         bounds_A=(np.array([-INF]), np.array([10.0 * n])),
         x_tilde=np.full(n, 0.5))
+
+
+def _old_check_derivatives(problem, x):
+    """check_derivatives as it was written before its direction was cached
+    and its probe points were formed once: the reference its reports and
+    calls must match."""
+    lx, ux = problem.bounds_x
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float).reshape(problem.n), lx), ux)
+    h = _DERIV_STEP * np.maximum(1.0, np.abs(x))
+    margin = np.minimum(2 * h, 0.5 * (ux - lx))
+    x = np.minimum(np.maximum(x, lx + margin), ux - margin)
+    free = lx < ux
+    step = np.minimum(h, 0.2 * (ux - lx))
+    g = problem.g(x)
+    Jmat = problem.J(x)
+    if not free.any():
+        return DerivReport(0.0, 0.0, "g.d", passed=True)
+    k = np.arange(problem.n)
+    sign = np.where(k * 1.4142135623730951 % 1.0 < 0.5, 1.0, -1.0)
+    weight = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
+    d = np.where(free, step * sign * weight, 0.0)
+    scale = float(step[free].min())
+    slope_f = 0.5 * (problem.f(x + d) - problem.f(x - d))
+    slope_c = 0.5 * (problem.c(x + d) - problem.c(x - d))
+    dir_g = abs(slope_f - g @ d) / scale / (1.0 + np.abs(g).max())
+    dir_J = np.abs(slope_c - Jmat @ d) / scale / (1.0 + np.abs(Jmat).max(axis=1))
+    max_g, max_J = float(dir_g), float(dir_J.max(initial=0.0))
+    if max_g <= _DERIV_TOL and max_J <= _DERIV_TOL:
+        worst = "g.d" if max_g >= max_J else f"J[{int(np.argmax(dir_J))}].d"
+        return DerivReport(max_g, max_J, worst, passed=True)
+    err_g = np.zeros(problem.n)
+    err_J = np.zeros((problem.m_c, problem.n))
+    for j in free.nonzero()[0]:
+        e = np.zeros(problem.n)
+        e[j] = step[j]
+        fp, fm = problem.f(x + e), problem.f(x - e)
+        err_g[j] = abs((fp - fm) / (2 * step[j]) - g[j]) / (1.0 + abs(g[j]))
+        cp, cm = problem.c(x + e), problem.c(x - e)
+        col = (cp - cm) / (2 * step[j])
+        err_J[:, j] = np.abs(col - Jmat[:, j]) / (1.0 + np.abs(Jmat[:, j]))
+    max_g = float(err_g.max(initial=0.0))
+    max_J = float(err_J.max(initial=0.0))
+    if max_g >= max_J:
+        worst = f"g[{int(np.argmax(err_g))}]"
+    else:
+        i, j = np.unravel_index(int(np.argmax(err_J)), err_J.shape)
+        worst = f"J[{i},{j}]"
+    return DerivReport(max_g, max_J, worst, max_g <= _DERIV_TOL and max_J <= _DERIV_TOL)
 
 
 class TestSlackForm:
@@ -164,6 +213,59 @@ class TestSlackForm:
                                            sf.jacobian(J_x).T @ y,
                                            rtol=1e-14, atol=1e-15)
 
+    def test_jacobian_is_the_old_dense_build(self):
+        """jacobian(J_x) copies the leading n_ext columns of the elastic
+        rows: C-contiguous, with the bytes of the dense build it replaced,
+        [J(x), -I, 0; A, 0, -I] written into zeros, on every catalog entry,
+        with a column of J(x) zero and one -0.0."""
+        rng = np.random.default_rng(5)
+        for name in catalog_names():
+            sf = build_slack_form(catalog_get(name).problem)
+            n, m_c, m = sf.n, sf.m_c, sf.m
+            J_x = rng.standard_normal((m_c, n))
+            J_x[:, 0], J_x[:, -1] = 0.0, -0.0
+            old = np.zeros((m, sf.n_ext))
+            old[m_c:, :n], old[np.arange(m), n + np.arange(m)] = sf.nlp.A, -1.0
+            dense = old.copy()
+            dense[:m_c, :n] = J_x
+            Jt = sf.jacobian(J_x)
+            assert Jt.flags.c_contiguous, name
+            assert Jt.tobytes() == dense.tobytes(), name
+
+    def test_residual_is_the_general_block_expression(self):
+        """On every catalog entry's scaled form the residual has the bytes of
+        (row_scale c(x) - s_c; A x - s_A), signed zeros included; without
+        linear rows it is the nonlinear block alone, with no empty block
+        joined.  Every other sample sets s_c to row_scale c(x), where a row
+        reads +0.0."""
+        rng = np.random.default_rng(8)
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            sf = build_slack_form(problem, problem.x_tilde)
+            for k in range(10):
+                x_ext = sf.embed(problem.x_tilde) + rng.standard_normal(sf.n_ext)
+                x, s_c, s_A = sf.split(x_ext)
+                if k % 2:
+                    s_c[:] = sf.row_scale * problem.c(x)
+                general = np.concatenate([sf.row_scale * problem.c(x) - s_c,
+                                          problem.A @ x - s_A])
+                assert sf.residual(x_ext).tobytes() == general.tobytes(), name
+
+    def test_scale_factors_are_the_two_call_expressions(self):
+        """One scale_factors call on the stacked norms [||g||_inf, the row
+        norms of J] gives the factors of one call on each, on every catalog
+        entry at its start and at seeded points with norms up to 1e4."""
+        rng = np.random.default_rng(12)
+        for name in catalog_names():
+            problem = catalog_get(name).problem
+            for k in range(6):
+                x = problem.x_tilde * (1.0 + (k > 0) * 10.0 ** rng.uniform(-2, 4))
+                sf = build_slack_form(problem, x)
+                f_scale = float(scale_factors(np.abs(problem.g(x)).max(initial=0.0)))
+                row_scale = scale_factors(np.abs(problem.J(x)).max(axis=1, initial=0.0))
+                assert repr(sf.f_scale) == repr(f_scale), name
+                assert sf.row_scale.tobytes() == row_scale.tobytes(), name
+
     def test_dimension_probe_rejects_bad_callbacks(self):
         """Building the slack form leaves a wrong-shaped callback alone; the
         derivative check's first counted calls reject it."""
@@ -202,6 +304,51 @@ class TestSlackForm:
 
 
 class TestDerivativeCheck:
+    def test_direction_is_the_formula_and_read_only(self):
+        """The cached direction is the signs times the weights of the
+        formula, bit for bit, for n = 1 to 64, one array per n, which no
+        caller can write."""
+        for n in range(1, 65):
+            k = np.arange(n)
+            sign = np.where(k * 1.4142135623730951 % 1.0 < 0.5, 1.0, -1.0)
+            weight = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
+            d = _direction(n)
+            assert d.tobytes() == (sign * weight).tobytes(), n
+            assert d is _direction(n) and not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0] = 1.0
+
+    def test_reports_and_calls_are_the_old_expressions(self):
+        """On every catalog entry, at its start and at shifted starts, and on
+        problems whose check fails or skips fixed coordinates, the report
+        and the points f and c are called at are those of the expressions
+        the check was written with before its direction was cached."""
+        def fixed(problem):
+            problem.bounds_x = (np.array([-INF, 0.5]), np.array([INF, 0.5]))
+            return problem
+
+        rng = np.random.default_rng(27)
+        cases = [(lambda: catalog_get(name).problem, shift)
+                 for name in catalog_names() for shift in (0.0, 0.5, 3.0)]
+        cases += [(_bilinear_problem, 0.0),
+                  (lambda: _bilinear_problem(swap_gradient=True), 0.0),
+                  (lambda: fixed(_circle_problem()), 0.0),
+                  (lambda: _circles_problem(k=6, bad_g=5), 0.0),
+                  (lambda: _circles_problem(k=6, bad_J=(2, 4)), 0.2)]
+        for make, shift in cases:
+            new, old = make(), make()
+            x = new.x_tilde + shift * rng.standard_normal(new.n)
+            calls = []
+            for p in (new, old):
+                f, c = p.eval_f, p.eval_c
+                p.eval_f = lambda z, f=f, p=p: calls.append((id(p), "f", z.tobytes())) or f(z)
+                if c is not None:
+                    p.eval_c = lambda z, c=c, p=p: calls.append((id(p), "c", z.tobytes())) or c(z)
+            got, want = check_derivatives(new, x), _old_check_derivatives(old, x)
+            assert repr(got) == repr(want), new.name
+            assert ([call[1:] for call in calls if call[0] == id(new)]
+                    == [call[1:] for call in calls if call[0] == id(old)]), new.name
+
     def test_bilinear_gradient_passes(self):
         """Central differences are exact for f = x1 x2 up to roundoff."""
         rep = check_derivatives(_bilinear_problem(), np.array([2.0, 3.0]))
