@@ -9,14 +9,14 @@ test and residual at a visited point reads its one record (Linearization),
 which calls f, c, g and J there at most once each; a candidate's record is
 the kernel's of its last point.  A kernel that starts at the last
 kernel's candidate or start reads that record (see innersolve.solve_lc).
-Where a new record is of a point visited before (the start, whose g and J
-the slack form's factors read, whose c its embedding read, and which the
-derivative check probed if it lies two of the check's steps inside its
-bounds), the problem returns the values of its last calls (see
-model.NlpProblem), so a solve calls each callback at most once at any
-point.  The elastic weight sigma makes the method degrade gracefully
-between the two classical extremes, which are also available directly as
-modes:
+Where a new record is of a point visited before (the proximal start x0,
+where each solve is set up: the derivative check probes x0 unless it lies
+within two of the check's steps of a finite bound, and the slack form's
+factors read its g and J and its embedding its c), the problem returns the
+values of its last calls (see model.NlpProblem), so a solve calls each
+callback at most once at any point.  The elastic weight sigma makes the
+method degrade gracefully between the two classical extremes, which are
+also available directly as modes:
 
     stabilized  adaptive sigma between SIGMA_LO and SIGMA_HI, penalty from
                 RHO_FLOOR (the default)
@@ -277,13 +277,12 @@ def solve(problem: NlpProblem, opts: OuterOptions | None = None,
         y_start = finite_array(y_start, problem.m_c + problem.m_A, "y_start")
     counts0 = _eval_counts(problem)
 
-    deriv = check_derivatives(problem, x_tilde)
+    x0, meets_rows = solve_proximal(problem, x_tilde)
+    deriv = check_derivatives(problem, x0)
     if not deriv.passed:
         raise ValueError(
-            f"derivative check failed at the start point: worst {deriv.worst_index} "
+            f"derivative check failed at the proximal start: worst {deriv.worst_index} "
             f"(g err {deriv.max_rel_err_g:.2e}, J err {deriv.max_rel_err_J:.2e})")
-
-    x0, meets_rows = solve_proximal(problem, x_tilde)
     sf = build_slack_form(problem, x0)
     lin = linearize_constraints(sf, sf.embed(x0))
     # multipliers and the schedule's targets in the slack form's units

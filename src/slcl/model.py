@@ -385,7 +385,8 @@ def check_derivatives(problem: NlpProblem, x: Vector) -> DerivReport:
 
     max_g = float(err_g.max(initial=0.0))
     max_J = float(err_J.max(initial=0.0))
-    if max_g >= max_J:
+    # a NaN error is the worst, g's first: argmax names the first NaN entry
+    if max_g >= max_J or np.isnan(max_g):
         worst = f"g[{int(np.argmax(err_g))}]"
     else:
         i, j = np.unravel_index(int(np.argmax(err_J)), err_J.shape)

@@ -7,31 +7,33 @@ otherwise follow other bits on other machines.
 """
 
 import dataclasses
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: str):
+    """The module in the file at path, relative to the root of this
+    checkout, loaded by path: tools/ and perfbench/ are not packages."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 @pytest.fixture
 def spy_calls():
-    """spy_calls(problem) wraps the problem's raw callbacks and returns the
-    list that gets the kind and the bytes of x of every call; a tally of
-    its kinds counts the calls."""
-    def spy(problem):
-        calls = []
-        for kind in "fgcJ":
-            fn = getattr(problem, f"eval_{kind}")
-            if fn is not None:
-                def called(x, kind=kind, fn=fn):
-                    calls.append((kind, x.tobytes()))
-                    return fn(x)
-                setattr(problem, f"eval_{kind}", called)
-        return calls
-
-    return spy
+    """tools/identity.py's spy_calls: spy_calls(problem) wraps the
+    problem's raw callbacks and returns the list that gets the kind and the
+    bytes of x of every call; a tally of its kinds counts the calls."""
+    return load_module("tools/identity.py").spy_calls
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """Tests for the outer loop: schedules, branch logic, modes, and statuses."""
 
-import importlib.util
 import math
 import subprocess
 import sys
@@ -23,14 +22,6 @@ from slcl.model import INF, NlpProblem, SlackForm, build_slack_form
 
 
 IDENTITY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
-
-
-def _identity_tool():
-    """tools/identity.py, loaded from this checkout."""
-    spec = importlib.util.spec_from_file_location("identity", IDENTITY_TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def _state(rho=10.0, sigma=100.0, eta=1.0, omega=1e-3, m=1, n_ext=3):
@@ -778,6 +769,66 @@ class TestSolve:
             assert rep.status == "Optimal", x_tilde
             np.testing.assert_allclose(rep.x, [2.25], atol=1e-6)
 
+    def test_start_outside_f_domain_is_moved_onto_the_rows(self):
+        """f = -log(x1 + x2 - 1) + x1 + x2 + (x1 - x2)^2 / 2 is NaN where
+        x1 + x2 <= 1.  From (0.2, 0.3) the proximal start moves x onto the
+        row x1 + x2 >= 2, inside f's domain, before any callback is called,
+        so the derivative check probes a point where f is defined."""
+        def f(x):
+            s = x[0] + x[1]
+            return -math.log(s - 1.0) + s + 0.5 * (x[0] - x[1]) ** 2 if s > 1.0 else math.nan
+
+        def g(x):
+            s, d = x[0] + x[1], x[0] - x[1]
+            a = 1.0 - 1.0 / (s - 1.0) if s > 1.0 else math.nan
+            return np.array([a + d, a - d])
+
+        p = NlpProblem(
+            n=2, m_c=0, m_A=1, eval_f=f, eval_g=g, eval_c=None, eval_J=None,
+            A=np.ones((1, 2)), bounds_x=(np.zeros(2), np.full(2, INF)),
+            bounds_c=((), ()), bounds_A=(np.array([2.0]), np.array([INF])),
+            x_tilde=np.array([0.2, 0.3]))
+        rep = solve(p)
+        assert rep.status == "Optimal"
+        np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-6)
+        assert abs(rep.final_objective - 2.0) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["circle-chord", "lin-eq-quadratic", "scaled-quads"])
+    def test_derivatives_are_checked_at_the_proximal_start(self, monkeypatch, spy_calls,
+                                                           name):
+        """Each start lies off its linear rows, and the check's probe is the
+        proximal start's point x0, where the slack form is scaled and the
+        first record built.  Before the first major, g (and J, on
+        circle-chord's nonlinear row) is called at x0 alone."""
+        seen = {}
+        proximal, check = driver.solve_proximal, driver.check_derivatives
+        solve_lc = driver.solve_lc
+
+        def spied_proximal(p, x):
+            out = proximal(p, x)
+            seen["x0"] = out[0]
+            return out
+
+        def spied_check(p, x):
+            seen["probe"] = x
+            return check(p, x)
+
+        def spied_solve_lc(*args, **kwargs):
+            seen.setdefault("setup", list(calls))
+            return solve_lc(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_proximal", spied_proximal)
+        monkeypatch.setattr(driver, "check_derivatives", spied_check)
+        monkeypatch.setattr(driver, "solve_lc", spied_solve_lc)
+        problem = catalog_get(name).problem
+        calls = spy_calls(problem)
+        assert solve(problem).status == "Optimal"
+        x0 = seen["x0"].tobytes()
+        assert seen["probe"].tobytes() == x0 != problem.x_tilde.tobytes()
+        for kind in "gJ":
+            points = {x for k, x in seen["setup"] if k == kind}
+            assert points == ({x0} if kind == "g" or problem.m_c else set()), kind
+
     def test_wrong_shaped_gradient_is_rejected(self):
         p = self._sqrt_problem([2.0], eval_g=lambda x: np.zeros((1, 1)))
         with pytest.raises(ValueError, match="eval_g shape does not match n"):
@@ -1041,14 +1092,13 @@ class TestSolve:
             assert len(set(seen)) == len(seen), (name, x_start)
 
     @pytest.mark.parametrize("mode", [BCL, CANONICAL])
-    def test_other_modes_repeat_no_callback_at_a_point(self, mode):
+    def test_other_modes_repeat_no_callback_at_a_point(self, mode, spy_calls):
         """bcl and canonical call each callback at most once at any point
         too, on every catalog entry from its own start, counted with the
         identity tool's spy as it counts repeats."""
-        spy = _identity_tool().spy_calls
         for name in catalog_names():
             problem = catalog_get(name).problem
-            calls = spy(problem)
+            calls = spy_calls(problem)
             solve(problem, OuterOptions(mode=mode))
             assert calls and len(set(calls)) == len(calls), name
 

@@ -1,5 +1,7 @@
 """Tests for problem definition, the slack form, and derivative checking."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,43 @@ class TestDerivativeCheck:
         assert not rep.passed
         assert rep.worst_index == worst
         assert p.n_feval == p.n_ceval == 2 + 2 * p.n
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_nan_gradient_error_is_located(self, rows):
+        """f = sqrt(x1 - 1) + x2^2, NaN where x1 <= 1, from (0.5, 0.5) on
+        x >= 0: g's NaN error is the worst, so the report names g[0], with
+        no nonlinear row and with a row x1^2 whose J checks clean."""
+        def f(x):
+            return math.sqrt(x[0] - 1.0) + x[1] ** 2 if x[0] > 1.0 else math.nan
+
+        def g(x):
+            return np.array([0.5 / math.sqrt(x[0] - 1.0) if x[0] > 1.0 else math.nan,
+                             2.0 * x[1]])
+
+        p = _square_problem(
+            n=2, m_c=rows, eval_f=f, eval_g=g, eval_c=lambda x: x[:rows] ** 2,
+            eval_J=lambda x: np.diag(2.0 * x)[:rows], A=np.zeros((0, 2)),
+            bounds_x=(np.zeros(2), np.full(2, INF)),
+            bounds_c=(np.zeros(rows), np.full(rows, INF)), x_tilde=[0.5, 0.5])
+        rep = check_derivatives(p, p.x_tilde)
+        assert not rep.passed and rep.worst_index == "g[0]"
+        assert math.isnan(rep.max_rel_err_g)
+        with pytest.raises(ValueError, match=r"worst g\[0\]"):
+            solve(p)
+
+    def test_nan_jacobian_error_is_located(self):
+        """c = sqrt(x2 - 1), NaN where x2 <= 1, from (0.5, 0.5): J's NaN
+        errors are the worst, so the report names the first, J[0,0], though
+        g's error is smaller."""
+        p = _square_problem(
+            n=2, m_c=1, eval_g=lambda x: np.array([2.0 * x[0], 0.0]),
+            eval_c=lambda x: np.array([math.sqrt(x[1] - 1.0) if x[1] > 1.0 else math.nan]),
+            eval_J=lambda x: np.array([[0.0, 1.0]]),
+            A=np.zeros((0, 2)), bounds_x=(np.zeros(2), np.full(2, INF)),
+            bounds_c=([0.0], [INF]), x_tilde=[0.5, 0.5])
+        rep = check_derivatives(p, p.x_tilde)
+        assert not rep.passed and rep.worst_index == "J[0,0]"
+        assert rep.max_rel_err_g <= 1e-8 and math.isnan(rep.max_rel_err_J)
 
     def test_step_is_relative_at_large_x(self):
         """At x = 1e8 a step of 1e-5 would be lost in rounding; a step of
